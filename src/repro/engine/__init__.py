@@ -125,7 +125,6 @@ from repro.engine.occupancy import (
     occupancy_transition_matrix_batch,
     simulate_occupancy,
 )
-from repro.engine.parallel import WorkItem, execute_work_items, recommended_workers
 from repro.engine.rng import (
     KernelInfo,
     MultinomialKernelWarning,
@@ -170,9 +169,6 @@ __all__ = [
     "multinomial_kernel_id",
     "resolve_multinomial_backend",
     "set_multinomial_backend",
-    "WorkItem",
-    "execute_work_items",
-    "recommended_workers",
     "RecordLevel",
     "Trajectory",
     "TrajectoryRecorder",

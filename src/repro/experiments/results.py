@@ -71,6 +71,14 @@ class CellResult:
     rounds: List[float] = field(default_factory=list)
     extra: Dict[str, Any] = field(default_factory=dict)
 
+    def __eq__(self, other: object) -> bool:
+        # compared in strict-JSON form: a never-converging cell carries NaN
+        # rounds and means, and NaN != NaN would make identical reports
+        # unequal (non-finite floats are tagged, hence comparable, there)
+        if not isinstance(other, CellResult):
+            return NotImplemented
+        return to_jsonable(self.to_dict()) == to_jsonable(other.to_dict())
+
     @property
     def n(self) -> int:
         return self.config.n

@@ -2,9 +2,11 @@
 
 :func:`run_cell` executes one :class:`~repro.experiments.config.ExperimentConfig`
 (``num_runs`` independent simulations) and returns a
-:class:`~repro.experiments.results.CellResult`; :func:`run_sweep` maps it over
-a :class:`~repro.experiments.config.SweepConfig`, optionally with a process
-pool for the independent cells.
+:class:`~repro.experiments.results.CellResult`; it is the only compute
+function on every execution backend.  :func:`run_sweep` maps it over a
+:class:`~repro.experiments.config.SweepConfig` through the one sweep driver,
+:class:`repro.store.CachedSweepRunner`, without a store — in-process, or on
+a process pool for the independent cells.
 
 Engine routing is delegated to :func:`repro.engine.batch.run_batch`: cells
 with ``engine="occupancy-fused"`` advance all their runs as one (R, m) count
@@ -15,23 +17,17 @@ the matching representation by
 
 Caching
 -------
-:func:`run_sweep` always recomputes.  For cached, resumable execution wrap a
-sweep in :class:`repro.store.CachedSweepRunner`, which keys each cell by the
-canonical hash of its config (:func:`repro.store.hashing.cell_key`).  The key
-covers everything that determines the sampled distribution — workload +
-params, rule + params, adversary + budget + params, ``num_runs``,
-``max_rounds``, ``seed`` — and deliberately excludes ``name`` and ``engine``:
-the three engines are equal in distribution (pinned by the differential
-tests), so a sweep retargeted via ``SweepConfig.with_engine`` keeps its cache
-hits, with the engine that actually produced a stored result recorded as
-provenance.  The CLI exposes this as ``sweep --store DIR`` with ``--no-cache``
-(bypass the store entirely) and ``--rerun`` (recompute and overwrite) as the
-escape hatches.
+:func:`run_sweep` always recomputes.  The same runner over a
+:class:`~repro.store.ResultStore` serves cells from the store by their
+canonical hash (:mod:`repro.store.hashing` — engine- and label-independent)
+and persists fresh ones as they complete; the CLI exposes this as
+``sweep --store DIR`` with ``--no-cache`` (bypass the store entirely) and
+``--rerun`` (recompute and overwrite) as the escape hatches.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,11 +35,6 @@ from repro.adversary.strategies import make_adversary
 from repro.core.rules import get_rule
 from repro.core.state import Configuration
 from repro.engine.batch import fused_occupancy_cell_supported, run_batch
-from repro.engine.parallel import (
-    WorkItem,
-    execute_work_items,
-    format_cell_error,
-)
 from repro.experiments.config import ExperimentConfig, SweepConfig
 from repro.experiments.results import CellResult, ExperimentReport
 from repro.experiments.workloads import (
@@ -57,14 +48,10 @@ from repro.robustness.retry import classify_error
 
 __all__ = [
     "EXECUTION_STATS",
-    "emit_engine_metrics",
     "resolve_cell_engine",
     "run_cell",
     "run_sweep",
-    "work_item_for_cell",
-    "cell_result_from_pool_summary",
     "failed_cell_result",
-    "attach_failures",
 ]
 
 #: Per-process count of in-process cell executions (``run_cell`` calls).
@@ -83,9 +70,8 @@ def resolve_cell_engine(rule: str, adversary: str, engine: str,
     ``"occupancy-fused"`` cells whose rule/adversary pair has no count-space
     form — or whose support is too wide for count space to win (m² ≫ n,
     e.g. the all-distinct workload where m = n) — fall back to
-    ``"vectorized"``, so every entry point (sweeps, direct :func:`run_cell`,
-    pooled :class:`~repro.engine.parallel.WorkItem` execution) degrades
-    identically *before* a workload is built in the wrong representation.
+    ``"vectorized"`` *before* a workload is built in the wrong
+    representation.
     """
     if engine != "occupancy-fused":
         return engine
@@ -96,32 +82,6 @@ def resolve_cell_engine(rule: str, adversary: str, engine: str,
     if not fused_occupancy_cell_supported(rule, adversary, n=n, m=m):
         return "vectorized"
     return engine
-
-
-def emit_engine_metrics(batch, draws_before: Optional[Dict[str, int]] = None
-                        ) -> None:
-    """Trace one batch's engine-level work (no-op when tracing is disarmed).
-
-    ``draws_before`` is a snapshot of
-    :data:`repro.engine._multinomial.DRAW_STATS` taken before the batch ran;
-    the deltas attribute multinomial traffic to this cell.  ``engine.rounds``
-    sums the finite (converged) per-run round counts.
-    """
-    if not obs_trace.enabled():
-        return
-    obs_metrics.count("engine.runs", batch.num_runs)
-    rounds = int(sum(r for r in batch.rounds if np.isfinite(r)))
-    if rounds:
-        obs_metrics.count("engine.rounds", rounds)
-    if draws_before is not None:
-        from repro.engine._multinomial import DRAW_STATS
-
-        calls = DRAW_STATS["calls"] - draws_before["calls"]
-        rows = DRAW_STATS["rows"] - draws_before["rows"]
-        if calls:
-            obs_metrics.count("engine.multinomial_calls", calls)
-        if rows:
-            obs_metrics.count("engine.multinomial_rows", rows)
 
 
 def run_cell(config: ExperimentConfig) -> CellResult:
@@ -155,7 +115,20 @@ def run_cell(config: ExperimentConfig) -> CellResult:
         max_rounds=config.max_rounds,
         engine=engine,
     )
-    emit_engine_metrics(batch, draws_before)
+    if draws_before is not None:
+        # traced: attribute this batch's engine work (and, by the deltas,
+        # its multinomial traffic) to the cell; ``engine.rounds`` sums the
+        # finite (converged) per-run round counts
+        obs_metrics.count("engine.runs", batch.num_runs)
+        rounds = int(sum(r for r in batch.rounds if np.isfinite(r)))
+        if rounds:
+            obs_metrics.count("engine.rounds", rounds)
+        calls = DRAW_STATS["calls"] - draws_before["calls"]
+        rows = DRAW_STATS["rows"] - draws_before["rows"]
+        if calls:
+            obs_metrics.count("engine.multinomial_calls", calls)
+        if rows:
+            obs_metrics.count("engine.multinomial_rows", rows)
     return CellResult(
         config=config,
         num_runs=batch.num_runs,
@@ -170,24 +143,6 @@ def run_cell(config: ExperimentConfig) -> CellResult:
     )
 
 
-def work_item_for_cell(cell: ExperimentConfig) -> WorkItem:
-    """Translate a cell into the picklable process-pool work description."""
-    return WorkItem(
-        label=cell.name,
-        workload=cell.workload,
-        workload_params=cell.workload_params,
-        rule=cell.rule,
-        rule_params=cell.rule_params,
-        adversary=cell.adversary,
-        adversary_budget=cell.adversary_budget,
-        adversary_params=cell.adversary_params,
-        num_runs=cell.num_runs,
-        seed=cell.seed,
-        max_rounds=cell.max_rounds,
-        engine=cell.engine,
-    )
-
-
 def failed_cell_result(cell: ExperimentConfig, error: str,
                        attempts: int = 1,
                        kind: Optional[str] = None) -> CellResult:
@@ -196,7 +151,7 @@ def failed_cell_result(cell: ExperimentConfig, error: str,
     The metrics use ``inf`` (the existing "did not converge" value — and,
     unlike NaN, equal to itself) so failure-carrying reports compare equal
     across backends; the error string (exception type + message, see
-    :func:`repro.engine.parallel.format_cell_error`) rides in ``extra``
+    :func:`repro.robustness.format_cell_error`) rides in ``extra``
     together with the attempt count and the failure *kind* —
     ``"permanent"`` (a deterministic error, never retried) or
     ``"transient-exhausted"`` (a transient error that survived every
@@ -221,55 +176,8 @@ def failed_cell_result(cell: ExperimentConfig, error: str,
     )
 
 
-def attach_failures(report: ExperimentReport) -> List[Dict[str, Any]]:
-    """Collect failed cells into ``report.meta["failures"]`` (and return them).
-
-    The meta entry is only written when at least one cell failed, so clean
-    reports keep their historical shape (and their equality with stored
-    ones).  Entry order follows cell order, which every backend preserves.
-    Each entry carries the attempt count and the permanent /
-    transient-exhausted classification from :func:`failed_cell_result`.
-    """
-    failures = [{"cell": c.config.name, "error": str(c.extra.get("error", "")),
-                 "attempts": int(c.extra.get("attempts", 1)),
-                 "kind": str(c.extra.get("kind", ""))}
-                for c in report.cells if c.extra.get("failed")]
-    if failures:
-        report.meta["failures"] = failures
-    return failures
-
-
-def cell_result_from_pool_summary(cell: ExperimentConfig,
-                                  summary: Dict[str, Any]) -> CellResult:
-    """Build a :class:`CellResult` from a pooled worker's flat summary.
-
-    Summaries carry the per-run rounds and the resolved engine, so the
-    result is identical to what a serial :func:`run_cell` produces for the
-    same cell — the property that keeps reports (and store payloads) equal
-    regardless of which execution backend computed them.  An error summary
-    (``{"label", "error"}``, from a cell that raised in its worker) becomes
-    the canonical :func:`failed_cell_result`.
-    """
-    if "error" in summary:
-        return failed_cell_result(cell, str(summary["error"]))
-    extra: Dict[str, Any] = {"rule": cell.rule, "adversary": cell.adversary}
-    if "engine" in summary:
-        extra["engine"] = summary["engine"]
-    return CellResult(
-        config=cell,
-        num_runs=int(summary["num_runs"]),
-        convergence_fraction=float(summary["convergence_fraction"]),
-        mean_rounds=float(summary["mean_rounds"]),
-        median_rounds=float(summary["median_rounds"]),
-        p90_rounds=float(summary["p90_rounds"]),
-        max_rounds=float(summary["max_rounds"]),
-        rounds=[float(r) for r in summary.get("rounds", [])],
-        extra=extra,
-    )
-
-
 def run_sweep(sweep: SweepConfig, max_workers: Optional[int] = 0) -> ExperimentReport:
-    """Execute every cell of a sweep.
+    """Execute every cell of a sweep (no store: always recomputes).
 
     Parameters
     ----------
@@ -277,8 +185,7 @@ def run_sweep(sweep: SweepConfig, max_workers: Optional[int] = 0) -> ExperimentR
         The sweep definition.
     max_workers:
         ``0``/``1`` → serial in-process execution (default; deterministic and
-        test-friendly); ``None`` or >1 → a process pool over cells using
-        :mod:`repro.engine.parallel`.
+        test-friendly); ``None`` or >1 → a process pool over cells.
 
     Returns
     -------
@@ -288,22 +195,7 @@ def run_sweep(sweep: SweepConfig, max_workers: Optional[int] = 0) -> ExperimentR
         listed in ``report.meta["failures"]`` (label + error), so a poisoned
         cell can never abort a sweep or silently vanish from its report.
     """
-    report = ExperimentReport(name=sweep.name, description=sweep.description)
+    # imported here: repro.store builds on this module
+    from repro.store.runner import CachedSweepRunner
 
-    if max_workers in (0, 1):
-        for cell in sweep:
-            try:
-                report.add(run_cell(cell))
-            except Exception as exc:   # noqa: BLE001 — per-cell isolation
-                report.add(failed_cell_result(cell, format_cell_error(exc)))
-        attach_failures(report)
-        return report
-
-    # Parallel path: translate cells to picklable WorkItems; summaries carry
-    # per-run rounds, so pooled reports equal serial ones cell for cell.
-    items = [work_item_for_cell(cell) for cell in sweep]
-    summaries = execute_work_items(items, max_workers=max_workers)
-    for cell, summary in zip(sweep, summaries):
-        report.add(cell_result_from_pool_summary(cell, summary))
-    attach_failures(report)
-    return report
+    return CachedSweepRunner(None, max_workers=max_workers).run(sweep)

@@ -11,9 +11,10 @@ The robustness substrate for the execution stack, in three parts:
    through every execution backend, with permanent/transient error
    classification shared by the serial, pool, and shard paths.
 3. Degradation warnings — each rung of the degradation ladder (corrupt
-   entry quarantined on read, shard→pool→serial backend downgrade,
-   unwritable store) announces itself exactly once per incident through a
-   typed warning below, so degraded runs are visible without being fatal.
+   entry quarantined on read, unreadable store, shard/http→pool→serial
+   backend downgrade, unwritable store) announces itself exactly once per
+   incident through a typed warning below, so degraded runs are visible
+   without being fatal.
 
 See the README "Robustness" section for the seam catalog and the policy
 knobs, and ``tests/chaos.py`` for the harness that certifies the
@@ -21,6 +22,9 @@ invariants under randomized fault schedules.
 """
 
 from __future__ import annotations
+
+import warnings
+from typing import Any
 
 from .faults import (
     ENV_VAR,
@@ -42,12 +46,14 @@ from .faults import (
 from .retry import (
     DEFAULT_RETRY_POLICY,
     PERMANENT_ERROR_TYPES,
+    CellError,
     Deadline,
     RetryExhausted,
     RetryPolicy,
     SweepDeadlineError,
     call_with_retry,
     classify_error,
+    format_cell_error,
 )
 
 __all__ = [
@@ -57,21 +63,26 @@ __all__ = [
     "in_worker_process", "mark_worker_process", "maybe_torn",
     "read_fault_journal",
     # retry
-    "DEFAULT_RETRY_POLICY", "PERMANENT_ERROR_TYPES", "Deadline",
+    "DEFAULT_RETRY_POLICY", "PERMANENT_ERROR_TYPES", "CellError", "Deadline",
     "RetryExhausted", "RetryPolicy", "SweepDeadlineError", "call_with_retry",
-    "classify_error",
+    "classify_error", "format_cell_error",
     # degradation warnings
     "DegradedExecutionWarning", "StoreIntegrityWarning", "TornLogWarning",
+    "warn_degraded",
 ]
 
 
 class DegradedExecutionWarning(UserWarning):
     """Execution continued on a lower rung of the degradation ladder.
 
-    Emitted once per incident when the shard backend falls back to pool
-    (lease infrastructure unavailable), the pool falls back to serial
-    (worker processes unusable), or results cannot be persisted (store
-    directory not writable).
+    Emitted once per incident by :func:`warn_degraded`, labelled with its
+    rung:
+
+    ``store-unreadable``  the store cannot be read; every cell is a miss
+    ``shard-to-pool``     shard lease infrastructure is not writable
+    ``http-to-pool``      the http coordinator is unreachable
+    ``pool-to-serial``    pool worker processes cannot start or broke
+    ``store-unwritable``  results are returned but not persisted
     """
 
 
@@ -88,3 +99,20 @@ class TornLogWarning(UserWarning):
 
     The damaged lines were skipped; the surviving records are returned.
     """
+
+
+def warn_degraded(message: str, rung: str, **attrs: Any) -> None:
+    """Announce one step down the degradation ladder, labelled by ``rung``.
+
+    Issues the :class:`DegradedExecutionWarning`, emits its structured twin
+    (visible in the merged trace even from worker processes) and counts
+    ``degraded{rung}``.  :mod:`repro.obs` is imported lazily: the ladder is
+    a cold path, and this package never depends on it at module level.
+    """
+    from repro.obs import metrics as obs_metrics
+    from repro.obs import trace as obs_trace
+
+    warnings.warn(message, DegradedExecutionWarning, stacklevel=3)
+    obs_trace.warning_event("DegradedExecutionWarning", message, rung=rung,
+                            **attrs)
+    obs_metrics.count("degraded", rung=rung)

@@ -34,8 +34,8 @@ Seam catalog
 ``lease.release``          :meth:`LeaseManager.release`
 ``lease.reclaim``          :meth:`LeaseManager.reclaim` (stale-lease path)
 ``shard.log_append``       ``executions.jsonl`` append
-``worker.compute``         per-cell compute entry (``run_cell`` and the
-                           pool worker entry point — every backend)
+``worker.compute``         per-cell compute entry (``run_cell``, on every
+                           backend)
 ``kernel.compile``         compiled-multinomial provider build/load
 ``subprocess.spawn``       pool / shard worker-process creation
 =========================  ====================================================

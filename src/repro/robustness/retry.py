@@ -1,8 +1,8 @@
 """Retry, backoff, and failure-classification policy for sweep execution.
 
-One :class:`RetryPolicy` is threaded through :class:`CachedSweepRunner` and
-all three execution backends, so every path from "cell raised" to "cell
-failed" obeys the same three knobs:
+One :class:`RetryPolicy` is threaded through :class:`CachedSweepRunner` into
+the one per-cell step every execution backend runs, so every path from
+"cell raised" to "cell failed" obeys the same three knobs:
 
 * **per-cell attempt budget** (``max_attempts``) — a cell is computed at
   most this many times across the whole coordinated run, including
@@ -14,8 +14,9 @@ failed" obeys the same three knobs:
   retrying the same cell do not thunder in lockstep yet a chaos run
   reproduces exactly from its seed;
 * **per-sweep deadline** (``deadline_s``) — a wall-clock budget for the
-  entire sweep; when it expires, remaining retries are abandoned and the
-  affected cells surface as ordinary failures rather than hanging a fleet.
+  entire sweep; no backoff sleeps past it, and when it expires, remaining
+  retries are abandoned and the affected cells surface as ordinary
+  failures rather than hanging a fleet.
 
 Errors are classified by *type name* (:func:`classify_error`): programming
 and configuration errors (``KeyError: no-such-rule`` …) are **permanent**
@@ -26,8 +27,9 @@ retried until the budget is exhausted, at which point the failure
 escalates with ``kind="transient-exhausted"`` so ``report.meta["failures"]``
 distinguishes "this cell is wrong" from "this cell was unlucky".
 Classification operates on the ``"ExcType: message"`` strings produced by
-:func:`format_cell_error`, so the pool and shard paths — which only see the
-serialized error — classify identically to the in-process serial path.
+:func:`format_cell_error`, so an error that crossed a process boundary
+(a pool child's :class:`CellError`, a shard failure marker) classifies
+identically to one raised in-process.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = [
     "PERMANENT_ERROR_TYPES",
+    "CellError",
+    "format_cell_error",
     "classify_error",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
@@ -46,7 +50,6 @@ __all__ = [
     "SweepDeadlineError",
     "Deadline",
     "call_with_retry",
-    "emit_retry_telemetry",
 ]
 
 #: Exception type names treated as permanent (deterministic) failures.
@@ -61,17 +64,37 @@ PERMANENT_ERROR_TYPES: Tuple[str, ...] = (
 )
 
 
+class CellError(Exception):
+    """A cell error carried as its canonical ``"ExcType: message"`` string.
+
+    How a failure crosses a process boundary (a pool child hands its
+    attempt back as a string): re-raised in the parent, it formats and
+    classifies exactly like the exception it stands for.
+    """
+
+
+def format_cell_error(exc: BaseException) -> str:
+    """The canonical per-cell failure string: exception type + message.
+
+    Deliberately excludes the traceback, which differs between in-process
+    and pooled execution — the same poisoned cell must produce the same
+    string on every backend so failure-carrying reports stay backend-equal.
+    """
+    if isinstance(exc, CellError):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
 def classify_error(error: "str | BaseException") -> str:
     """``"permanent"`` or ``"transient"`` for an error (string or exception).
 
-    Strings are the ``"ExcType: message"`` form of ``format_cell_error``;
-    only the leading type name is consulted, so a transient error whose
-    *message* mentions ``ValueError`` is still transient.
+    Only the leading type name of the :func:`format_cell_error` string is
+    consulted, so a transient error whose *message* mentions ``ValueError``
+    is still transient.
     """
     if isinstance(error, BaseException):
-        name = type(error).__name__
-    else:
-        name = str(error).split(":", 1)[0].strip()
+        error = format_cell_error(error)
+    name = error.split(":", 1)[0].strip()
     return "permanent" if name in PERMANENT_ERROR_TYPES else "transient"
 
 
@@ -114,7 +137,7 @@ class RetryPolicy:
         return max(0.0, base * (1.0 + frac))
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for handing the policy to spawned shard workers."""
+        """Plain-dict (JSON-friendly) form of the policy."""
         return {"max_attempts": self.max_attempts,
                 "base_delay_s": self.base_delay_s,
                 "max_delay_s": self.max_delay_s,
@@ -142,16 +165,31 @@ class RetryExhausted(RuntimeError):
 
 
 class SweepDeadlineError(RuntimeError):
-    """The per-sweep wall-clock deadline expired while retries remained."""
+    """The per-sweep wall-clock deadline expired before a cell could start."""
 
 
 class Deadline:
-    """A monotonic-clock deadline shared by every retry loop of one sweep."""
+    """A monotonic-clock deadline shared by every retry loop of one sweep.
+
+    Pickling hands the expiry over as wall-clock time, so a worker process
+    that spends a second importing still expires with its parent.
+    """
 
     def __init__(self, seconds: Optional[float]) -> None:
         self.seconds = seconds
         self._expires: Optional[float] = (
             None if seconds is None else time.monotonic() + seconds)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        remaining = self.remaining()
+        return {"seconds": self.seconds,
+                "at": None if remaining is None else time.time() + remaining}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.seconds = state["seconds"]
+        at = state["at"]
+        self._expires = (None if at is None
+                         else time.monotonic() + (at - time.time()))
 
     def expired(self) -> bool:
         return self._expires is not None and time.monotonic() >= self._expires
@@ -161,34 +199,10 @@ class Deadline:
             return None
         return max(0.0, self._expires - time.monotonic())
 
-    def check(self, label: str = "sweep") -> None:
-        if self.expired():
-            raise SweepDeadlineError(
-                f"{label}: sweep deadline of {self.seconds}s expired")
-
-
-def emit_retry_telemetry(label: str, key: Optional[str], attempt: int,
-                         delay: float, error: str) -> None:
-    """Trace one retry decision (cold path — only reached on a transient
-    failure with budget left).
-
-    Imported lazily so :mod:`repro.robustness` never depends on
-    :mod:`repro.obs` at module level; with tracing disarmed this is one
-    function call per *retry*, not per cell.  ``key`` is the canonical cell
-    hash when the caller has one — the acceptance contract is that every
-    retry event carries it.
-    """
-    try:
-        from repro.obs import metrics as obs_metrics
-        from repro.obs import trace as obs_trace
-    except ImportError:   # pragma: no cover — partial install
-        return
-    if not obs_trace.enabled():
-        return
-    obs_trace.event("retry", cell=key or label, label=label,
-                    attempt=attempt, backoff_s=round(delay, 6), error=error)
-    obs_metrics.count("retry.attempts")
-    obs_metrics.observe("retry.backoff_s", delay)
+    def error(self, label: str = "sweep") -> SweepDeadlineError:
+        """The error of ``label`` stopped by this deadline."""
+        return SweepDeadlineError(
+            f"{label}: sweep deadline of {self.seconds}s expired")
 
 
 def call_with_retry(fn: Callable[[], Any], policy: RetryPolicy,
@@ -201,33 +215,40 @@ def call_with_retry(fn: Callable[[], Any], policy: RetryPolicy,
     recorded in a ``state:"failed"`` marker by an earlier run) against the
     budget.  Permanent errors re-raise immediately; a transient error on
     the final allowed attempt raises :class:`RetryExhausted` carrying the
-    formatted error and the total attempt count.  ``key`` is the cell's
+    formatted error and the total attempt count.  ``deadline`` bounds the
+    retries: no backoff sleeps past it, and a transient error once it has
+    expired is final (:class:`RetryExhausted`, attempts as made) — whether
+    ``fn`` may *start* at all is the caller's check.  ``key`` is the cell's
     canonical store hash, attached to retry trace events (telemetry only —
     it does not affect the schedule, which is keyed on ``label``).
     """
     attempt = prior_attempts
     while True:
-        if deadline is not None:
-            deadline.check(label or "cell")
         attempt += 1
         try:
             return fn()
-        except SweepDeadlineError:
-            raise
         except Exception as exc:   # noqa: BLE001 — classification decides
-            error = f"{type(exc).__name__}: {exc}"
-            if classify_error(exc) == "permanent":
+            error = format_cell_error(exc)
+            if classify_error(error) == "permanent":
                 raise
             if attempt >= policy.max_attempts:
                 raise RetryExhausted(label or "cell", error, attempt) from exc
             delay = policy.backoff_s(attempt, token=label)
-            if deadline is not None:
-                rem = deadline.remaining()
-                if rem is not None:
-                    if rem <= 0:
-                        raise RetryExhausted(label or "cell", error,
-                                             attempt) from exc
-                    delay = min(delay, rem)
-            emit_retry_telemetry(label, key, attempt, delay, error)
+            remaining = None if deadline is None else deadline.remaining()
+            if remaining is not None:
+                delay = min(delay, remaining)
+            # cold path (a transient failure with budget left), so repro.obs
+            # is imported here: this package never depends on it at import
+            from repro.obs import metrics as obs_metrics
+            from repro.obs import trace as obs_trace
+
+            if obs_trace.enabled():
+                obs_trace.event("retry", cell=key or label, label=label,
+                                attempt=attempt, backoff_s=round(delay, 6),
+                                error=error)
+                obs_metrics.count("retry.attempts")
+                obs_metrics.observe("retry.backoff_s", delay)
             if delay > 0:
                 time.sleep(delay)
+            if deadline is not None and deadline.expired():
+                raise RetryExhausted(label or "cell", error, attempt) from exc

@@ -1,80 +1,198 @@
-"""Pluggable execution backends for store-routed sweeps.
+"""Execution backends for store-routed sweeps, and the one per-cell step.
 
 :class:`~repro.store.runner.CachedSweepRunner` partitions a sweep into cache
-hits and misses; *how* the misses execute is delegated to an
-:class:`ExecutionBackend`:
+hits and misses.  Every miss is computed by one :class:`CellStep` — the only
+place a cell is computed: :func:`~repro.experiments.runner.run_cell` under
+:func:`~repro.robustness.call_with_retry`, persisted with the cell's
+provenance, counted (``cells.computed`` / ``cells.failed``) and traced
+(``cell.compute``), or turned into the canonical
+:func:`~repro.experiments.runner.failed_cell_result`.  An
+:class:`ExecutionBackend` only decides how the misses map onto that step:
 
 ``serial`` (:class:`SerialBackend`)
-    In-process :func:`~repro.experiments.runner.run_cell`, one cell at a
-    time.  Deterministic and test-friendly; each cell is persisted the
-    moment it completes.
+    An in-process loop, one cell at a time.
 
 ``pool`` (:class:`PoolBackend`)
-    The :mod:`repro.engine.parallel` process pool: misses become picklable
-    WorkItems, results are consumed (and persisted) in completion order.
+    A process pool over the cells' configs: each child makes one cell's
+    first attempt and returns the :class:`CellResult` that ``run_cell``
+    builds (or its error string); the parent hands it to the step in
+    completion order, which persists it — the interrupt-resume property —
+    and makes any retries in-process.
 
-``shard`` (:class:`~repro.store.shard.ShardBackend`)
-    Multi-worker *sharded* execution: independent worker processes lease
-    pending cells straight from the store (atomic lease files keyed by the
-    canonical cell hash), so concurrent workers — even ones launched from
-    different terminals with overlapping sweeps — compute every cell exactly
-    once and any worker can die and be replaced mid-sweep.  See
-    :mod:`repro.store.shard`.
+``shard`` / ``http`` (:class:`~repro.store.shard.ShardBackend` /
+:class:`~repro.store.coordinator.HttpBackend`)
+    One fleet loop of lease-driven worker processes that compute every
+    cell exactly once, sharing the store directory (:mod:`repro.store.shard`)
+    or, on disjoint filesystems, a coordinator URL
+    (:mod:`repro.store.coordinator`; callers construct
+    ``HttpBackend(url, workers)`` directly).
 
-``http`` (:class:`~repro.store.coordinator.HttpBackend`)
-    The shard protocol served over the wire: workers on *disjoint
-    filesystems* lease cells from (and push results back to) a
-    :class:`~repro.store.coordinator.CoordinatorServer` holding the one
-    real store.  Requires a coordinator URL, so the CLI/runner construct
-    the backend instance directly (``HttpBackend(url, workers)``) rather
-    than going through the by-name table.  See
-    :mod:`repro.store.coordinator`.
-
-Every backend has the same contract: execute the missing cells of a sweep,
-persist each one through the runner as it completes, and return the fresh
-results by sweep position.  A cell that raises is returned as the canonical
-:func:`~repro.experiments.runner.failed_cell_result` (and is *not*
-persisted), so a poisoned cell surfaces per-cell in the report instead of
-aborting the sweep or silently vanishing — identically on every backend.
+Every backend returns the fresh results by sweep position.  A cell that
+raises is returned as its failure record (and is *not* persisted), so a
+poisoned cell surfaces per-cell in the report instead of aborting the sweep
+or silently vanishing — identically on every backend.
 """
 
 from __future__ import annotations
 
+import os
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Union
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Union
 
-from repro.engine.parallel import format_cell_error, iter_work_item_results
-from repro.experiments.config import SweepConfig
+from repro.experiments.config import ExperimentConfig, SweepConfig
 from repro.experiments.results import CellResult
-from repro.experiments.runner import (
-    failed_cell_result,
-    run_cell,
-    work_item_for_cell,
-    cell_result_from_pool_summary,
-)
+from repro.experiments.runner import failed_cell_result, run_cell
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.robustness import warn_degraded
+from repro.robustness.faults import fault_point, mark_worker_process
 from repro.robustness.retry import (
     DEFAULT_RETRY_POLICY,
+    CellError,
+    Deadline,
     RetryExhausted,
+    RetryPolicy,
     SweepDeadlineError,
     call_with_retry,
+    format_cell_error,
 )
+from repro.store.artifacts import build_provenance
+from repro.store.hashing import cell_key
 
 if TYPE_CHECKING:   # pragma: no cover — typing only, avoids an import cycle
     from repro.store.runner import CachedSweepRunner
 
-__all__ = ["ExecutionBackend", "SerialBackend", "PoolBackend",
-           "resolve_backend", "BACKEND_NAMES"]
+__all__ = ["CellStep", "ExecutionBackend", "SerialBackend", "PoolBackend",
+           "recommended_workers", "resolve_backend", "BACKEND_NAMES"]
+
+
+def recommended_workers() -> int:
+    """A conservative worker count: ``cpu_count - 1`` with a floor of 1."""
+    return max(1, (os.cpu_count() or 2) - 1)
+
+
+def _kernel_id() -> str:
+    """Resolved multinomial-kernel id for provenance; never raises."""
+    try:
+        from repro.engine.rng import multinomial_kernel_id
+        return multinomial_kernel_id()
+    except Exception:
+        return "unknown"
+
+
+@dataclass
+class CellStep:
+    """The one per-cell step every backend maps cells onto.
+
+    A call computes one cell with ``compute`` under the retry policy —
+    transient errors retried with jittered backoff until the attempt budget
+    or the sweep deadline runs out, permanent errors failing at once —
+    persisting each successful attempt (so a failed write re-runs the cell,
+    like the shard protocol's payload-exists-means-done recovery).  It
+    returns the computed result, or the failure record whose ``attempts``
+    is the number of times ``compute`` ran for the cell; a cell the deadline
+    stopped before it started is a ``SweepDeadlineError`` failure.
+
+    ``persist(cell, key, result, provenance)`` stores one computed cell
+    (``None``: a store-less run, which builds no provenance either).
+    ``compute`` defaults to this module's ``run_cell``, looked up at call
+    time (tests and benchmarks patch it).  ``worker`` (shard and http
+    workers) lands in the provenance and the ``cell.compute`` span next to
+    ``backend``.
+    """
+
+    backend: str
+    persist: Optional[Callable[..., None]]
+    retry: RetryPolicy = DEFAULT_RETRY_POLICY
+    deadline: Optional[Deadline] = None
+    compute: Optional[Callable[[ExperimentConfig], CellResult]] = None
+    worker: Optional[str] = None
+
+    def __call__(self, cell: ExperimentConfig, key: Optional[str] = None,
+                 first: Union[CellResult, str, None] = None,
+                 prior_attempts: int = 0) -> CellResult:
+        """Compute ``cell``; ``first`` is a first attempt made elsewhere.
+
+        A pool child's attempt arrives as ``first`` (its result, or its
+        canonical error string) and counts as attempt one.
+        ``prior_attempts`` charges attempts an earlier worker spent on the
+        cell (a shard failure marker) against the budget.
+        """
+        key = key or cell_key(cell)
+        who = {} if self.worker is None else {"worker": self.worker}
+        ran = 0
+
+        def attempt() -> CellResult:
+            nonlocal ran
+            ran += 1
+            elapsed: Optional[float] = None
+            if ran > 1 or first is None:
+                t0 = time.perf_counter()
+                result = (self.compute or run_cell)(cell)
+                elapsed = time.perf_counter() - t0
+            elif isinstance(first, str):
+                raise CellError(first)
+            else:
+                result = first
+            if self.persist is not None:
+                provenance = build_provenance(extra={
+                    "seed": cell.seed,
+                    "engine": result.extra.get("engine", cell.engine),
+                    "elapsed_s": (None if elapsed is None
+                                  else round(elapsed, 6)),
+                    "attempts": prior_attempts + ran,
+                    # which exact-multinomial kernel drew this cell: cached
+                    # results stay attributable across the backend-scoped
+                    # bit streams
+                    "multinomial_kernel": _kernel_id(),
+                    "backend": self.backend,
+                    **who,
+                })
+                provenance.pop("cell_keys", None)   # not derived from cells
+                self.persist(cell, key, result, provenance)
+            return result
+
+        t_cell = time.perf_counter()
+        # span identity is the canonical cell hash, so a rerun of the same
+        # cell — any process, any backend — shares its span id
+        with obs_trace.span("cell.compute", key=key, cell=key,
+                            cell_label=cell.name, backend=self.backend,
+                            **who) as cell_span:
+            try:
+                if (first is None and self.deadline is not None
+                        and self.deadline.expired()):
+                    raise self.deadline.error(cell.name)
+                result = call_with_retry(attempt, self.retry, label=cell.name,
+                                         deadline=self.deadline,
+                                         prior_attempts=prior_attempts,
+                                         key=key)
+            except Exception as exc:   # noqa: BLE001 — per-cell isolation
+                error = (exc.error if isinstance(exc, RetryExhausted)
+                         else format_cell_error(exc))
+                failed = failed_cell_result(cell, error,
+                                            attempts=prior_attempts + ran)
+                cell_span.set(
+                    outcome=("deadline" if isinstance(exc, SweepDeadlineError)
+                             else "failed"),
+                    attempts=prior_attempts + ran, kind=failed.extra["kind"])
+                obs_metrics.count("cells.failed")
+                return failed
+            cell_span.set(outcome="computed", attempts=prior_attempts + ran)
+            # after persist on purpose: for shard workers, persisting
+            # appends the ledger line ``cells.computed`` reconciles with
+            obs_metrics.count("cells.computed")
+            obs_metrics.observe("cell.elapsed_s", time.perf_counter() - t_cell)
+        return result
 
 
 class ExecutionBackend(Protocol):
     """The contract every miss-execution strategy implements.
 
-    ``execute`` runs the cells of ``sweep`` at positions ``misses``,
-    persists each successful cell through ``runner.persist_fresh`` as it
-    completes (so interrupted sweeps resume), and returns ``{position:
-    CellResult}`` covering every miss — failed cells as
+    ``execute`` runs the cells of ``sweep`` at positions ``misses`` through
+    one :class:`CellStep` and returns ``{position: CellResult}`` covering
+    every miss — failed cells as
     :func:`~repro.experiments.runner.failed_cell_result`, never persisted.
     """
 
@@ -85,76 +203,40 @@ class ExecutionBackend(Protocol):
 
 
 class SerialBackend:
-    """Execute misses in-process, one cell at a time.
-
-    Each cell (compute *and* persist) runs under the runner's
-    :class:`~repro.robustness.RetryPolicy`: transient errors are retried
-    with jittered backoff until the attempt budget or the sweep deadline
-    runs out, permanent errors fail on the first attempt — identically to
-    the other backends.
-    """
+    """Execute misses in-process, one cell at a time."""
 
     name = "serial"
 
     def execute(self, sweep: SweepConfig, misses: List[int],
                 runner: "CachedSweepRunner") -> Dict[int, CellResult]:
-        retry = getattr(runner, "retry", DEFAULT_RETRY_POLICY)
-        deadline = getattr(runner, "_deadline", None)
-        fresh: Dict[int, CellResult] = {}
-        for i in misses:
-            cell = sweep.cells[i]
-            key = runner.store.key_for(cell)
+        step = runner.cell_step(self.name)
+        return {i: step(sweep.cells[i]) for i in misses}
 
-            def compute_and_persist(cell=cell):
-                t0 = time.perf_counter()
-                result = run_cell(cell)
-                # persisting inside the retried step means a failed write
-                # (beyond the unwritable-store degradation persist_fresh
-                # already absorbs) re-runs the whole cell, exactly like the
-                # shard protocol's payload-exists-means-done recovery
-                runner.persist_fresh(cell, result,
-                                     elapsed=time.perf_counter() - t0)
-                return result
 
-            t_cell = time.perf_counter()
-            # span identity is the canonical cell hash, so a rerun of the
-            # same cell — any process, any backend — shares its span id
-            with obs_trace.span("cell.compute", key=key, cell=key,
-                                cell_label=cell.name,
-                                backend=self.name) as cell_span:
-                try:
-                    fresh[i] = call_with_retry(compute_and_persist, retry,
-                                               label=cell.name,
-                                               deadline=deadline, key=key)
-                    cell_span.set(outcome="computed")
-                    obs_metrics.count("cells.computed")
-                    obs_metrics.observe("cell.elapsed_s",
-                                        time.perf_counter() - t_cell)
-                except RetryExhausted as exc:
-                    fresh[i] = failed_cell_result(cell, exc.error,
-                                                  attempts=exc.attempts,
-                                                  kind="transient-exhausted")
-                    cell_span.set(outcome="failed", attempts=exc.attempts)
-                    obs_metrics.count("cells.failed")
-                except SweepDeadlineError as exc:
-                    fresh[i] = failed_cell_result(
-                        cell, f"SweepDeadlineError: {exc}", attempts=0,
-                        kind="transient-exhausted")
-                    cell_span.set(outcome="deadline")
-                    obs_metrics.count("cells.failed")
-                except Exception as exc:   # noqa: BLE001 — per-cell isolation
-                    fresh[i] = failed_cell_result(cell, format_cell_error(exc))
-                    cell_span.set(outcome="failed")
-                    obs_metrics.count("cells.failed")
-        return fresh
+def _first_attempt(cell: ExperimentConfig, deadline: Optional[Deadline]
+                   ) -> Union[CellResult, str, None]:
+    """Pool-child entry: one cell's first attempt, or ``None`` when the
+    sweep deadline passed before it could start.
+
+    A raising cell returns its canonical error string instead of raising:
+    the string crosses the process boundary intact, and one poisoned cell
+    never aborts the pool.
+    """
+    if deadline is not None and deadline.expired():
+        return None
+    try:
+        return run_cell(cell)
+    except Exception as exc:   # noqa: BLE001 — per-cell isolation
+        return format_cell_error(exc)
 
 
 class PoolBackend:
-    """Execute misses on the :mod:`repro.engine.parallel` process pool.
+    """Execute misses on a process pool, persisting in completion order.
 
-    Results are consumed in completion order, so each cell is persisted the
-    moment its worker finishes — the interrupt-resume property — and a cell
-    that raises in its worker comes back as an error summary, not an abort.
+    ``max_workers``: ``None`` → :func:`recommended_workers`, ``0``/``1`` (or
+    a single miss) → in-process.  A pool that cannot start (sandbox) or
+    breaks mid-sweep (a SIGKILLed worker) degrades to completing the sweep
+    in-process — never re-running a cell the pool already finished.
     """
 
     name = "pool"
@@ -164,51 +246,31 @@ class PoolBackend:
 
     def execute(self, sweep: SweepConfig, misses: List[int],
                 runner: "CachedSweepRunner") -> Dict[int, CellResult]:
-        retry = getattr(runner, "retry", DEFAULT_RETRY_POLICY)
-        deadline = getattr(runner, "_deadline", None)
+        step = runner.cell_step(self.name)
+        workers = (recommended_workers() if self.max_workers is None
+                   else int(self.max_workers))
         fresh: Dict[int, CellResult] = {}
-        items = [work_item_for_cell(sweep.cells[i]) for i in misses]
-        for idx, summary in iter_work_item_results(
-                items, max_workers=self.max_workers):
-            i = misses[idx]
-            cell = sweep.cells[i]
-            key = runner.store.key_for(cell)
-            result = cell_result_from_pool_summary(cell, summary)
-            if (result.extra.get("failed")
-                    and result.extra.get("kind") != "permanent"
-                    and retry.max_attempts > 1):
-                # transient pool failure with budget left: attempts 2..N run
-                # serially in this process (the pool already charged one)
-                result = self._retry_in_process(cell, result, runner, retry,
-                                                deadline, key=key)
-            # the coordinating process does the counting for the pool: its
-            # workers only traced the compute span (they have no store key,
-            # and counting there too would double-book every cell)
-            if not result.extra.get("failed"):
-                runner.persist_fresh(cell, result, elapsed=None)
-                obs_metrics.count("cells.computed")
-            else:
-                obs_metrics.count("cells.failed")
-            fresh[i] = result
+        if workers > 1 and len(misses) > 1:
+            try:
+                fault_point("subprocess.spawn", backend="pool")
+                with ProcessPoolExecutor(max_workers=workers,
+                                         initializer=mark_worker_process) as pool:
+                    futures = {pool.submit(_first_attempt, sweep.cells[i],
+                                           step.deadline): i for i in misses}
+                    for future in as_completed(futures):
+                        i = futures[future]
+                        # a future poisoned by a dead worker raises here,
+                        # leaving its cell for the in-process completion
+                        fresh[i] = step(sweep.cells[i], first=future.result())
+            except (OSError, ValueError, RuntimeError) as exc:
+                warn_degraded(f"process pool unavailable "
+                              f"({type(exc).__name__}: {exc}); "
+                              f"completing the sweep serially in-process",
+                              rung="pool-to-serial")
+        for i in misses:
+            if i not in fresh:
+                fresh[i] = step(sweep.cells[i])
         return fresh
-
-    @staticmethod
-    def _retry_in_process(cell, failed: CellResult, runner, retry,
-                          deadline, key=None) -> CellResult:
-        def compute(cell=cell):
-            return run_cell(cell)
-
-        try:
-            return call_with_retry(compute, retry, label=cell.name,
-                                   deadline=deadline, prior_attempts=1,
-                                   key=key)
-        except RetryExhausted as exc:
-            return failed_cell_result(cell, exc.error, attempts=exc.attempts,
-                                      kind="transient-exhausted")
-        except SweepDeadlineError:
-            return failed   # out of time: the pool attempt's record stands
-        except Exception as exc:   # noqa: BLE001 — per-cell isolation
-            return failed_cell_result(cell, format_cell_error(exc))
 
 
 #: CLI-facing backend names (see :func:`resolve_backend`).
@@ -223,10 +285,10 @@ def resolve_backend(backend: Union[str, ExecutionBackend, None],
     ``None`` keeps the historical ``max_workers`` convention of
     :func:`~repro.experiments.runner.run_sweep`: ``0``/``1`` → serial,
     ``None``/>1 → pool.  For ``"shard"``, ``max_workers`` is the number of
-    worker processes (``None`` → :func:`~repro.engine.parallel.recommended_workers`,
-    ``0`` → run the worker loop in the calling process — the ``--worker``
-    attach mode).  ``"http"`` additionally needs ``coordinator`` (the
-    coordinator URL); ``max_workers`` follows the shard convention.
+    worker processes (``None`` → :func:`recommended_workers`, ``0`` → run
+    the worker loop in the calling process — the ``--worker`` attach mode).
+    ``"http"`` additionally needs ``coordinator`` (the coordinator URL);
+    ``max_workers`` follows the shard convention.
     """
     if backend is None:
         return SerialBackend() if max_workers in (0, 1) \

@@ -35,10 +35,9 @@ through canonical cell hashes:
   reclaim / log-execution) forwarded over the wire, carrying the worker's
   full identity so ownership comparisons behave exactly as on a shared
   filesystem.
-* :class:`HttpBackend` — ``backend="http"``: the
-  :class:`~repro.store.backends.ExecutionBackend` that spawns K local
-  worker processes talking to a coordinator URL (plus the usual in-process
-  mop-up pass), mirroring :class:`~repro.store.shard.ShardBackend`.
+* :class:`HttpBackend` — ``backend="http"``: the shard fleet loop
+  (:class:`~repro.store.shard.ShardBackend`) with spawned worker processes
+  whose store and leases all live behind a coordinator URL.
 
 Exactly-once across retried requests: the lease acquire is decided by the
 server's ``O_EXCL`` create, so a *retried* acquire whose first attempt won
@@ -62,29 +61,21 @@ import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.engine.parallel import recommended_workers
-from repro.experiments.config import ExperimentConfig, SweepConfig
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import CellResult
 from repro.io.serialization import from_jsonable, to_jsonable
 from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
-from repro.robustness import DegradedExecutionWarning
-from repro.robustness.faults import InjectedFault, fault_point, \
-    mark_worker_process
-from repro.robustness.retry import (
-    DEFAULT_RETRY_POLICY,
-    Deadline,
-    RetryPolicy,
-)
+from repro.robustness.faults import InjectedFault
+from repro.robustness.retry import Deadline, RetryPolicy
 from repro.store.hashing import cell_key
 from repro.store.shard import (
     DEFAULT_POLL_INTERVAL,
     DEFAULT_STALE_AFTER,
     LeaseManager,
+    ShardBackend,
     ShardWorker,
-    process_nonce,
     read_execution_log,
     worker_identity,
 )
@@ -319,11 +310,7 @@ class CoordinatorServer:
                                     dict(body.get("provenance") or {}))
             return 200, {"key": stored}
         if method == "DELETE":
-            path = self.store._payload_path(key)
-            removed = path.exists()
-            if removed:
-                path.unlink()
-            return 200, {"removed": removed}
+            return 200, {"removed": self.store.delete(key)}
         return 405, {"error": f"cells: unsupported method {method}"}
 
     def _handle_lease(self, method: str, op: str,
@@ -456,11 +443,8 @@ class CoordinatorStore:
     Misses come back as 404 → ``None``; ``put`` uploads config + result +
     provenance and lets the *server's* sidecar policy place the rounds.
     ``root`` is the coordinator URL so runner messages and artifact
-    registration read sensibly.  Sidecar placement is server-side, hence
-    ``rounds_sidecar_at`` is pinned ``None`` here.
+    registration read sensibly.
     """
-
-    rounds_sidecar_at: Optional[int] = None
 
     def __init__(self, client: "CoordinatorClient | str") -> None:
         if isinstance(client, str):
@@ -529,9 +513,7 @@ class HttpLeaseClient:
         self.client = client
         self.worker = worker or worker_identity()
 
-    def identity(self) -> Dict[str, Any]:
-        return {"worker": self.worker, "pid": os.getpid(),
-                "host": socket.gethostname(), "nonce": process_nonce()}
+    identity = LeaseManager.identity
 
     def acquire(self, key: str) -> bool:
         out = self.client.request("POST", f"{_API}/lease/acquire",
@@ -578,128 +560,48 @@ class HttpLeaseClient:
 # ---------------------------------------------------------------------- #
 # the http execution backend
 # ---------------------------------------------------------------------- #
-def _http_worker(url: str, worker: str, poll_interval: float,
-                 timeout: float, retry: Optional[RetryPolicy],
-                 deadline: Optional[Deadline],
-                 backend_label: str = "http") -> ShardWorker:
-    """One coordinator-attached worker (store + leases over one client)."""
-    client = CoordinatorClient(url, timeout=timeout)
-    return ShardWorker(CoordinatorStore(client),
-                       poll_interval=poll_interval, retry=retry,
-                       deadline=deadline,
-                       leases=HttpLeaseClient(client, worker=worker),
-                       backend_label=backend_label)
-
-
-def _http_worker_main(url: str, sweep_dict: Dict[str, Any], worker: str,
-                      poll_interval: float, timeout: float,
-                      retry_dict: Optional[Dict[str, Any]] = None,
-                      deadline_s: Optional[float] = None) -> None:
-    """Child-process entry point (top-level so it pickles under spawn)."""
-    mark_worker_process()   # worker_only faults (kill-worker) may fire here
-    retry = (RetryPolicy.from_dict(retry_dict) if retry_dict
-             else DEFAULT_RETRY_POLICY)
-    deadline = Deadline(deadline_s) if deadline_s is not None else None
-    _http_worker(url, worker, poll_interval, timeout, retry,
-                 deadline).run(SweepConfig.from_dict(sweep_dict))
-
-
-class HttpBackend:
+class HttpBackend(ShardBackend):
     """The ``http`` execution backend: a worker fleet over a coordinator.
 
-    Mirrors :class:`~repro.store.shard.ShardBackend` — ``workers=None`` →
-    :func:`~repro.engine.parallel.recommended_workers` child processes,
-    ``0`` → the calling process runs the worker loop itself (the CLI
-    ``--worker --coordinator URL`` attach mode), K ≥ 1 → K children plus an
-    in-process mop-up pass — except every store and lease operation travels
-    through the coordinator, so the children need no access to the store
-    directory at all.  An unreachable coordinator at startup degrades to
-    pool execution (results are computed but not persisted — the
-    store-unwritable rung of the ladder absorbs the failed puts).
+    The shard fleet loop (see :class:`~repro.store.shard.ShardBackend` for
+    ``workers``; ``0`` is the CLI ``--worker --coordinator URL`` attach
+    mode) — except every store and lease operation travels through the
+    coordinator, so the workers need no access to the store directory at
+    all.  An unreachable coordinator at startup degrades to pool execution
+    (results are computed but not persisted — the store-unwritable rung of
+    the ladder absorbs the failed puts).
     """
 
     name = "http"
+    rung = "http-to-pool"
+    # spawn, not fork: forked children would inherit the coordinator's
+    # listening socket fd, keeping a zombie listener alive after a server
+    # restart (SO_REUSEPORT then load-balances connects onto it and they
+    # hang).  spawn also matches the semantics being modelled — workers on
+    # disjoint machines share no process state.
+    start_method = "spawn"
 
     def __init__(self, coordinator: str, workers: Optional[int] = None,
                  poll_interval: float = DEFAULT_POLL_INTERVAL,
                  timeout: float = 10.0) -> None:
+        super().__init__(workers, poll_interval=poll_interval)
         self.coordinator = coordinator.rstrip("/")
-        self.workers = workers
-        self.poll_interval = float(poll_interval)
         self.timeout = float(timeout)
 
-    def execute(self, sweep: SweepConfig, misses: List[int],
-                runner) -> Dict[int, CellResult]:
-        store = runner.store
-        keys = [store.key_for(cell) for cell in sweep.cells]
-        retry: RetryPolicy = getattr(runner, "retry", DEFAULT_RETRY_POLICY)
-        deadline: Optional[Deadline] = getattr(runner, "_deadline", None)
+    def connect(self, store: Any) -> HttpLeaseClient:
         client = CoordinatorClient(self.coordinator, timeout=self.timeout)
-        leases = HttpLeaseClient(client)
-        try:
-            client.request("GET", f"{_API}/ping")
-        except CoordinatorError as exc:
-            # degradation ladder: with no coordinator there is no lease
-            # authority and no remote store — the pool backend still
-            # computes everything in-process-tree (persist_fresh's
-            # store-unwritable rung absorbs the failed uploads)
-            import warnings
+        client.request("GET", f"{_API}/ping")
+        return HttpLeaseClient(client)
 
-            message = (f"http backend: coordinator {self.coordinator} "
-                       f"unreachable ({exc}); degrading to pool execution")
-            warnings.warn(message, DegradedExecutionWarning, stacklevel=2)
-            obs_trace.warning_event("DegradedExecutionWarning", message,
-                                    rung="http-to-pool")
-            obs_metrics.count("degraded", rung="http-to-pool")
-            from repro.store.backends import PoolBackend
+    def unavailable(self, store: Any, exc: OSError) -> str:
+        return (f"http backend: coordinator {self.coordinator} unreachable "
+                f"({exc}); degrading to pool execution")
 
-            return PoolBackend(self.workers).execute(sweep, misses, runner)
-        for i in misses:
-            # a fresh coordinated run retries cells that failed previously
-            leases.clear_failure(keys[i])
-            if runner.rerun and isinstance(store, CoordinatorStore):
-                # --rerun promises recomputation: drop the stale payload
-                store.delete(keys[i])
-
-        workers = recommended_workers() if self.workers is None \
-            else int(self.workers)
-        procs = []
-        if workers >= 1 and misses:
-            try:
-                fault_point("subprocess.spawn", backend="http")
-                import multiprocessing
-
-                # spawn, not fork: forked children would inherit the
-                # coordinator's listening socket fd, keeping a zombie
-                # listener alive after a server restart (SO_REUSEPORT then
-                # load-balances connects onto it and they hang).  spawn
-                # also matches the semantics being modelled — workers on
-                # disjoint machines share no process state.
-                ctx = multiprocessing.get_context("spawn")
-                for w in range(workers):
-                    proc = ctx.Process(
-                        target=_http_worker_main,
-                        args=(self.coordinator, sweep.to_dict(),
-                              f"{worker_identity()}#w{w}",
-                              self.poll_interval, self.timeout,
-                              retry.to_dict(),
-                              None if deadline is None
-                              else deadline.remaining()),
-                        daemon=True,
-                    )
-                    proc.start()
-                    procs.append(proc)
-            except (ImportError, OSError, ValueError, RuntimeError):
-                procs = []   # sandboxed: the mop-up pass runs everything
-        for proc in procs:
-            proc.join()
-
-        # Mop-up + assembly: resolves anything the children left behind and
-        # reads every resolved cell back through the coordinator.
-        mop_up = _http_worker(self.coordinator, worker_identity(),
-                              self.poll_interval, self.timeout, retry,
-                              deadline)
-        resolved = mop_up.run(sweep)
-        runner.last_stats.executed.extend(
-            keys[i] for i in misses if store.contains(keys[i]))
-        return {i: resolved[i] for i in misses}
+    def worker(self, store: Any, worker: str, retry: RetryPolicy,
+               deadline: Optional[Deadline]) -> ShardWorker:
+        client = CoordinatorClient(self.coordinator, timeout=self.timeout)
+        return ShardWorker(CoordinatorStore(client),
+                           poll_interval=self.poll_interval, retry=retry,
+                           deadline=deadline,
+                           leases=HttpLeaseClient(client, worker=worker),
+                           backend_label=self.name)

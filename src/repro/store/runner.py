@@ -1,7 +1,8 @@
 """Cache-aware, resumable sweep execution on top of a :class:`ResultStore`.
 
-:class:`CachedSweepRunner` wraps :func:`repro.experiments.runner.run_sweep`
-semantics with a hit/miss partition:
+:class:`CachedSweepRunner` is the one sweep driver —
+:func:`repro.experiments.runner.run_sweep` is this runner without a store —
+and executes a sweep through a hit/miss partition:
 
 1. every cell of the sweep is hashed (:func:`repro.store.hashing.cell_key` —
    engine- and label-independent);
@@ -9,11 +10,11 @@ semantics with a hit/miss partition:
    executed;
 3. the remaining *misses* run through a pluggable
    :class:`~repro.store.backends.ExecutionBackend` — in-process ``serial``,
-   the ``pool`` of :mod:`repro.engine.parallel` WorkItems, or the multi-
-   process ``shard`` backend of :mod:`repro.store.shard` where independent
-   workers lease cells straight from the store.  Every backend persists each
-   finished cell the moment it completes, so a sweep killed halfway resumes
-   from the already-completed cells instead of restarting;
+   a process ``pool``, or the lease-driven ``shard``/``http`` worker fleets
+   of :mod:`repro.store.shard` — each mapping the cells onto the one
+   per-cell :class:`~repro.store.backends.CellStep`.  Every backend
+   persists each finished cell the moment it completes, so a sweep killed
+   halfway resumes from the already-completed cells instead of restarting;
 4. the final :class:`~repro.experiments.results.ExperimentReport` is
    assembled in sweep order from cached + fresh results.  A cell that raised
    is included as the canonical failure record and listed in
@@ -34,19 +35,21 @@ figure/table regeneration proves it simulated nothing (see
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.experiments.config import ExperimentConfig, SweepConfig
 from repro.experiments.results import CellResult, ExperimentReport
-from repro.experiments.runner import attach_failures
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.robustness import DegradedExecutionWarning
+from repro.robustness import warn_degraded
 from repro.robustness.retry import DEFAULT_RETRY_POLICY, Deadline, RetryPolicy
-from repro.store.artifacts import build_provenance
-from repro.store.backends import ExecutionBackend, resolve_backend
+from repro.store.backends import (
+    CellStep,
+    ExecutionBackend,
+    _kernel_id,
+    resolve_backend,
+)
 from repro.store.store import ResultStore, StoreRecord
 
 __all__ = ["CacheStats", "CachedSweepRunner", "StoreMissError",
@@ -55,15 +58,6 @@ __all__ = ["CacheStats", "CachedSweepRunner", "StoreMissError",
 #: Sentinel distinguishing "argument omitted" from an explicit ``None``
 #: (which, per the run_sweep convention, requests the default-size pool).
 _UNSET: object = object()
-
-
-def _kernel_id() -> str:
-    """Resolved multinomial-kernel id for provenance; never raises."""
-    try:
-        from repro.engine.rng import multinomial_kernel_id
-        return multinomial_kernel_id()
-    except Exception:
-        return "unknown"
 
 
 class StoreMissError(LookupError):
@@ -105,7 +99,8 @@ class CachedSweepRunner:
     ----------
     store:
         The backing result store (created on first write if the directory is
-        empty).
+        empty), or ``None`` for a store-less run that computes every cell
+        and persists nothing (:func:`~repro.experiments.runner.run_sweep`).
     rerun:
         ``True`` forces every cell to execute even on a hit, overwriting the
         stored records — the ``--rerun`` escape hatch for invalidating
@@ -118,7 +113,8 @@ class CachedSweepRunner:
     backend:
         Miss-execution strategy: a name (``"serial"``, ``"pool"``,
         ``"shard"``), an :class:`~repro.store.backends.ExecutionBackend`
-        instance, or ``None`` for the historical ``max_workers`` convention.
+        instance, or ``None`` for the historical ``max_workers`` convention
+        (the only choice without a store).
     offline:
         ``True`` forbids execution entirely: any miss raises
         :class:`StoreMissError`.  The zero-recompute mode behind
@@ -132,7 +128,7 @@ class CachedSweepRunner:
         distinguished by ``kind`` in ``report.meta["failures"]``.
     """
 
-    def __init__(self, store: ResultStore, rerun: bool = False,
+    def __init__(self, store: Optional[ResultStore], rerun: bool = False,
                  max_workers: Optional[int] = 0,
                  backend: Union[str, ExecutionBackend, None] = None,
                  offline: bool = False,
@@ -165,7 +161,7 @@ class CachedSweepRunner:
         """
         hits: Dict[int, StoreRecord] = {}
         misses: List[int] = []
-        unreadable = False
+        unreadable = self.store is None
         for i, cell in enumerate(sweep):
             record = None
             if not self.rerun and not unreadable:
@@ -175,15 +171,10 @@ class CachedSweepRunner:
                     # one failed read degrades the whole partition: probing
                     # the remaining cells would just replay the same error
                     unreadable = True
-                    message = (f"store {self.store.root} is not readable "
-                               f"({exc}); treating every cell as a miss")
-                    warnings.warn(message, DegradedExecutionWarning,
-                                  stacklevel=2)
-                    obs_trace.warning_event(
-                        "DegradedExecutionWarning", message,
-                        rung="store-unreadable",
-                        cell=self.store.key_for(cell))
-                    obs_metrics.count("degraded", rung="store-unreadable")
+                    warn_degraded(f"store {self.store.root} is not readable "
+                                  f"({exc}); treating every cell as a miss",
+                                  rung="store-unreadable",
+                                  cell=self.store.key_for(cell))
             if record is None:
                 misses.append(i)
             else:
@@ -206,11 +197,13 @@ class CachedSweepRunner:
         # the sweep span is the root of the whole fleet's trace: worker
         # processes spawned while it is open parent their spans under it
         with obs_trace.span("sweep", key=sweep.name, sweep=sweep.name,
-                            cells=len(sweep.cells), offline=self.offline,
-                            kernel=_kernel_id()) as sweep_span:
+                            cells=len(sweep.cells),
+                            offline=self.offline) as sweep_span:
             hits, misses = self.partition(sweep)
             self.last_stats = CacheStats(hits=len(hits), misses=len(misses))
             if obs_trace.enabled():
+                # resolving the kernel costs a library load: traced runs only
+                sweep_span.set(kernel=_kernel_id())
                 if hits:
                     obs_metrics.count("cache.hits", len(hits))
                 if misses:
@@ -221,9 +214,9 @@ class CachedSweepRunner:
                 raise StoreMissError([sweep.cells[i].name for i in misses])
             if misses:
                 # one wall-clock deadline for the whole sweep; every
-                # backend's retry loop (and the shard workers, via their
-                # spawn args) checks it so an unlucky fleet cannot hang
-                # past its budget
+                # backend's step (and the fleet workers, which receive it
+                # as a spawn argument) checks it so an unlucky fleet cannot
+                # hang past its budget
                 self._deadline = Deadline(self.retry.deadline_s)
                 backend = resolve_backend(self.backend, max_workers)
                 sweep_span.set(backend=backend.name)
@@ -234,17 +227,24 @@ class CachedSweepRunner:
 
             report = ExperimentReport(name=sweep.name,
                                       description=sweep.description)
-            keys: Dict[str, str] = {}
             for i, cell in enumerate(sweep):
-                if i in fresh:
-                    result = fresh[i]
-                else:
-                    # serve cached metrics under the requesting cell's config
-                    result = replace(hits[i].result, config=cell)
-                report.add(result)
-                keys[cell.name] = self.store.key_for(cell)
-            report.meta["store"] = {"keys": keys, "schema": 1}
-            self.last_stats.failures = len(attach_failures(report))
+                # serve cached metrics under the requesting cell's config
+                report.add(fresh[i] if i in fresh
+                           else replace(hits[i].result, config=cell))
+            if self.store is not None:
+                report.meta["store"] = {
+                    "keys": {c.name: self.store.key_for(c) for c in sweep},
+                    "schema": 1}
+            # written only when a cell failed, so clean reports keep their
+            # historical shape (and their equality with stored ones)
+            failures = [{"cell": c.config.name,
+                         "error": str(c.extra.get("error", "")),
+                         "attempts": int(c.extra.get("attempts", 1)),
+                         "kind": str(c.extra.get("kind", ""))}
+                        for c in report.cells if c.extra.get("failed")]
+            if failures:
+                report.meta["failures"] = failures
+            self.last_stats.failures = len(failures)
             if self.last_stats.failures:
                 obs_metrics.count("cache.failures", self.last_stats.failures)
             sweep_span.set(hits=self.last_stats.hits,
@@ -253,9 +253,15 @@ class CachedSweepRunner:
         return report
 
     # ------------------------------------------------------------------ #
-    def persist_fresh(self, cell: ExperimentConfig, result: CellResult,
-                      elapsed: Optional[float]) -> str:
-        """Persist one freshly executed cell (backends call this per cell).
+    def cell_step(self, backend: str) -> CellStep:
+        """The per-cell step the in-process backends run misses through."""
+        return CellStep(backend,
+                        None if self.store is None else self.persist_fresh,
+                        self.retry, self._deadline)
+
+    def persist_fresh(self, cell: ExperimentConfig, key: str,
+                      result: CellResult, provenance: Dict[str, Any]) -> None:
+        """Persist one freshly computed cell (the step calls this per cell).
 
         Degradation ladder, last rung: when the store directory is not
         writable the computed result is still returned to the report — it
@@ -264,32 +270,18 @@ class CachedSweepRunner:
         stored in :attr:`last_stats.executed`.
         """
         try:
-            key = self._persist(cell, result, elapsed)
+            self._persist(cell, result, provenance)
         except OSError as exc:
             if not self._persist_degraded:
                 self._persist_degraded = True
-                message = (f"store {self.store.root} is not writable "
-                           f"({exc}); results are returned but not persisted")
-                warnings.warn(message, DegradedExecutionWarning, stacklevel=2)
-                obs_trace.warning_event(
-                    "DegradedExecutionWarning", message,
-                    rung="store-unwritable", cell=self.store.key_for(cell))
-                obs_metrics.count("degraded", rung="store-unwritable")
-            return self.store.key_for(cell)
+                warn_degraded(f"store {self.store.root} is not writable "
+                              f"({exc}); results are returned but not "
+                              f"persisted", rung="store-unwritable", cell=key)
+            return
         self.last_stats.executed.append(key)
-        return key
 
     def _persist(self, cell: ExperimentConfig, result: CellResult,
-                 elapsed: Optional[float]) -> str:
-        provenance = build_provenance(extra={
-            "seed": cell.seed,
-            "engine": result.extra.get("engine", cell.engine),
-            "elapsed_s": None if elapsed is None else round(elapsed, 6),
-            # which exact-multinomial kernel drew this cell: cached results
-            # stay attributable across the backend-scoped bit streams
-            "multinomial_kernel": _kernel_id(),
-        })
-        provenance.pop("cell_keys", None)   # a cell is not derived from cells
+                 provenance: Dict[str, Any]) -> str:
         return self.store.put(cell, result, provenance)
 
 

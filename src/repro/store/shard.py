@@ -31,9 +31,10 @@ Lease lifecycle:
   retried: in place by the leasing worker (jittered backoff, lease held),
   and — when a worker died between attempts — by any later worker, which
   *claims* the marker (atomic unlink) and inherits its spent attempts, so
-  the budget holds across worker restarts.  A new coordinated run
-  (:class:`ShardBackend`) clears failed leases for its cells first, so
-  failures are retryable across runs.
+  the budget holds across worker restarts.  Once the sweep deadline has
+  passed, workers only report markers — they claim none and start no cell.
+  A new coordinated run (:class:`ShardBackend`) clears failed leases for
+  its cells first, so failures are retryable across runs.
 * a worker that **dies** leaves a ``running`` lease behind.  Stale-lease
   reclaim rules: a lease whose recorded host equals the local host is stale
   iff its owner process is gone — the pid must be alive (``kill(pid, 0)``)
@@ -53,10 +54,12 @@ Lease lifecycle:
   the cell then goes back to pending and the normal ``O_CREAT | O_EXCL``
   acquire decides the new owner.
 
-Cells are executed by :func:`~repro.experiments.runner.run_cell` (full
-per-run rounds) and persisted with the same provenance as serial cached
-execution plus the worker identity, so a report assembled from a sharded run
-equals a cold serial run of the same sweep.
+Cells are executed by the same per-cell step as every other backend
+(:class:`~repro.store.backends.CellStep`: ``run_cell`` under the retry
+policy, persisted with the serial provenance plus the worker identity), so a
+report assembled from a sharded run equals a cold serial run of the same
+sweep.  :class:`ShardBackend` is the one fleet loop, which the
+coordinator's :class:`~repro.store.coordinator.HttpBackend` runs over HTTP.
 
 ``executions.jsonl`` is the store-level compute counter: exactly one line is
 appended per completed cell computation (after its payload is persisted), so
@@ -77,13 +80,12 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.engine.parallel import format_cell_error, recommended_workers
 from repro.experiments.config import ExperimentConfig, SweepConfig
 from repro.experiments.results import CellResult
 from repro.experiments.runner import failed_cell_result, run_cell
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.robustness import DegradedExecutionWarning, TornLogWarning
+from repro.robustness import TornLogWarning, warn_degraded
 from repro.robustness.faults import (
     InjectedFault,
     fault_point,
@@ -95,10 +97,9 @@ from repro.robustness.retry import (
     Deadline,
     RetryPolicy,
     classify_error,
-    emit_retry_telemetry,
+    format_cell_error,
 )
-from repro.store.artifacts import build_provenance
-from repro.store.runner import _kernel_id
+from repro.store.backends import CellStep, PoolBackend, recommended_workers
 from repro.store.store import ResultStore
 
 __all__ = ["LeaseManager", "ShardWorker", "ShardBackend",
@@ -571,11 +572,13 @@ class ShardWorker:
         # the default is the shared-filesystem LeaseManager
         self.leases = leases if leases is not None else LeaseManager(
             store.root, worker=worker, stale_after=stale_after)
-        self.backend_label = backend_label
         self.poll_interval = float(poll_interval)
-        self.retry = retry or DEFAULT_RETRY_POLICY
-        self.deadline = deadline
-        self.computed: List[str] = []
+        # ``run_cell`` is looked up here at call time: tests patch this
+        # module's name to count or slow down worker computes
+        self.step = CellStep(backend_label, self._persist,
+                             retry or DEFAULT_RETRY_POLICY, deadline,
+                             compute=lambda cell: run_cell(cell),
+                             worker=self.leases.worker)
 
     # ------------------------------------------------------------------ #
     def run(self, sweep: SweepConfig) -> Dict[int, CellResult]:
@@ -585,28 +588,24 @@ class ShardWorker:
         from acquire/reclaim/release plumbing) leave the affected cell
         *pending* for the next pass instead of killing the worker — the
         store protocol is already built so that any interrupted step is
-        recoverable, so the loop simply goes around again.  When the
-        sweep's wall-clock deadline expires, cells still pending surface as
-        canonical failures instead of hanging the fleet.
+        recoverable, so the loop simply goes around again.  Once the
+        sweep's wall-clock deadline has passed, one last pass reports every
+        payload and failure marker, and cells still unresolved surface as
+        never-started deadline failures instead of hanging the fleet.
         """
         cells = list(sweep.cells)
         keys = [self.store.key_for(cell) for cell in cells]
+        deadline = self.step.deadline
         resolved: Dict[int, CellResult] = {}
         pending = list(range(len(cells)))
         while pending:
-            if self.deadline is not None and self.deadline.expired():
-                for i in pending:
-                    resolved[i] = failed_cell_result(
-                        cells[i],
-                        f"SweepDeadlineError: sweep deadline of "
-                        f"{self.deadline.seconds}s expired",
-                        attempts=0, kind="transient-exhausted")
-                break
+            expired = deadline is not None and deadline.expired()
             progressed = False
             still_pending: List[int] = []
             for i in pending:
                 try:
-                    result = self._resolve_one(cells[i], keys[i])
+                    result = self._resolve_one(cells[i], keys[i],
+                                               start=not expired)
                 except (InjectedFault, OSError):
                     result = None   # lease-layer hiccup: retry next pass
                 if result is None:
@@ -615,14 +614,24 @@ class ShardWorker:
                     resolved[i] = result
                     progressed = True
             pending = still_pending
+            if pending and expired:
+                for i in pending:
+                    resolved[i] = failed_cell_result(
+                        cells[i], format_cell_error(
+                            deadline.error(cells[i].name)), attempts=0)
+                break
             if pending and not progressed:
                 obs_metrics.observe("lease.wait_s", self.poll_interval)
                 time.sleep(self.poll_interval)
         return resolved
 
-    def _resolve_one(self, cell: ExperimentConfig,
-                     key: str) -> Optional[CellResult]:
-        """One attempt at one cell: ``None`` means blocked on another worker."""
+    def _resolve_one(self, cell: ExperimentConfig, key: str,
+                     start: bool = True) -> Optional[CellResult]:
+        """One attempt at one cell: ``None`` means blocked on another worker.
+
+        ``start=False`` (the deadline passed) only reports what is stored:
+        a payload, or a failure marker whatever budget it has left.
+        """
         record = self.store.get(key)
         if record is not None:
             # served under the requesting sweep's config (an overlapping
@@ -630,24 +639,24 @@ class ShardWorker:
             return replace(record.result, config=cell)
         prior_attempts = 0
         lease = self.leases.peek(key)
-        if lease is not None:
-            if lease.get("state") == "failed":
-                attempts = int(lease.get("attempts", 1) or 1)
-                kind = str(lease.get("kind", "")) or (
-                    "permanent"
-                    if classify_error(str(lease.get("error", ""))) == "permanent"
-                    else "transient-exhausted")
-                if kind == "permanent" or attempts >= self.retry.max_attempts:
-                    # budget exhausted (or deterministic error): done (failed)
-                    return failed_cell_result(cell, str(lease.get("error", "")),
-                                              attempts=attempts, kind=kind)
-                # budget remains: claim the in-run retry.  The marker unlink
-                # is the atomic claim (one winner among racing workers); the
-                # spent attempts carry over into this worker's budget.
-                if not self.leases.clear_failure(key):
-                    return None   # another worker claimed it; poll again
-                prior_attempts = attempts
-            elif lease.get("worker") == self.leases.worker:
+        if lease is not None and lease.get("state") == "failed":
+            attempts = int(lease.get("attempts", 1) or 1)
+            kind = str(lease.get("kind", "")) or None
+            if (not start or kind == "permanent"
+                    or attempts >= self.step.retry.max_attempts):
+                # budget exhausted (or deterministic error): done (failed)
+                return failed_cell_result(cell, str(lease.get("error", "")),
+                                          attempts=attempts, kind=kind)
+            # budget remains: claim the in-run retry.  The marker unlink
+            # is the atomic claim (one winner among racing workers); the
+            # spent attempts carry over into this worker's budget.
+            if not self.leases.clear_failure(key):
+                return None   # another worker claimed it; poll again
+            prior_attempts = attempts
+        elif not start:
+            return None
+        elif lease is not None:
+            if lease.get("worker") == self.leases.worker:
                 # our own abandoned running lease — e.g. an acquire whose
                 # acknowledgement was lost over the coordinator transport.
                 # Liveness says "live" (we are), so staleness would wait the
@@ -667,8 +676,12 @@ class ShardWorker:
             record = self.store.get(key)
             if record is not None:
                 return replace(record.result, config=cell)
-            result = self._compute(cell, key, prior_attempts=prior_attempts)
+            result = self.step(cell, key, prior_attempts=prior_attempts)
             failed = bool(result.extra.get("failed"))
+            if failed:
+                self.leases.mark_failed(key, cell.name, result.extra["error"],
+                                        attempts=result.extra["attempts"],
+                                        kind=result.extra["kind"])
             return result
         finally:
             # a failed compute rewrote the lease into the run-scoped failure
@@ -677,104 +690,43 @@ class ShardWorker:
             if not failed:
                 self.leases.release(key)
 
-    def _compute(self, cell: ExperimentConfig, key: str,
-                 prior_attempts: int = 0) -> CellResult:
-        """Compute one leased cell under the worker's retry policy.
-
-        Transient errors are retried in place (jittered backoff, the lease
-        held throughout) until the per-cell attempt budget — including
-        ``prior_attempts`` inherited from an earlier worker's failure
-        marker — or the sweep deadline runs out; permanent errors and
-        exhausted budgets write the failure marker with the total attempt
-        count.  Successful computes record their attempt count in the
-        execution ledger.
-        """
-        t0 = time.perf_counter()
-        attempts = prior_attempts
-        # keyed by the canonical cell hash: if this worker dies and another
-        # recomputes the cell, both instances share one deterministic span id
-        with obs_trace.span("cell.compute", key=key, cell=key,
-                            cell_label=cell.name, backend=self.backend_label,
-                            worker=self.leases.worker) as cell_span:
-            while True:
-                attempts += 1
-                try:
-                    result = run_cell(cell)
-                    break
-                except Exception as exc:   # noqa: BLE001 — per-cell isolation
-                    error = format_cell_error(exc)
-                    kind = classify_error(exc)
-                    out_of_time = (self.deadline is not None
-                                   and self.deadline.expired())
-                    if kind == "permanent" \
-                            or attempts >= self.retry.max_attempts \
-                            or out_of_time:
-                        final = ("permanent" if kind == "permanent"
-                                 else "transient-exhausted")
-                        self.leases.mark_failed(key, cell.name, error,
-                                                attempts=attempts, kind=final)
-                        cell_span.set(outcome="failed", attempts=attempts,
-                                      kind=final)
-                        # counted at the one site that records the failure,
-                        # so markers read back by other workers don't double-
-                        # book the same failed cell
-                        obs_metrics.count("cells.failed")
-                        return failed_cell_result(cell, error,
-                                                  attempts=attempts,
-                                                  kind=final)
-                    delay = self.retry.backoff_s(attempts, token=key)
-                    emit_retry_telemetry(cell.name, key, attempts, delay,
-                                         error)
-                    time.sleep(delay)
-            cell_span.set(outcome="computed", attempts=attempts)
-        provenance = build_provenance(extra={
-            "seed": cell.seed,
-            "engine": result.extra.get("engine", cell.engine),
-            "elapsed_s": round(time.perf_counter() - t0, 6),
-            "worker": self.leases.worker,
-            "backend": self.backend_label,
-            "multinomial_kernel": _kernel_id(),
-        })
-        provenance.pop("cell_keys", None)
+    def _persist(self, cell: ExperimentConfig, key: str, result: CellResult,
+                 provenance: Dict[str, Any]) -> None:
+        """Store one computed cell, then append its ledger line."""
         self.store.put(cell, result, provenance)
-        self.leases.log_execution(key, cell.name, attempts=attempts)
-        # adjacent to log_execution on purpose: the merged trace's
-        # ``cells.computed`` must reconcile 1:1 with executions.jsonl lines
-        obs_metrics.count("cells.computed")
-        obs_metrics.observe("cell.elapsed_s", time.perf_counter() - t0)
-        self.computed.append(key)
-        return result
+        self.leases.log_execution(key, cell.name,
+                                  attempts=provenance["attempts"])
 
 
-def _shard_worker_main(store_root: str, sweep_dict: Dict[str, Any],
-                       worker: str, stale_after: float, poll_interval: float,
-                       rounds_sidecar_at: Optional[int],
-                       retry_dict: Optional[Dict[str, Any]] = None,
-                       deadline_s: Optional[float] = None) -> None:
+def _fleet_worker_main(backend: "ShardBackend", store: Any,
+                       sweep: SweepConfig, worker: str, retry: RetryPolicy,
+                       deadline: Optional[Deadline]) -> None:
     """Child-process entry point (top-level so it pickles under spawn)."""
     mark_worker_process()   # worker_only faults (kill-worker) may fire here
-    store = ResultStore(store_root, rounds_sidecar_at=rounds_sidecar_at)
-    sweep = SweepConfig.from_dict(sweep_dict)
-    retry = (RetryPolicy.from_dict(retry_dict) if retry_dict
-             else DEFAULT_RETRY_POLICY)
-    deadline = Deadline(deadline_s) if deadline_s is not None else None
-    ShardWorker(store, worker=worker, stale_after=stale_after,
-                poll_interval=poll_interval, retry=retry,
-                deadline=deadline).run(sweep)
+    backend.worker(store, worker, retry, deadline).run(sweep)
 
 
 class ShardBackend:
-    """The ``shard`` execution backend: coordinate K worker processes.
+    """The ``shard`` execution backend — and the one fleet loop.
 
     ``workers`` follows :func:`repro.store.backends.resolve_backend`:
-    ``None`` → :func:`~repro.engine.parallel.recommended_workers`, ``0`` →
+    ``None`` → :func:`~repro.store.backends.recommended_workers`, ``0`` →
     no child processes (the calling process runs the worker loop itself —
     the CLI ``--worker`` attach mode), K ≥ 1 → K children plus a final
-    in-process mop-up pass that also assembles the results (and transparently
-    degrades to serial sharded execution where processes cannot be spawned).
+    in-process mop-up pass that also assembles the results (and
+    transparently runs everything where processes cannot be started).
+
+    The transport is three hooks: :meth:`connect` (the start-up probe,
+    returning the lease client; an ``OSError`` degrades to the pool backend
+    on the ``rung`` of the ladder), :meth:`worker`, and the children's
+    ``start_method``.  Here they are the shared store directory and fork;
+    :class:`~repro.store.coordinator.HttpBackend` overrides them to run the
+    same loop through a coordinator.
     """
 
     name = "shard"
+    rung = "shard-to-pool"
+    start_method = "fork"
 
     def __init__(self, workers: Optional[int] = None,
                  stale_after: float = DEFAULT_STALE_AFTER,
@@ -783,63 +735,60 @@ class ShardBackend:
         self.stale_after = float(stale_after)
         self.poll_interval = float(poll_interval)
 
+    def connect(self, store: Any) -> Any:
+        manager = LeaseManager(store.root, stale_after=self.stale_after)
+        # probe: leases must be creatable, or no worker can make progress
+        probe = manager.leases_dir / f".probe.{os.getpid()}"
+        # content-free writability probe, deleted immediately
+        probe.write_text("")  # repro-lint: disable=atomic-write-discipline
+        probe.unlink()
+        return manager
+
+    def unavailable(self, store: Any, exc: OSError) -> str:
+        return (f"shard backend: lease infrastructure unavailable under "
+                f"{store.root} ({exc}); degrading to pool execution")
+
+    def worker(self, store: Any, worker: str, retry: RetryPolicy,
+               deadline: Optional[Deadline]) -> ShardWorker:
+        return ShardWorker(store, worker=worker, stale_after=self.stale_after,
+                           poll_interval=self.poll_interval, retry=retry,
+                           deadline=deadline)
+
     def execute(self, sweep: SweepConfig, misses: List[int],
                 runner) -> Dict[int, CellResult]:
-        store: ResultStore = runner.store
+        store = runner.store
         keys = [store.key_for(cell) for cell in sweep.cells]
-        retry: RetryPolicy = getattr(runner, "retry", DEFAULT_RETRY_POLICY)
-        deadline: Optional[Deadline] = getattr(runner, "_deadline", None)
         try:
-            manager = LeaseManager(store.root, stale_after=self.stale_after)
-            # probe: leases must be creatable, or no worker can make progress
-            probe = manager.leases_dir / f".probe.{os.getpid()}"
-            # content-free writability probe, deleted immediately
-            probe.write_text("")  # repro-lint: disable=atomic-write-discipline
-            probe.unlink()
+            leases = self.connect(store)
         except OSError as exc:
-            # degradation ladder, rung 1: without writable lease
-            # infrastructure (read-only store dir, dead shared mount) shard
-            # coordination is impossible — the pool backend still computes
-            # everything in-process-tree and the runner persists what it can
-            message = (f"shard backend: lease infrastructure unavailable "
-                       f"under {store.root} ({exc}); degrading to pool "
-                       f"execution")
-            warnings.warn(message, DegradedExecutionWarning, stacklevel=2)
-            obs_trace.warning_event("DegradedExecutionWarning", message,
-                                    rung="shard-to-pool")
-            obs_metrics.count("degraded", rung="shard-to-pool")
-            from repro.store.backends import PoolBackend
-
+            # without lease infrastructure no worker can make progress;
+            # the pool still computes everything in-process-tree and the
+            # runner persists what it can
+            warn_degraded(self.unavailable(store, exc), rung=self.rung)
             return PoolBackend(self.workers).execute(sweep, misses, runner)
         for i in misses:
             # a fresh coordinated run retries cells that failed previously
-            manager.clear_failure(keys[i])
+            leases.clear_failure(keys[i])
             if runner.rerun:
                 # --rerun promises recomputation: drop the stale payload so
                 # the payload-exists-means-done protocol recomputes it
-                path = store._payload_path(keys[i])
-                if path.exists():
-                    path.unlink()
+                store.delete(keys[i])
 
         workers = recommended_workers() if self.workers is None \
             else int(self.workers)
         procs = []
         if workers >= 1 and misses:
             try:
-                fault_point("subprocess.spawn", backend="shard")
+                fault_point("subprocess.spawn", backend=self.name)
                 import multiprocessing
 
+                ctx = multiprocessing.get_context(self.start_method)
                 for w in range(workers):
-                    proc = multiprocessing.Process(
-                        target=_shard_worker_main,
-                        args=(str(store.root), sweep.to_dict(),
-                              f"{worker_identity()}#w{w}", self.stale_after,
-                              self.poll_interval, store.rounds_sidecar_at,
-                              retry.to_dict(),
-                              None if deadline is None
-                              else deadline.remaining()),
-                        daemon=True,
-                    )
+                    proc = ctx.Process(
+                        target=_fleet_worker_main,
+                        args=(self, store, sweep, f"{worker_identity()}#w{w}",
+                              runner.retry, runner._deadline),
+                        daemon=True)
                     proc.start()
                     procs.append(proc)
             except (ImportError, OSError, ValueError, RuntimeError):
@@ -848,14 +797,13 @@ class ShardBackend:
             proc.join()
 
         # Mop-up + assembly: resolves anything the children left behind
-        # (crashes, sandboxes) and reads every resolved cell back from the
-        # store, waiting on still-live foreign workers when sweeps overlap.
-        mop_up = ShardWorker(store, stale_after=self.stale_after,
-                             poll_interval=self.poll_interval,
-                             retry=retry, deadline=deadline)
-        resolved = mop_up.run(sweep)
+        # (crashes, sandboxes) and reads every resolved cell back, waiting
+        # on still-live foreign workers when sweeps overlap.
+        resolved = self.worker(store, worker_identity(), runner.retry,
+                               runner._deadline).run(sweep)
+        # a cell resolved without failure was read back from its payload
         runner.last_stats.executed.extend(
-            keys[i] for i in misses if store.contains(keys[i]))
+            keys[i] for i in misses if not resolved[i].extra.get("failed"))
         return {i: resolved[i] for i in misses}
 
 
@@ -864,10 +812,8 @@ def run_sweep_sharded(sweep: SweepConfig, store: ResultStore | str,
                       stale_after: float = DEFAULT_STALE_AFTER,
                       poll_interval: float = DEFAULT_POLL_INTERVAL):
     """One-shot sharded execution of a sweep (see :class:`ShardBackend`)."""
-    from repro.store.runner import CachedSweepRunner
+    from repro.store.runner import run_sweep_cached
 
-    if not isinstance(store, ResultStore):
-        store = ResultStore(store)
-    backend = ShardBackend(workers=workers, stale_after=stale_after,
-                           poll_interval=poll_interval)
-    return CachedSweepRunner(store, backend=backend).run(sweep)
+    return run_sweep_cached(sweep, store, backend=ShardBackend(
+        workers=workers, stale_after=stale_after,
+        poll_interval=poll_interval))

@@ -222,6 +222,17 @@ class ResultStore:
         obs_metrics.count("store.put")
         return key
 
+    def delete(self, key: str) -> bool:
+        """Drop a stored cell (payload and sidecar) — the ``--rerun`` escape
+        hatch; ``True`` iff a payload was removed."""
+        payload = self._payload_path(key)
+        removed = payload.exists()
+        payload.unlink(missing_ok=True)
+        # payload first: a crash in between leaves an orphaned sidecar (gc
+        # sweeps those), never a payload referencing a missing one
+        self._sidecar_path(key).unlink(missing_ok=True)
+        return removed
+
     def get(self, config_or_key: ExperimentConfig | str) -> Optional[StoreRecord]:
         """Load a record, or ``None`` on miss / schema mismatch / corruption.
 

@@ -11,6 +11,9 @@ shard→pool→serial degradation ladder.
 from __future__ import annotations
 
 import json
+import pickle
+import time
+from collections import Counter
 
 import pytest
 
@@ -23,6 +26,7 @@ from chaos import (
 )
 from repro.experiments.config import ExperimentConfig, SweepConfig
 from repro.robustness import (
+    Deadline,
     DegradedExecutionWarning,
     FaultPlan,
     FaultSpec,
@@ -211,6 +215,62 @@ class TestRetryPolicy:
         policy = RetryPolicy()
         assert policy.max_attempts == 1
         assert RetryPolicy.from_dict(policy.to_dict()) == policy
+
+    def test_deadline_pickles_as_wall_clock_expiry(self, monkeypatch):
+        # worker processes receive the sweep deadline pickled, and their
+        # monotonic clock may count from another origin: the expiry must
+        # travel as wall-clock time to expire with the parent's
+        data = pickle.dumps(Deadline(30.0))
+        real = time.monotonic
+        with monkeypatch.context() as m:
+            m.setattr(time, "monotonic", lambda: real() + 1000.0)
+            clone = pickle.loads(data)
+            assert clone.seconds == 30.0
+            assert 29.0 < clone.remaining() <= 30.0
+        assert pickle.loads(pickle.dumps(Deadline(None))).remaining() is None
+
+
+# ---------------------------------------------------------------------- #
+# the sweep deadline: one rule on every backend
+# ---------------------------------------------------------------------- #
+class TestSweepDeadline:
+    #: every retry would start 3 s after its failure, past the 1 s deadline
+    POLICY = RetryPolicy(max_attempts=50, base_delay_s=3, max_delay_s=3,
+                         jitter=0, deadline_s=1)
+
+    @pytest.mark.parametrize("backend,workers", [
+        ("serial", 0), ("pool", 2), ("shard", 0), ("shard", 2)])
+    def test_attempts_are_journaled_computes_within_deadline(
+            self, tmp_path, backend, workers):
+        sweep = SweepConfig(name="deadline", description="always raising")
+        for n in (16, 32):
+            sweep.add(ExperimentConfig(name=f"n={n}", workload="all-distinct",
+                                       workload_params={"n": n}, num_runs=2,
+                                       seed=11))
+        journal = tmp_path / "journal.jsonl"
+        activate(FaultPlan(specs=[FaultSpec("worker.compute", "raise",
+                                            times=100)],
+                           journal=str(journal)))
+        try:
+            runner = CachedSweepRunner(ResultStore(tmp_path / "store"),
+                                       backend=backend, max_workers=workers,
+                                       retry=self.POLICY)
+            t0 = time.monotonic()
+            report = runner.run(sweep)
+            elapsed = time.monotonic() - t0
+        finally:
+            deactivate()
+        # no backend sleeps past the deadline
+        assert elapsed <= self.POLICY.deadline_s + 0.5, elapsed
+        # a record's attempts are the times run_cell ran for its cell
+        fired = Counter(r["ctx"]["cell"] for r in read_fault_journal(journal))
+        failures = report.meta["failures"]
+        assert [f["cell"] for f in failures] == ["n=16", "n=32"]
+        for failure in failures:
+            assert failure["attempts"] == fired[failure["cell"]], \
+                (failure, fired)
+            if failure["attempts"] == 0:   # never started
+                assert failure["error"].startswith("SweepDeadlineError")
 
 
 # ---------------------------------------------------------------------- #

@@ -274,6 +274,26 @@ class TestHttpCli:
                      "http://127.0.0.1:1", "--backend", "shard"]) == 2
         assert "imply --backend http" in capsys.readouterr().err
 
+    def test_serve_rerun_recomputes_warm_store(self, tmp_path, capsys):
+        # --rerun under --serve must drop the stale payloads of the *local*
+        # store the coordinator serves, or the fleet recomputes nothing
+        from repro.cli import main
+
+        store_dir = str(tmp_path / "store")
+        argv = ["sweep", "theorem1", "--scale", "0.1", "--runs", "2",
+                "--store", store_dir]
+        assert main(argv) == 0                     # warm the store serially
+        before = len(read_execution_log(store_dir))
+        assert main(argv + ["--serve", "127.0.0.1:0", "--workers", "0",
+                            "--rerun"]) == 0
+        assert "misses=6" in capsys.readouterr().out
+        # one ledger line per distinct cell (6 cells, 5 unique keys)
+        assert len(read_execution_log(store_dir)) - before == 5
+
+    def test_http_workers_start_by_spawn(self):
+        # forked children would inherit the coordinator's listening socket
+        assert HttpBackend("http://127.0.0.1:1").start_method == "spawn"
+
     def test_serve_runs_sweep_through_coordinator(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -3,6 +3,7 @@ NPZ sidecars (repro.store.shard / repro.store.backends + satellites)."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -18,6 +19,8 @@ from repro.experiments.config import ExperimentConfig, SweepConfig
 from repro.experiments.results import CellResult
 from repro.store import (
     CachedSweepRunner,
+    CoordinatorServer,
+    HttpBackend,
     LeaseManager,
     PoolBackend,
     ResultStore,
@@ -29,6 +32,7 @@ from repro.store import (
     resolve_backend,
     run_sweep_sharded,
 )
+from repro.store.backends import recommended_workers
 
 
 def _config(name="cell", n=48, **kwargs) -> ExperimentConfig:
@@ -51,6 +55,17 @@ def _poisoned_sweep() -> SweepConfig:
     sweep.add(_config(name="bad", n=32, rule="no-such-rule"))
     sweep.add(_config(name="ok-48", n=48))
     return sweep
+
+
+@contextlib.contextmanager
+def _runner(store, backend, workers):
+    """A runner on ``store``; ``http`` serves it from a live coordinator."""
+    if backend != "http":
+        yield CachedSweepRunner(store, backend=backend, max_workers=workers)
+        return
+    with CoordinatorServer(store) as server:
+        yield CachedSweepRunner(store,
+                                backend=HttpBackend(server.url, workers=workers))
 
 
 # ---------------------------------------------------------------------- #
@@ -447,15 +462,17 @@ class TestBackends:
         with pytest.raises(ValueError):
             resolve_backend("warp-drive", 0)
 
+    def test_recommended_workers_at_least_one(self):
+        assert recommended_workers() >= 1
+
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 0), ("pool", 2), ("shard", 2)])
+        ("serial", 0), ("pool", 2), ("shard", 2), ("http", 2)])
     def test_poisoned_cell_surfaces_per_cell(self, tmp_path, backend, workers):
         """Satellite: a raising cell must surface (label + error) instead of
         aborting or vanishing — and must not be persisted as a result."""
         store = ResultStore(tmp_path / backend)
-        runner = CachedSweepRunner(store, backend=backend,
-                                   max_workers=workers)
-        report = runner.run(_poisoned_sweep())
+        with _runner(store, backend, workers) as runner:
+            report = runner.run(_poisoned_sweep())
         assert runner.last_stats.failures == 1
         assert "failures=1" in runner.last_stats.summary()
         failures = report.meta["failures"]
@@ -469,13 +486,15 @@ class TestBackends:
         assert len(store) == 2               # the poisoned cell is not cached
 
     def test_poisoned_reports_equal_across_backends(self, tmp_path):
-        """Satellite pin: serial ≡ pool ≡ shard on a poisoned sweep."""
+        """Satellite pin: serial ≡ pool ≡ shard ≡ http on a poisoned sweep."""
         reports = {}
-        for backend, workers in (("serial", 0), ("pool", 2), ("shard", 2)):
-            runner = CachedSweepRunner(ResultStore(tmp_path / backend),
-                                       backend=backend, max_workers=workers)
-            reports[backend] = runner.run(_poisoned_sweep())
-        assert reports["serial"] == reports["pool"] == reports["shard"]
+        for backend, workers in (("serial", 0), ("pool", 2), ("shard", 2),
+                                 ("http", 2)):
+            with _runner(ResultStore(tmp_path / backend), backend,
+                         workers) as runner:
+                reports[backend] = runner.run(_poisoned_sweep())
+        assert reports["serial"] == reports["pool"] == reports["shard"] \
+            == reports["http"]
 
     def test_failed_marker_survives_and_dedups_workers(self, tmp_path,
                                                        monkeypatch):

@@ -344,6 +344,22 @@ class TestCachedSweepRunner:
         assert record.provenance["elapsed_s"] > 0
         assert record.provenance["package_version"]
 
+    def test_never_converging_cell_reports_compare_equal(self, tmp_path):
+        """A cell that never converges carries NaN rounds and means; equal
+        reports must still compare equal (reruns and warm replays)."""
+        sweep = SweepConfig(name="stuck", description="never converges")
+        sweep.add(ExperimentConfig(
+            name="stuck", workload="two-bins",
+            workload_params={"n": 256, "minority": 128},
+            adversary="balancing", adversary_budget=40, max_rounds=5,
+            seed=3))
+        first, second = run_sweep(sweep), run_sweep(sweep)
+        assert math.isnan(first.cells[0].mean_rounds)
+        assert first == second
+        runner = CachedSweepRunner(ResultStore(tmp_path / "store"))
+        cold = runner.run(sweep)
+        assert runner.run(sweep) == cold
+
     def test_store_keys_in_report_meta(self, tmp_path):
         report = run_sweep_cached(_sweep(), tmp_path / "store")
         keys = report.meta["store"]["keys"]
