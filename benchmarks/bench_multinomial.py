@@ -3,7 +3,7 @@
 Both occupancy engines bottom out in exact multinomial scatters, drawn
 through one seam (:mod:`repro.engine._multinomial`) with a ``numpy`` backend
 (``Generator.multinomial``, the historical bit stream) and a ``compiled``
-backend (numba/cc conditional-binomial cascade plus the pooled *banded*
+backend (C-kernel conditional-binomial cascade plus the pooled *banded*
 O(m)-draw sampler for built-in rules).  This benchmark measures what the
 seam buys at the m = 64 wall, two ways:
 

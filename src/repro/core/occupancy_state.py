@@ -26,7 +26,7 @@ from typing import Dict, Mapping, Sequence
 import numpy as np
 
 from repro.core.metrics import ConfigurationMetrics
-from repro.core.state import Configuration, values_from_loads
+from repro.core.state import Configuration
 
 __all__ = [
     "OccupancyState",
@@ -207,7 +207,7 @@ class OccupancyState:
                 f"refusing to materialize n={n} processes (limit {limit}); "
                 "raise `limit` explicitly if this is intentional"
             )
-        return Configuration(values=values_from_loads(self.loads))
+        return Configuration(values=np.repeat(self.support, self.counts))
 
     # ------------------------------------------------------------------ #
     # dunder helpers

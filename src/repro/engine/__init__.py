@@ -16,6 +16,8 @@ per round and therefore in where they are fast:
     vectorized engine — pinned by the ``tests/equivalence.py`` harness via
     ``tests/test_engine_differential.py``), so use it for very large
     populations with few values (n = 10⁸–10⁹, m up to a few thousand).
+    A single run is the fused count-space loop below at R = 1, on the run's
+    own generator.
     Limits: rules need a count-space kernel (median, median-k,
     median-noreplace, voter, minimum, maximum, three-majority,
     two-choices-majority) and adversaries a count-edit form — every shipped
@@ -33,7 +35,10 @@ per round and therefore in where they are fast:
     (``engine="occupancy-fused"``) is the count-space analogue: all R runs
     advance as one (R, m) count tensor, each round building a stacked
     (R, m, m) outcome tensor and drawing all R·m multinomials in a single
-    call.  Cost model: O(R·m²) time per round **independent of n** and
+    call.  It and the single-run ``occupancy`` engine share one round loop
+    (stop rules, adversary steps, convergence bookkeeping) and one outcome
+    law per rule (:func:`~repro.engine.occupancy.occupancy_outcome_profiles`).
+    Cost model: O(R·m²) time per round **independent of n** and
     O(R·m² · 8 bytes) peak memory (chunked over runs beyond ~134 MB), versus
     O(R·m²) time *plus O(R) interpreter round trips* for the looped
     occupancy path — the fused engine wins by an order of magnitude once R is
@@ -85,15 +90,15 @@ through one seam (:mod:`repro.engine._multinomial`) with two backends:
 =============  ============================================================
 ``numpy``      ``Generator.multinomial`` — the historical bit stream; every
                seed-pinned golden result was produced on it.
-``compiled``   conditional-binomial cascade in native code (numba if
-               importable, else a C kernel compiled on first use), plus a
-               pooled *banded* sampler that scatters a built-in rule's whole
-               run with O(m) draws instead of O(m²).
+``compiled``   conditional-binomial cascade in a C kernel compiled on
+               first use (provider ``cc``), plus a pooled *banded* sampler
+               that scatters a built-in rule's whole run with O(m) draws
+               instead of O(m²).
 =============  ============================================================
 
 Selection is ``auto`` (compiled when available, else NumPy with one
 structured warning): force or pin with ``REPRO_MULTINOMIAL_KERNEL=
-{auto,compiled,numpy,numba,cc}`` or
+{auto,compiled,numpy,cc}`` or
 :func:`repro.engine.rng.set_multinomial_backend`; check what actually runs
 with :func:`repro.engine.rng.multinomial_kernel_id` (also stamped into
 store provenance, shown by ``repro store info``).  Expected effect: at

@@ -12,23 +12,23 @@ occupancy engines sample through, with two interchangeable *backends*:
     the trusted reference the compiled backend is certified against.
 
 ``compiled``
-    A conditional-binomial cascade with no Python dispatch per row, provided
-    by the first working entry in the detection chain *numba → cc* (a
-    C kernel ``_mnk.c`` compiled on first use with the system C compiler and
-    loaded via ctypes).  The compiled backend additionally offers a pooled
-    *banded* sampler exploiting the band structure every built-in occupancy
-    rule shares (O(m) draws per run instead of O(m²) — see ``_mnk.c``).
+    A conditional-binomial cascade with no Python dispatch per row: the C
+    kernel ``_mnk.c``, compiled on first use with the system C compiler and
+    loaded via ctypes (provider ``cc``).  The compiled backend additionally
+    offers a pooled *banded* sampler exploiting the band structure every
+    built-in occupancy rule shares (O(m) draws per run instead of O(m²) —
+    see ``_mnk.c``).
 
 Selection: explicit ``backend=`` argument > :func:`set_multinomial_backend`
 > the ``REPRO_MULTINOMIAL_KERNEL`` environment variable > ``auto``.  Values:
 ``auto`` (compiled when available, else numpy), ``compiled``, ``numpy``, and
-the power-user pins ``numba`` / ``cc``.  Feature detection runs at *first
-sampling call*, never at import, and catches any exception — a missing,
-broken, or ABI-mismatched provider degrades to NumPy with a single
-structured :class:`MultinomialKernelWarning` per process.
+the provider pin ``cc``.  Feature detection runs at *first sampling call*,
+never at import, and catches any exception — a missing, broken, or
+ABI-mismatched provider degrades to NumPy with a single structured
+:class:`MultinomialKernelWarning` per process.
 
 Reproducibility contract: seed-exact **within** a backend.  The compiled
-providers bridge the caller's ``numpy.random.Generator`` by drawing one
+provider bridges the caller's ``numpy.random.Generator`` by drawing one
 64-bit seed per kernel call, so a fixed seed gives identical results on the
 same backend, while the two backends produce different — but identically
 distributed — streams (certified by ``tests/test_engine_differential.py``
@@ -73,7 +73,7 @@ __all__ = [
 
 ENV_VAR = "REPRO_MULTINOMIAL_KERNEL"
 BUILD_DIR_ENV_VAR = "REPRO_MULTINOMIAL_BUILD_DIR"
-BACKEND_CHOICES = ("auto", "compiled", "numpy", "numba", "cc")
+BACKEND_CHOICES = ("auto", "compiled", "numpy", "cc")
 
 #: Per-process tallies of draws through this seam.  Kept as plain dict
 #: increments (no telemetry check) because the seam is the innermost hot
@@ -83,14 +83,6 @@ DRAW_STATS = {"calls": 0, "rows": 0}
 
 #: Must match MNK_ABI_VERSION in _mnk.c; a stale shared object is rebuilt.
 _ABI_VERSION = 1
-
-_DETECTION_ORDER = {
-    "auto": ("numba", "cc"),
-    "compiled": ("numba", "cc"),
-    "numba": ("numba",),
-    "cc": ("cc",),
-}
-
 
 class MultinomialKernelWarning(UserWarning):
     """A requested compiled multinomial backend was unavailable; NumPy ran."""
@@ -102,12 +94,12 @@ class KernelInfo:
 
     requested: str   #: what was asked for ("auto", "compiled", ...)
     resolved: str    #: "compiled" or "numpy"
-    provider: str    #: "numba", "cc", or "numpy"
+    provider: str    #: "cc" or "numpy"
     detail: str = ""  #: per-provider failure summary when a fallback happened
 
     @property
     def kernel_id(self) -> str:
-        """Stable provenance string: ``numpy``, ``compiled:numba``, ``compiled:cc``."""
+        """Stable provenance string: ``numpy`` or ``compiled:cc``."""
         if self.resolved == "numpy":
             return "numpy"
         return f"compiled:{self.provider}"
@@ -131,7 +123,7 @@ class _CcKernel:
     def __init__(self) -> None:
         # fault seam: an injected failure here is indistinguishable from a
         # real broken toolchain, so it exercises the production fallback
-        # (detection chain → NumPy + one MultinomialKernelWarning)
+        # (detection → NumPy + one MultinomialKernelWarning)
         fault_point("kernel.compile", provider=self.NAME)
         lib = ctypes.CDLL(str(self._ensure_built()))
         lib.mnk_abi_version.restype = ctypes.c_int64
@@ -245,28 +237,7 @@ class _CcKernel:
             raise RuntimeError("cc sample_flows failed its sum smoke test")
 
 
-class _NumbaProvider:
-    """Thin adapter giving the numba module the same method surface as cc."""
-
-    NAME = "numba"
-
-    def __init__(self) -> None:
-        fault_point("kernel.compile", provider=self.NAME)
-        from repro.engine import _multinomial_numba as mod
-        mod.warm_up()
-        self._mod = mod
-
-    def sample_flows(self, counts, probs, seed):
-        return self._mod.sample_flows(counts, probs, seed)
-
-    def scatter_sums(self, counts, probs, R, m, seed):
-        return self._mod.scatter_sums(counts, probs, R, m, seed)
-
-    def sample_banded(self, counts, lo, hi, diag, seed):
-        return self._mod.sample_banded(counts, lo, hi, diag, seed)
-
-
-_PROVIDER_FACTORIES = {"numba": _NumbaProvider, "cc": _CcKernel}
+_PROVIDER_FACTORIES = {"cc": _CcKernel}
 
 # ---------------------------------------------------------------------- #
 # detection + resolution state
@@ -341,12 +312,12 @@ def resolve_multinomial_backend(backend: Optional[str] = None) -> KernelInfo:
             f"(from {ENV_VAR}?); choose from {BACKEND_CHOICES}")
     if requested == "numpy":
         return KernelInfo(requested, "numpy", "numpy")
-    for name in _DETECTION_ORDER[requested]:
+    for name in _PROVIDER_FACTORIES:
         if _get_provider(name) is not None:
             return KernelInfo(requested, "compiled", name)
     detail = "; ".join(
         f"{n}: {_provider_errors.get(n, 'unavailable')}"
-        for n in _DETECTION_ORDER[requested])
+        for n in _PROVIDER_FACTORIES)
     if requested not in _warned:
         _warned.add(requested)
         warnings.warn(
@@ -386,11 +357,13 @@ def _reset_for_testing() -> None:
 # ---------------------------------------------------------------------- #
 # RNG bridging
 # ---------------------------------------------------------------------- #
+_U64_MAX = np.iinfo(np.uint64).max
+
+
 def _draw_seed(rng: np.random.Generator) -> int:
     """One 64-bit seed from the caller's Generator: the whole compiled call
     consumes exactly one draw of the NumPy stream, whatever its size."""
-    return int(rng.integers(0, np.iinfo(np.uint64).max, dtype=np.uint64,
-                            endpoint=True))
+    return int(rng.integers(0, _U64_MAX, dtype=np.uint64, endpoint=True))
 
 
 def _prep(counts: np.ndarray, dtype=np.int64) -> np.ndarray:
@@ -438,21 +411,12 @@ def scatter_column_sums(counts: np.ndarray, Q: np.ndarray,
                         backend: Optional[str] = None) -> np.ndarray:
     """Column sums of one run's flows: the new occupancy after a scatter.
 
-    The numpy backend reproduces the pre-seam engine bit stream exactly
-    (``rng.multinomial(counts, Q)`` + sum); the compiled backend accumulates
-    the sums in C without materializing the flow matrix.
+    The ``R = 1`` slice of :func:`scatter_column_sums_batch` (one seam call,
+    the same draws).
     """
-    DRAW_STATS["calls"] += 1
-    DRAW_STATS["rows"] += int(np.asarray(counts).shape[0])
-    info = resolve_multinomial_backend(backend)
-    if info.resolved == "numpy":
-        flows = rng.multinomial(counts, Q)
-        return flows.sum(axis=0, dtype=np.int64)
-    provider = _providers[info.provider]
-    m = Q.shape[-1]
-    out = provider.scatter_sums(_prep(counts), _prep(Q, np.float64), 1, m,
-                                _draw_seed(rng))
-    return out[0]
+    counts = np.asarray(counts)
+    return scatter_column_sums_batch(counts[None, :], np.asarray(Q)[None],
+                                     rng, backend=backend)[0]
 
 
 def scatter_column_sums_batch(counts: np.ndarray, Q: np.ndarray,
@@ -460,10 +424,9 @@ def scatter_column_sums_batch(counts: np.ndarray, Q: np.ndarray,
                               backend: Optional[str] = None) -> np.ndarray:
     """Batched scatter column sums: ``(R, m)`` counts through ``(R, m, m)``.
 
-    The numpy path is verbatim the pre-seam ``_scatter_counts_batch`` —
-    including its draw-only-occupied-pairs filtering — so seeded numpy
-    results are bit-for-bit unchanged.  The compiled path skips zero rows
-    inline in C.
+    The numpy path draws only the occupied (run, bin) pairs, so seeded
+    numpy results match the pre-seam engines bit for bit.  The compiled
+    path skips zero rows inline in C.
     """
     DRAW_STATS["calls"] += 1
     DRAW_STATS["rows"] += int(np.asarray(counts).size)
@@ -520,7 +483,7 @@ def _banded_numpy(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                   diag: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """NumPy reference of the banded pooled sampler (vectorized over runs).
 
-    Same law as the C/numba implementations (not the same bit stream); the
+    Same law as the C implementation (not the same bit stream); the
     engines only route banded scatters to compiled backends, so this exists
     as the independently-written cross-check the property tests compare
     against.

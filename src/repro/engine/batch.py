@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -489,44 +489,193 @@ def _fused_occupancy_supported(rule: Rule, adversary: Optional[Adversary]) -> bo
     return isinstance(rule, OCCUPANCY_KERNEL_RULE_TYPES)
 
 
-def _occupancy_round_blocked(counts: np.ndarray, rule: Rule,
-                             rng: np.random.Generator,
-                             max_block_elems: int,
-                             support=None) -> np.ndarray:
-    """One fused round, chunked over runs so peak memory stays bounded."""
-    R, m = counts.shape
-    block = max(1, int(max_block_elems) // max(m * m, 1))
-    if R <= block:
-        return occupancy_round_batch(counts, rule, rng, support=support)
-    out = np.empty_like(counts)
-    for start in range(0, R, block):
-        out[start:start + block] = occupancy_round_batch(
-            counts[start:start + block], rule, rng, support=support)
-    return out
+def _occupancy_round_blocked(counts: np.ndarray,
+                             victims: Optional[np.ndarray], rule: Rule,
+                             rng: np.random.Generator, max_block_elems: int,
+                             support: np.ndarray
+                             ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """One fused round, chunked over runs so peak memory stays bounded.
 
-
-def _occupancy_round_blocked_split(counts: np.ndarray, victim_counts: np.ndarray,
-                                   rule: Rule, rng: np.random.Generator,
-                                   max_block_elems: int,
-                                   support=None) -> tuple:
-    """Blocked twin of :func:`~repro.engine.occupancy.occupancy_round_batch_split`.
-
-    Used on rounds where at least one run's adversary tracks a victim
-    occupancy; runs without one carry a zero victim row (a no-op scatter).
+    With ``victims`` (one victim-occupancy row per run, zero for runs that
+    track none) each block's round is split
+    (:func:`~repro.engine.occupancy.occupancy_round_batch_split`) and the new
+    victim rows come back second; without, the second item is ``None``.
     """
     R, m = counts.shape
     block = max(1, int(max_block_elems) // max(m * m, 1))
-    if R <= block:
-        return occupancy_round_batch_split(counts, victim_counts, rule, rng,
-                                           support=support)
-    out = np.empty_like(counts)
-    out_vic = np.empty_like(victim_counts)
-    for start in range(0, R, block):
-        out[start:start + block], out_vic[start:start + block] = \
-            occupancy_round_batch_split(counts[start:start + block],
-                                        victim_counts[start:start + block],
-                                        rule, rng, support=support)
-    return out, out_vic
+    parts = []
+    for s in range(0, R, block):
+        if victims is None:
+            parts.append((occupancy_round_batch(counts[s:s + block], rule, rng,
+                                                support=support), None))
+        else:
+            parts.append(occupancy_round_batch_split(
+                counts[s:s + block], victims[s:s + block], rule, rng,
+                support=support))
+    if len(parts) == 1:
+        return parts[0]
+    new_victims = None if victims is None else np.concatenate(
+        [part[1] for part in parts])
+    return np.concatenate([part[0] for part in parts]), new_victims
+
+
+class _LoopOutcome(NamedTuple):
+    """Where :func:`_occupancy_loop` left each run (arrays are per run)."""
+
+    counts: np.ndarray           #: final ``(R, m)`` occupancy over ``support``
+    support: np.ndarray          #: final support (fewer bins if compacted)
+    consensus_round: np.ndarray  #: first exact-consensus round, -1 if none
+    consensus_value: np.ndarray  #: the value agreed on (where latched)
+    stable_round: np.ndarray     #: first round of the trailing streak that
+                                 #: satisfies the criterion, -1 if none
+    tol: np.ndarray              #: almost-stable tolerance
+    window: np.ndarray           #: almost-stable window
+    horizon: int
+    rounds_executed: int
+
+
+def _occupancy_loop(
+    counts: np.ndarray,
+    support: np.ndarray,
+    rule: Rule,
+    adversaries: Sequence[Adversary],
+    admissibles: Sequence[np.ndarray],
+    rng: np.random.Generator,
+    max_rounds: Optional[int],
+    *,
+    criterion: Optional[AlmostStableCriterion] = None,
+    stop_at_consensus: bool = True,
+    stop_when_stable: bool = True,
+    run_to_horizon: bool = False,
+    observe: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
+    max_block_elems: int = FUSED_OCCUPANCY_BLOCK_ELEMS,
+) -> _LoopOutcome:
+    """The count-space round loop of every occupancy engine.
+
+    ``counts`` is the ``(R, m)`` initial occupancy of ``R`` independent runs
+    of one population size over the shared fixed ``support``.  Run ``r`` has
+    its own count-capable adversary ``adversaries[r]`` (reset here; its
+    budget ledger is its own) and admissible palette ``admissibles[r]``.
+    Each round advances every running run as one fused program on ``rng``.
+
+    A run's almost-stable criterion is ``criterion``, or by default the one
+    for its own budget T: tolerance ``4·T`` over a 10-round window (1-round
+    without an adversary).  Stop rules, as in the single-run engines: unless
+    ``run_to_horizon``, an adversary-free run stops at exact consensus
+    (``stop_at_consensus``, also before round 1) and an adversarial run once
+    its trailing window satisfies its tolerance (``stop_when_stable``).
+    ``observe(t, support, counts)`` is handed the running runs' counts after
+    each round ``t`` and the initial counts as ``t = 0``.
+    """
+    counts = np.array(counts, dtype=np.int64)
+    R = counts.shape[0]
+    n = int(counts[0].sum())
+    budgets = np.array([adv.budget for adv in adversaries], dtype=np.int64)
+    for adv in adversaries:
+        if adv.budget > 0 and not adv.supports_counts:
+            raise NotImplementedError(
+                f"{type(adv).__name__} tracks process identities and cannot "
+                "drive the occupancy engine; use the vectorized engine instead"
+            )
+        adv.reset()
+    horizon = max_rounds if max_rounds is not None else default_max_rounds(n)
+    if horizon < 0:
+        raise ValueError("max_rounds must be non-negative")
+    if criterion is None:
+        tol = np.where(budgets > 0, 4 * budgets, 0)
+        window = np.where(budgets > 0, 10, 1)
+    else:
+        tol = np.full(R, int(criterion.tolerance), dtype=np.int64)
+        window = np.full(R, int(criterion.window), dtype=np.int64)
+    any_adversary = bool(budgets.max() > 0)
+    stop_consensus = (budgets == 0) & (stop_at_consensus and not run_to_horizon)
+    stop_stable = (budgets > 0) & (stop_when_stable and not run_to_horizon)
+
+    minority = n - counts.max(axis=1)
+    consensus_round = np.where(minority == 0, 0, -1)
+    consensus_value = support[counts.argmax(axis=1)]
+    # a run's trailing streak within its tolerance starts after last_bad
+    last_bad = np.where(minority <= tol, -1, 0)
+    end = np.zeros(R, dtype=np.int64)       # last round each run executed
+    if observe is not None:
+        observe(0, support, counts)
+    done = stop_consensus & (minority == 0)
+    retired_occupied = counts[done].any(axis=0)
+    live = np.flatnonzero(~done)             # the runs still going
+    cur = counts[live]                       # ... their counts
+    need_live = n - tol[live]                # ... and the agreement each needs
+
+    rounds_executed = 0
+    for t in range(1, horizon + 1):
+        if live.size == 0:
+            break
+        rounds_executed = t
+        victims, tracked = None, []
+        if any_adversary:
+            for j, r in enumerate(live):
+                adv = adversaries[r]
+                if adv.budget > 0 and adv.timing is AdversaryTiming.BEFORE_SAMPLING:
+                    cur[j] = adv.corrupt_counts(support, cur[j], t,
+                                                admissibles[r], rng)
+            # runs whose adversary tracks a victim occupancy (sticky, hiding)
+            # get their victims scattered as a separate — exactly equivalent —
+            # multinomial program, and learn the victims' new occupancy
+            for j, r in enumerate(live):
+                adv = adversaries[r]
+                vc = adv.victim_counts(support) if adv.budget > 0 else None
+                if vc is not None:
+                    if victims is None:
+                        victims = np.zeros_like(cur)
+                    victims[j] = vc
+                    tracked.append((j, r))
+        cur, new_victims = _occupancy_round_blocked(
+            cur, victims, rule, rng, max_block_elems, support)
+        for j, r in tracked:
+            adversaries[r].observe_victim_scatter(support, new_victims[j])
+        if any_adversary:
+            for j, r in enumerate(live):
+                adv = adversaries[r]
+                if adv.budget > 0 and adv.timing is AdversaryTiming.AFTER_SAMPLING:
+                    cur[j] = adv.corrupt_counts(support, cur[j], t,
+                                                admissibles[r], rng)
+        if observe is not None:
+            observe(t, support, cur)
+
+        agreement = cur.max(axis=1)
+        bad = agreement < need_live          # minority above the tolerance
+        if bad.all():
+            last_bad[live] = t
+        else:
+            # a run can only be at consensus or stable within its tolerance
+            last_bad[live[bad]] = t
+            fresh = (agreement == n) & (consensus_round[live] < 0)
+            consensus_round[live[fresh]] = t
+            consensus_value[live[fresh]] = support[cur[fresh].argmax(axis=1)]
+            done = fresh & stop_consensus[live]
+            done |= stop_stable[live] & (t - last_bad[live] >= window[live])
+            if done.any():
+                counts[live[done]] = cur[done]
+                end[live[done]] = t
+                retired_occupied |= cur[done].any(axis=0)
+                live, cur = live[~done], cur[~done]
+                need_live = n - tol[live]
+
+        # compact bins that are empty in every run: the rules only ever output
+        # present values, so without an adversary such bins can never refill
+        # (with one, the admissible palettes must stay addressable)
+        if not any_adversary and live.size and not cur.all():
+            occupied = cur.any(axis=0) | retired_occupied
+            if not occupied.all():
+                support = support[occupied]
+                cur = np.ascontiguousarray(cur[:, occupied])
+                counts = counts[:, occupied]
+                retired_occupied = retired_occupied[occupied]
+
+    counts[live] = cur
+    end[live] = rounds_executed
+    stable_round = np.where(end - last_bad >= window, last_bad + 1, -1)
+    return _LoopOutcome(counts, support, consensus_round, consensus_value,
+                        stable_round, tol, window, horizon, rounds_executed)
 
 
 def run_batch_fused_occupancy(
@@ -544,12 +693,11 @@ def run_batch_fused_occupancy(
 ) -> BatchResult:
     """Simulate ``num_runs`` independent runs as one count-tensor program.
 
-    The multi-run analogue of :func:`repro.engine.occupancy.simulate_occupancy`
-    (and the occupancy twin of :func:`run_batch_fused`): the batch state is an
-    ``(R, m)`` int64 tensor of bin counts over a shared value support.  Each
-    round builds the stacked per-run outcome tensor ``(R, m, m)`` with the
-    batched CDF kernels, draws all ``R·m`` multinomial scatters in one
-    reshaped call, and detects convergence in count space
+    The multi-run form of :func:`repro.engine.occupancy.simulate_occupancy`
+    (and the occupancy twin of :func:`run_batch_fused`): both run the same
+    round loop, here with the batch state an ``(R, m)`` int64 tensor of bin
+    counts over a shared value support.  Each round draws every run's
+    scatter in one seam call and detects convergence in count space
     (``n − counts.max(axis=1)``, O(m) per run).  Per-round cost is O(R·m²)
     independent of n, with no Python loop over runs on the no-adversary path.
 
@@ -570,23 +718,21 @@ def run_batch_fused_occupancy(
         run, or a per-run factory ``rng -> Configuration | OccupancyState``.
         All runs must share the same population size n; the batch support is
         the union of the runs' initial values, while each run's adversary
-        palette remains that run's *own* initial values (as in the looped
-        engine — a sibling run's values are never admissible).
+        palette remains that run's *own* initial values (a sibling run's
+        values are never admissible).
     adversary_factory:
         Zero-argument callable building a fresh count-capable adversary per
         run; ``None`` disables corruption.  The identity-tracking strategies
         (sticky, hiding) run through their exact victim-occupancy form: their
         runs' victim subpopulations are scattered as a separate multinomial
         program each round (still one fused pass over the batch).  Custom
-        adversaries without a count-space form are rejected, matching the
-        single-run engine.
+        adversaries without a count-space form are rejected.
     criterion:
         Almost-stable criterion; defaults to tolerance ``4·T`` with a
-        10-round window (1-round window without an adversary), matching
-        ``simulate_occupancy``.  Without an adversary runs still stop only at
-        exact consensus, but a caller-supplied criterion is honored at the
-        horizon: runs whose trailing streak satisfies it report the streak's
-        first round, like the looped engine.
+        10-round window (1-round window without an adversary).  Without an
+        adversary runs still stop only at exact consensus, but a
+        caller-supplied criterion is honored at the horizon: runs whose
+        trailing streak satisfies it report the streak's first round.
     max_block_elems:
         Cap on the per-round outcome-tensor working set (float64 elements);
         wide batches are processed in run blocks of at most this size.
@@ -622,35 +768,10 @@ def run_batch_fused_occupancy(
         adversary_factory() if adversary_factory is not None else NullAdversary()
         for _ in range(num_runs)
     ]
-    budgets = np.array([adv.budget for adv in adversaries], dtype=np.int64)
-    any_adversary = bool(budgets.max() > 0)
-    for adv in adversaries:
-        adv.reset()
-        if adv.budget > 0 and not adv.supports_counts:
-            raise NotImplementedError(
-                f"{type(adv).__name__} tracks process identities and cannot "
-                "drive the occupancy engine; use the vectorized engine instead"
-            )
-
-    # per-run criterion, exactly as run_batch's looped engines derive it: a
-    # caller-supplied criterion applies to every run, the default depends on
-    # each run's own adversary budget (so mixed-budget factories keep the
-    # looped semantics run for run)
-    if criterion is None:
-        tol = np.where(budgets > 0, 4 * budgets, 0)
-        window = np.where(budgets > 0, 10, 1)
-    else:
-        tol = np.full(num_runs, int(criterion.tolerance), dtype=np.int64)
-        window = np.full(num_runs, int(criterion.window), dtype=np.int64)
-
-    horizon = max_rounds if max_rounds is not None else default_max_rounds(n)
-    if horizon < 0:
-        raise ValueError("max_rounds must be non-negative")
 
     # shared fixed support: union of every run's initial values.  Each run's
     # adversary palette stays that run's *own* initial values (count edits may
-    # revive extinct values, but never values from a sibling run), matching
-    # the looped engine.
+    # revive extinct values, but never values from a sibling run).
     if states[0] is states[-1]:  # fixed initial: one alignment, tiled
         shared_palette = states[0].support[states[0].counts > 0]
         admissibles = [shared_palette] * num_runs
@@ -660,119 +781,14 @@ def run_batch_fused_occupancy(
         admissibles = [s.support[s.counts > 0] for s in states]
         support = reduce(np.union1d, admissibles)
         counts = np.stack([s.with_support(support).counts for s in states])
-    num_bins = int(support.shape[0])
 
-    rounds = np.full(num_runs, np.nan)
-    converged = np.zeros(num_runs, dtype=bool)
-    consensus_round = np.full(num_runs, -1, dtype=np.int64)
-    streak = np.zeros(num_runs, dtype=np.int64)
-    streak_start = np.full(num_runs, -1, dtype=np.int64)
-    active = np.ones(num_runs, dtype=bool)
-
-    minority0 = n - counts.max(axis=1)
-    at_consensus0 = np.count_nonzero(counts, axis=1) <= 1
-    consensus_round[at_consensus0] = 0
-    ok0 = minority0 <= tol
-    streak[ok0] = 1
-    streak_start[ok0] = 0
-    init_done = at_consensus0 & (budgets == 0)
-    rounds[init_done] = 0
-    converged[init_done] = True
-    active[init_done] = False
-
-    rounds_executed = 0
-    for t in range(1, horizon + 1):
-        act = np.flatnonzero(active)
-        if act.size == 0:
-            break
-        rounds_executed = t
-        sub = counts[act]
-
-        if any_adversary:
-            for j, r_idx in enumerate(act):
-                adv = adversaries[r_idx]
-                if adv.budget > 0 and adv.timing is AdversaryTiming.BEFORE_SAMPLING:
-                    sub[j] = adv.corrupt_counts(support, sub[j], t,
-                                                admissibles[r_idx], rng)
-
-        tracked = []
-        if any_adversary:
-            # runs whose adversary tracks a victim occupancy (sticky, hiding)
-            # get their victims scattered as a separate — exactly equivalent —
-            # multinomial program, and learn the victims' new occupancy
-            victims = None
-            for j, r_idx in enumerate(act):
-                adv = adversaries[r_idx]
-                if adv.budget > 0:
-                    vc = adv.victim_counts(support)
-                    if vc is not None:
-                        if victims is None:
-                            victims = np.zeros_like(sub)
-                        victims[j] = vc
-                        tracked.append((j, r_idx))
-        if tracked:
-            sub, new_victims = _occupancy_round_blocked_split(
-                sub, victims, rule, rng, max_block_elems, support=support)
-            for j, r_idx in tracked:
-                adversaries[r_idx].observe_victim_scatter(support, new_victims[j])
-        else:
-            sub = _occupancy_round_blocked(sub, rule, rng, max_block_elems,
-                                           support=support)
-
-        if any_adversary:
-            for j, r_idx in enumerate(act):
-                adv = adversaries[r_idx]
-                if adv.budget > 0 and adv.timing is AdversaryTiming.AFTER_SAMPLING:
-                    sub[j] = adv.corrupt_counts(support, sub[j], t,
-                                                admissibles[r_idx], rng)
-
-        counts[act] = sub
-        minority = n - sub.max(axis=1)
-        at_consensus = np.count_nonzero(sub, axis=1) <= 1
-        newly = act[at_consensus & (consensus_round[act] < 0)]
-        consensus_round[newly] = t
-
-        ok = minority <= tol[act]
-        started = ok & (streak[act] == 0)
-        streak_start[act[started]] = t
-        streak[act[ok]] += 1
-        streak[act[~ok]] = 0
-        streak_start[act[~ok]] = -1
-        no_adv = budgets[act] == 0
-        # adversary-free runs stop only at exact consensus (streaks are still
-        # tracked so a caller-supplied almost-stable criterion is honored at
-        # the horizon, like the looped engine); adversarial runs stop once
-        # their trailing window satisfies their tolerance
-        done = act[no_adv & (minority == 0)]
-        rounds[done] = t
-        converged[done] = True
-        active[done] = False
-        fin = act[~no_adv & (streak[act] >= window[act])]
-        rounds[fin] = np.where(consensus_round[fin] >= 0,
-                               consensus_round[fin], streak_start[fin])
-        converged[fin] = True
-        active[fin] = False
-
-        # compact bins that are empty in every run: the rules only ever output
-        # present values, so without an adversary such bins can never refill
-        # (with one, the admissible palettes must stay addressable)
-        if not any_adversary and active.any():
-            occupied = counts.any(axis=0)
-            if not occupied.all():
-                support = support[occupied]
-                counts = np.ascontiguousarray(counts[:, occupied])
-
-    # horizon exhausted: runs that latched exact consensus still report it,
-    # and runs whose trailing streak satisfies the criterion report its first
-    # round — mirroring SimulationResult.convergence_round()
-    leftovers = np.flatnonzero(active)
-    latched = leftovers[consensus_round[leftovers] >= 0]
-    rounds[latched] = consensus_round[latched]
-    converged[latched] = True
-    stable = leftovers[(consensus_round[leftovers] < 0)
-                       & (streak[leftovers] >= window[leftovers])]
-    rounds[stable] = streak_start[stable]
-    converged[stable] = True
+    out = _occupancy_loop(counts, support, rule, adversaries, admissibles, rng,
+                          max_rounds, criterion=criterion,
+                          max_block_elems=max_block_elems)
+    rounds = np.where(out.consensus_round >= 0, out.consensus_round,
+                      out.stable_round).astype(np.float64)
+    converged = rounds >= 0
+    rounds[~converged] = np.nan
 
     return BatchResult(
         n=n,
@@ -784,12 +800,12 @@ def run_batch_fused_occupancy(
             "rule": rule.name,
             "engine": "occupancy-fused",
             "fused": True,
-            "adversary_budget": int(budgets.max()),
-            "tolerance": int(tol.max()),
-            "window": int(window.max()),
-            "horizon": horizon,
-            "num_bins": num_bins,
-            "rounds_executed": rounds_executed,
+            "adversary_budget": int(max(adv.budget for adv in adversaries)),
+            "tolerance": int(out.tol.max()),
+            "window": int(out.window.max()),
+            "horizon": out.horizon,
+            "num_bins": int(support.shape[0]),
+            "rounds_executed": out.rounds_executed,
             "budget_ledger_ok": all(adv.ledger.verify() for adv in adversaries),
         },
     )

@@ -10,7 +10,7 @@ This module is also the home of the *multinomial kernel selection plumbing*
 (re-exported from :mod:`repro.engine._multinomial`): which backend draws the
 occupancy engines' exact multinomial flows — ``numpy``
 (``Generator.multinomial``, the historical bit stream) or ``compiled`` (the
-numba/cc conditional-binomial cascade).  Select with
+C-kernel conditional-binomial cascade).  Select with
 :func:`set_multinomial_backend` or the ``REPRO_MULTINOMIAL_KERNEL``
 environment variable; inspect with :func:`multinomial_backend_info` /
 :func:`multinomial_kernel_id`.  Reproducibility is backend-scoped: a fixed

@@ -33,8 +33,6 @@ from repro.core.occupancy_state import OccupancyState
 from repro.core.rules import get_rule
 from repro.core.state import Configuration
 from repro.engine.occupancy import (
-    median_noreplace_outcome_matrix,
-    median_outcome_matrix,
     occupancy_round,
     occupancy_transition_matrix,
     simulate_occupancy,
@@ -59,7 +57,7 @@ class TestTransitionMatrices:
     def test_median_matrix_matches_enumeration(self, k):
         counts = np.array([3, 5, 2, 4], dtype=np.int64)
         p = counts / counts.sum()
-        Q = median_outcome_matrix(np.cumsum(p), k=k)
+        Q = occupancy_transition_matrix(BestOfKMedianRule(k=k), counts)
         assert np.allclose(Q, _brute_force_with_replacement(p, k), atol=1e-12)
 
     def test_rows_are_distributions(self):
@@ -75,7 +73,7 @@ class TestTransitionMatrices:
         counts = np.array([3, 5, 2, 4], dtype=np.int64)
         values = np.repeat(np.arange(4), counts)
         n = int(counts.sum())
-        Q = median_noreplace_outcome_matrix(counts)
+        Q = occupancy_transition_matrix(MedianRuleWithoutReplacement(), counts)
         for a in range(4):
             self_idx = int(np.flatnonzero(values == a)[0])
             others = [i for i in range(n) if i != self_idx]
@@ -92,9 +90,8 @@ class TestTransitionMatrices:
 
     def test_noreplace_approaches_with_replacement_for_large_n(self):
         counts = np.array([40_000, 25_000, 35_000], dtype=np.int64)
-        p = counts / counts.sum()
-        Q_wr = median_outcome_matrix(np.cumsum(p), k=2)
-        Q_nr = median_noreplace_outcome_matrix(counts)
+        Q_wr = occupancy_transition_matrix(MedianRule(), counts)
+        Q_nr = occupancy_transition_matrix(MedianRuleWithoutReplacement(), counts)
         assert np.allclose(Q_wr, Q_nr, atol=1e-4)  # they differ by O(1/n)
 
     def test_voter_rows_equal_fractions(self):

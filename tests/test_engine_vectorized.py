@@ -11,6 +11,7 @@ from repro.core.baseline_rules import MinimumRule
 from repro.core.consensus import AlmostStableCriterion
 from repro.core.median_rule import MedianRule
 from repro.core.state import Configuration
+from repro.engine.occupancy import simulate_occupancy
 from repro.engine.trajectory import RecordLevel
 from repro.engine.vectorized import default_max_rounds, simulate
 
@@ -184,9 +185,11 @@ class TestSimulateWithAdversary:
 class TestStopRules:
     """Exhaustive coverage of the engine's stop-rule matrix (ISSUE satellite)."""
 
+    engine = staticmethod(simulate)
+
     def test_run_to_horizon_executes_exactly_max_rounds(self):
-        res = simulate(Configuration.all_distinct(64), seed=0, max_rounds=37,
-                       run_to_horizon=True)
+        res = self.engine(Configuration.all_distinct(64), seed=0, max_rounds=37,
+                          run_to_horizon=True)
         assert res.rounds_executed == 37
         assert len(res.trajectory.metrics) == 38  # initial state + 37 rounds
 
@@ -194,13 +197,13 @@ class TestStopRules:
         # without run_to_horizon this run stops early once the almost-stable
         # window fires; with it, every round of the horizon must execute
         adv = BalancingAdversary(budget=4)
-        early = simulate(Configuration.two_bins(512, minority=256),
-                         adversary=adv, seed=1, max_rounds=300)
+        early = self.engine(Configuration.two_bins(512, minority=256),
+                            adversary=adv, seed=1, max_rounds=300)
         assert early.rounds_executed < 300
         adv2 = BalancingAdversary(budget=4)
-        full = simulate(Configuration.two_bins(512, minority=256),
-                        adversary=adv2, seed=1, max_rounds=300,
-                        run_to_horizon=True)
+        full = self.engine(Configuration.two_bins(512, minority=256),
+                           adversary=adv2, seed=1, max_rounds=300,
+                           run_to_horizon=True)
         assert full.rounds_executed == 300
 
     def test_trailing_streak_shorter_than_window_reports_not_reached(self):
@@ -208,8 +211,8 @@ class TestStopRules:
         # streak can span the (deliberately huge) stability window
         adv = StickyAdversary(budget=2, pinned_value=0)
         crit = AlmostStableCriterion(tolerance=8, window=100)
-        res = simulate(Configuration.two_bins(256, minority=16), adversary=adv,
-                       criterion=crit, seed=2, max_rounds=20, run_to_horizon=True)
+        res = self.engine(Configuration.two_bins(256, minority=16), adversary=adv,
+                          criterion=crit, seed=2, max_rounds=20, run_to_horizon=True)
         assert res.trajectory.minority_series()[-1] <= crit.tolerance
         assert not res.reached_almost_stable
         assert res.almost_stable_round is None
@@ -221,26 +224,26 @@ class TestStopRules:
 
         adv = SwitchingAdversary(budget=40)
         crit = AlmostStableCriterion(tolerance=2, window=5)
-        res = simulate(Configuration.two_bins(64, minority=32), adversary=adv,
-                       criterion=crit, seed=3, max_rounds=30, run_to_horizon=True)
+        res = self.engine(Configuration.two_bins(64, minority=32), adversary=adv,
+                          criterion=crit, seed=3, max_rounds=30, run_to_horizon=True)
         if res.trajectory.minority_series()[-1] > crit.tolerance:
             assert not res.reached_almost_stable
 
     def test_max_rounds_zero_executes_nothing(self):
         init = Configuration.two_bins(64, minority=20)
         adv = BalancingAdversary(budget=3)
-        res = simulate(init, adversary=adv, seed=4, max_rounds=0)
+        res = self.engine(init, adversary=adv, seed=4, max_rounds=0)
         assert res.rounds_executed == 0
         assert res.final == init
         assert res.meta["budget_ledger_total"] == 0  # adversary never acted
 
     def test_max_rounds_zero_already_at_consensus(self):
-        res = simulate(Configuration.from_values([3] * 12), seed=5, max_rounds=0)
+        res = self.engine(Configuration.from_values([3] * 12), seed=5, max_rounds=0)
         assert res.rounds_executed == 0
         assert res.reached_consensus and res.consensus_round == 0
 
     def test_already_at_consensus_stops_immediately_without_adversary(self):
-        res = simulate(Configuration.from_values([9] * 30), seed=6, max_rounds=50)
+        res = self.engine(Configuration.from_values([9] * 30), seed=6, max_rounds=50)
         assert res.reached_consensus and res.consensus_round == 0
         assert res.rounds_executed <= 1
 
@@ -248,15 +251,21 @@ class TestStopRules:
         # with a positive budget the consensus stop rule must not fire: the
         # adversary can (and does) perturb the agreed state
         adv = BalancingAdversary(budget=4)
-        res = simulate(Configuration.from_values([1] * 128), adversary=adv,
-                       seed=7, max_rounds=40, stop_when_stable=False,
-                       admissible_values=np.array([0, 1]))
+        res = self.engine(Configuration.from_values([1] * 128), adversary=adv,
+                          seed=7, max_rounds=40, stop_when_stable=False,
+                          admissible_values=np.array([0, 1]))
         assert res.consensus_round == 0
         assert res.rounds_executed == 40
         assert res.meta["budget_ledger_total"] > 0
 
     def test_stop_at_consensus_disabled_runs_to_horizon(self):
-        res = simulate(Configuration.all_distinct(32), seed=8, max_rounds=80,
-                       stop_at_consensus=False)
+        res = self.engine(Configuration.all_distinct(32), seed=8, max_rounds=80,
+                          stop_at_consensus=False)
         assert res.reached_consensus
         assert res.rounds_executed == 80
+
+
+class TestStopRulesOccupancy(TestStopRules):
+    """The same stop-rule matrix on the count-space single-run engine."""
+
+    engine = staticmethod(simulate_occupancy)

@@ -99,8 +99,7 @@ class TestResolution:
             resolve_multinomial_backend()
 
     def test_choices_are_documented(self):
-        assert set(BACKEND_CHOICES) == {"auto", "compiled", "numpy", "numba",
-                                        "cc"}
+        assert set(BACKEND_CHOICES) == {"auto", "compiled", "numpy", "cc"}
 
     @needs_compiled
     def test_kernel_id_is_provenance_grade(self):
@@ -136,7 +135,7 @@ class TestFallback:
     def test_import_engine_does_not_trigger_detection(self):
         # detection state is only populated by sampling/resolution calls;
         # a fresh interpreter importing repro.engine must not compile
-        # anything or warn (proven end-to-end by the no-numba CI leg; here
+        # anything or warn (proven end-to-end by the numpy CI leg; here
         # we pin the module-level contract that makes it true)
         import subprocess
         import sys

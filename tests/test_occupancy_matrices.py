@@ -43,8 +43,6 @@ from repro.core.rules import Rule
 from repro.engine.occupancy import (
     occupancy_transition_matrix,
     occupancy_transition_matrix_batch,
-    three_majority_outcome_matrix,
-    two_choices_outcome_matrix,
 )
 
 RULES: Dict[str, Rule] = {
@@ -235,7 +233,7 @@ def test_three_majority_closed_form_matches_definition():
     """q_b = p_b (1 + p_b − Σ p²): rows identical (self does not vote) and
     exactly the at-least-two-of-three mass plus the uniform tie-break."""
     p = np.array([0.5, 0.3, 0.2])
-    Q = three_majority_outcome_matrix(np.cumsum(p))
+    Q = occupancy_transition_matrix(TwoChoicesMajorityRule(), np.array([5, 3, 2]))
     assert np.allclose(Q, Q[0][None, :])  # own value irrelevant
     s2 = float(np.sum(p * p))
     expected = np.array([
@@ -248,7 +246,7 @@ def test_three_majority_closed_form_matches_definition():
 
 def test_two_choices_closed_form_matches_definition():
     p = np.array([0.5, 0.3, 0.2])
-    Q = two_choices_outcome_matrix(np.cumsum(p))
+    Q = occupancy_transition_matrix(TwoChoicesRule(), np.array([5, 3, 2]))
     s2 = float(np.sum(p * p))
     for a in range(3):
         for b in range(3):

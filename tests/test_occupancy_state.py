@@ -113,6 +113,12 @@ class TestTransformations:
         st = OccupancyState.from_values([0, 0, 1, 2, 2, 2])
         assert st.fractions.sum() == pytest.approx(1.0)
 
+    def test_to_configuration_expands_sorted_across_empty_bins(self):
+        st = OccupancyState.from_loads({0: 4, 1: 0, 2: 6})
+        values = st.to_configuration().values
+        assert values.dtype == np.int64
+        assert values.tolist() == [0] * 4 + [2] * 6
+
     def test_to_configuration_refuses_huge_n(self):
         st = OccupancyState(support=np.array([0, 1]),
                             counts=np.array([10**9, 10**9]))
