@@ -1,11 +1,10 @@
 """BATCH-FUSED — the batch-engine speedup matrix, recorded as a JSON artifact.
 
-Times the four ways this library produces a convergence-round distribution —
+Times the three ways this library produces a convergence-round distribution —
 
 * ``run_batch`` looping the vectorized engine (O(R·n) per round),
 * ``run_batch(engine="occupancy")`` looping the occupancy engine
   (O(R·m²) per round plus R interpreter round trips per round),
-* ``run_batch_fused`` (the (R, n) value-space tensor program),
 * ``run_batch_fused_occupancy`` (the (R, m) count-tensor program) —
 
 across an (n, m, R) grid, and writes ``BENCH_batch_fused.json`` at the repo
@@ -44,11 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.batch import (
-    run_batch,
-    run_batch_fused,
-    run_batch_fused_occupancy,
-)
+from repro.engine.batch import run_batch, run_batch_fused_occupancy
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.workloads import make_workload_for_engine
 from repro.store.artifacts import ArtifactRegistry, build_provenance
@@ -61,7 +56,7 @@ REGISTRY = REPO_ROOT / "ARTIFACTS.json"
 #: base seed of every timed cell (engines use small offsets from it)
 BASE_SEED = 1234
 
-#: value-space engines materialize (R, n) tensors; skip them beyond this
+#: the looped value-space engine costs O(R·n) per round; skip it beyond this
 VALUE_SPACE_ELEM_LIMIT = 2 ** 24
 
 #: (n, m, R) cells of the full grid; the (10**6, 64, 256) row is the
@@ -93,7 +88,7 @@ def bench_cell(n: int, m: int, R: int, seed: int = 1234,
 
     ``include_value_space=False`` restricts the cell to the two occupancy
     engines (the pair whose ratio the smoke asserts) — the value-space
-    engines cost O(R·n) per round and would dominate a reduced-mode run.
+    engine costs O(R·n) per round and would dominate a reduced-mode run.
     """
     times: Dict[str, float] = {}
     mean_rounds: Dict[str, float] = {}
@@ -118,8 +113,6 @@ def bench_cell(n: int, m: int, R: int, seed: int = 1234,
         secs, batch = _timed(run_batch, vec_init, R, seed=seed + 2,
                              engine="vectorized")
         record("vectorized", secs, batch)
-        secs, batch = _timed(run_batch_fused, vec_init, R, seed=seed + 3)
-        record("fused", secs, batch)
 
     cell: Dict[str, object] = {
         "n": n,
@@ -204,7 +197,7 @@ def stamp_report(report: Dict[str, object]) -> Dict[str, object]:
     report["provenance"] = build_provenance(
         keys, extra={"base_seed": BASE_SEED,
                      "seed_note": "engines are timed with per-engine offsets "
-                                  "(base_seed .. base_seed+3)"})
+                                  "(base_seed .. base_seed+2)"})
     return report
 
 

@@ -5,7 +5,7 @@ path are visible:
 
 * one vectorized median-rule round at large n;
 * a full vectorized run to consensus at moderate n;
-* a fused batch of runs;
+* a batch of runs;
 * the agent-level message-passing simulator (per-round cost, small n).
 
 These use pytest-benchmark's normal repetition (not pedantic single shots)
@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.median_rule import MedianRule
 from repro.core.state import Configuration
-from repro.engine.batch import run_batch_fused
+from repro.engine.batch import run_batch
 from repro.engine.vectorized import simulate
 from repro.network.simulator import NetworkSimulator
 
@@ -54,7 +54,7 @@ def test_perf_fused_batch(benchmark):
     init = Configuration.all_distinct(1024)
 
     def batch():
-        return run_batch_fused(init, 8, seed=2)
+        return run_batch(init, 8, seed=2)
 
     out = benchmark(batch)
     assert out.convergence_fraction == 1.0

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.fineness import coupled_run
 from repro.core.state import Configuration
-from repro.engine.batch import run_batch_fused
+from repro.engine.batch import run_batch
 from repro.experiments.workloads import blocks_workload
 
 from _bench_utils import BENCH_RUNS, BENCH_SCALE, run_once
@@ -66,7 +66,7 @@ def test_mean_consensus_time_monotone_in_fineness(benchmark):
             ("4 blocks", blocks_workload(n, 4)),
             ("2 blocks", blocks_workload(n, 2)),
         ):
-            batch = run_batch_fused(cfg, runs, seed=hash(label) % (2**31))
+            batch = run_batch(cfg, runs, seed=hash(label) % (2**31))
             assert batch.convergence_fraction == 1.0
             out[label] = batch.mean_rounds
         return out

@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis.statistics import compare_predictors, growth_ratio
 from repro.core.state import Configuration
-from repro.engine.batch import run_batch_fused
+from repro.engine.batch import run_batch
 
 from _bench_utils import BENCH_RUNS, BENCH_SCALE, run_once
 
@@ -23,7 +23,7 @@ from _bench_utils import BENCH_RUNS, BENCH_SCALE, run_once
 def _measure(ns, runs):
     means = []
     for n in ns:
-        batch = run_batch_fused(Configuration.all_distinct(n), runs, seed=1000 + n)
+        batch = run_batch(Configuration.all_distinct(n), runs, seed=1000 + n)
         assert batch.convergence_fraction == 1.0
         means.append(batch.mean_rounds)
     return means

@@ -54,7 +54,6 @@ from repro.engine import (
     RecordLevel,
     SimulationResult,
     run_batch,
-    run_batch_fused,
     simulate,
 )
 from repro.network import CompleteTopology, NetworkSimulator
@@ -97,7 +96,6 @@ __all__ = [
     "SimulationResult",
     "BatchResult",
     "run_batch",
-    "run_batch_fused",
     "RecordLevel",
     "NetworkSimulator",
     "CompleteTopology",

@@ -26,24 +26,23 @@ per round and therefore in where they are fast:
     scatter per round (~2× the no-adversary round, still n-independent);
     per-ball quantities (gravity, per-process trajectories) are unavailable.
 
-``batch`` (:func:`repro.engine.batch.run_batch` / :func:`~repro.engine.batch.run_batch_fused` / :func:`~repro.engine.batch.run_batch_fused_occupancy`)
+``batch`` (:func:`repro.engine.batch.run_batch` / :func:`~repro.engine.batch.run_batch_fused_occupancy`)
     Monte-Carlo over independent runs.  ``run_batch`` repeats any single-run
     engine (select with ``engine="vectorized" | "occupancy" |
-    "occupancy-fused"``); ``run_batch_fused`` packs R median-rule runs into
-    one (R, n) array program and is the fastest way to get convergence-round
-    distributions at moderate n.  ``run_batch_fused_occupancy``
-    (``engine="occupancy-fused"``) is the count-space analogue: all R runs
-    advance as one (R, m) count tensor, each round building a stacked
-    (R, m, m) outcome tensor and drawing all R·m multinomials in a single
-    call.  It and the single-run ``occupancy`` engine share one round loop
-    (stop rules, adversary steps, convergence bookkeeping) and one outcome
-    law per rule (:func:`~repro.engine.occupancy.occupancy_outcome_profiles`).
+    "occupancy-fused"``).  ``run_batch_fused_occupancy``
+    (``engine="occupancy-fused"``) advances all R runs as one (R, m) count
+    tensor, each round building a stacked (R, m, m) outcome tensor and
+    drawing all R·m multinomials in a single call.  It and the single-run
+    ``occupancy`` engine share one round loop (stop rules, adversary steps,
+    convergence bookkeeping) and one outcome law per rule
+    (:func:`~repro.engine.occupancy.occupancy_outcome_profiles`), as
+    ``vectorized`` and ``network`` share one value-space round loop.
     Cost model: O(R·m²) time per round **independent of n** and
     O(R·m² · 8 bytes) peak memory (chunked over runs beyond ~134 MB), versus
     O(R·m²) time *plus O(R) interpreter round trips* for the looped
     occupancy path — the fused engine wins by an order of magnitude once R is
     in the hundreds (``benchmarks/bench_batch_fused.py``), and by far more at
-    large n against the (R, n) value-space engines.
+    large n against the looped value-space engine.
 
     Supported rule/adversary matrix of the occupancy substrates (single-run
     and fused alike):
@@ -75,10 +74,12 @@ per round and therefore in where they are fast:
     Agent-level message passing with explicit topologies, schedulers and
     per-node inboxes.  Orders of magnitude slower; use it only to validate
     protocol semantics, asynchrony, or non-complete communication graphs
-    (small n).
+    (small n).  Its ``run`` drives the ``vectorized`` round loop with a
+    message-passing round; with a request cap of n·k (nothing dropped) it is
+    equal in law to ``vectorized`` (``tests/test_engine_differential.py``).
 
 Rule of thumb: protocol semantics → network; n ≤ 10⁷ or exotic
-rules/adversaries → vectorized (batch/fused for distributions); n beyond that
+rules/adversaries → vectorized (``run_batch`` for distributions); n beyond that
 with modest m → occupancy; convergence-round *distributions* at any n with
 modest m → occupancy-fused.
 
@@ -119,7 +120,6 @@ from repro.engine.batch import (
     BatchResult,
     fused_occupancy_cell_supported,
     run_batch,
-    run_batch_fused,
     run_batch_fused_occupancy,
 )
 from repro.engine.occupancy import (
@@ -144,7 +144,7 @@ from repro.engine.rng import (
 )
 from repro.engine.run import SimulationResult
 from repro.engine.trajectory import RecordLevel, Trajectory, TrajectoryRecorder
-from repro.engine.vectorized import EngineConfig, default_max_rounds, simulate
+from repro.engine.vectorized import default_max_rounds, simulate
 
 __all__ = [
     "simulate",
@@ -152,12 +152,10 @@ __all__ = [
     "simulate_asynchronous",
     "AsyncResult",
     "ACTIVATION_ORDERS",
-    "EngineConfig",
     "default_max_rounds",
     "SimulationResult",
     "BatchResult",
     "run_batch",
-    "run_batch_fused",
     "run_batch_fused_occupancy",
     "fused_occupancy_cell_supported",
     "ENGINES",

@@ -1,6 +1,6 @@
 """Batched Monte-Carlo simulation.
 
-Experiments need distributions of convergence times, not single runs.  Three
+Experiments need distributions of convergence times, not single runs.  Two
 batching strategies are provided:
 
 * :func:`run_batch` — repeat a single-run engine
@@ -10,14 +10,6 @@ batching strategies are provided:
   per-run Python overhead — which *dominates* for the occupancy engine, whose
   O(m²) kernel is far cheaper than one interpreter round trip.
 
-* :func:`run_batch_fused` — simulate ``R`` independent *median-rule* runs in
-  one array program of shape ``(R, n)``: each round draws an ``(R, n, 2)``
-  sample tensor and applies the median kernel to all runs simultaneously.
-  This amortizes the per-round Python overhead across runs and is the engine
-  behind the large sweeps in the Figure-1 benchmark.  It supports the
-  balancing adversary and the null adversary (the two needed for the paper's
-  tables); other adversaries automatically fall back to :func:`run_batch`.
-
 * :func:`run_batch_fused_occupancy` — the multi-run analogue of the occupancy
   engine: state is one ``(R, m)`` count tensor, each round builds the stacked
   ``(R, m, m)`` outcome tensor and draws all ``R·m`` multinomials in a single
@@ -25,7 +17,7 @@ batching strategies are provided:
   per-run Python loop, so convergence-round distributions at n = 10⁶–10⁹ cost
   the same as at n = 10⁴.  Selected as ``run_batch(engine="occupancy-fused")``.
 
-All three return a :class:`BatchResult` with convergence-round statistics.
+Both return a :class:`BatchResult` with convergence-round statistics.
 """
 
 from __future__ import annotations
@@ -37,9 +29,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from repro.adversary.base import Adversary, AdversaryTiming, NullAdversary
-from repro.adversary.strategies import ADVERSARY_REGISTRY, BalancingAdversary
+from repro.adversary.strategies import ADVERSARY_REGISTRY
 from repro.core.consensus import AlmostStableCriterion
-from repro.core.median_rule import MedianRule, median_of_three
+from repro.core.median_rule import MedianRule
 from repro.core.occupancy_state import OccupancyState
 from repro.core.rules import Rule
 from repro.core.state import Configuration
@@ -60,7 +52,6 @@ from repro.engine.vectorized import default_max_rounds, simulate
 __all__ = [
     "BatchResult",
     "run_batch",
-    "run_batch_fused",
     "run_batch_fused_occupancy",
     "fused_occupancy_cell_supported",
     "ENGINES",
@@ -293,185 +284,6 @@ def run_batch(
 
 
 # ---------------------------------------------------------------------- #
-# fused multi-run engine for the median rule
-# ---------------------------------------------------------------------- #
-def _fused_median_round(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One median-rule round applied to all runs at once.
-
-    ``values`` has shape ``(R, n)``; each run samples its own ``(n, 2)``
-    contacts.  Gathers use ``take_along_axis`` so the whole round is a few
-    vectorized passes over an ``(R, n)`` array.
-    """
-    R, n = values.shape
-    samples = rng.integers(0, n, size=(R, n, 2))
-    vj = np.take_along_axis(values, samples[:, :, 0], axis=1)
-    vk = np.take_along_axis(values, samples[:, :, 1], axis=1)
-    return median_of_three(values, vj, vk)
-
-
-def _dense_batch_counts(values: np.ndarray) -> tuple:
-    """Per-run value counts over the batch's joint support, without a run loop.
-
-    Returns ``(uniq, counts)`` where ``uniq`` is the sorted union of values
-    present anywhere in the ``(R, n)`` batch and ``counts`` is the ``(R, K)``
-    matrix of per-run loads (zero where a run lacks the value).  One
-    ``np.unique`` over the whole block plus one flat ``bincount`` replaces the
-    former row-by-row ``np.unique`` passes.
-    """
-    R, n = values.shape
-    uniq, inv = np.unique(values, return_inverse=True)
-    K = uniq.shape[0]
-    inv = inv.reshape(R, n)  # no-op on NumPy ≥ 2.0, flattens-back on 1.x
-    flat = inv + (np.arange(R, dtype=np.intp)[:, None] * K)
-    counts = np.bincount(flat.ravel(), minlength=R * K).reshape(R, K)
-    return uniq, counts
-
-
-def _fused_balancing_corruption(values: np.ndarray, budget: int,
-                                rng: np.random.Generator) -> np.ndarray:
-    """Apply a balancing adversary to every run of a fused batch.
-
-    For each run the two most loaded values are found and up to ``budget``
-    holders of the leader are rewritten to the runner-up; runs at exact
-    consensus (fewer than two values present) are left untouched.  All runs
-    are handled in one batched pass: per-run loads come from
-    :func:`_dense_batch_counts` and the uniform-without-replacement victim
-    choice is realized by ranking i.i.d. random keys over the leader's
-    holders (the ``want`` smallest keys form exactly a uniform ``want``-subset),
-    so no Python loop over runs remains.
-
-    This helper works on the *current* values only and is therefore slightly
-    weaker than :class:`BalancingAdversary` at exact consensus; the Figure-1
-    benchmark uses two-value workloads where the difference does not matter
-    (and cross-checks against the unfused engine).
-    """
-    R, n = values.shape
-    out = values.copy()
-    uniq, counts = _dense_batch_counts(out)
-    if uniq.shape[0] < 2:
-        return out
-
-    run_rows = np.arange(R)
-    lead_idx = counts.argmax(axis=1)          # smallest value among tied maxima
-    lead_count = counts[run_rows, lead_idx]
-    rest = counts.copy()
-    rest[run_rows, lead_idx] = -1
-    runner_idx = rest.argmax(axis=1)
-    runner_count = rest[run_rows, runner_idx]
-
-    gap = lead_count - runner_count
-    want = np.minimum(budget, np.maximum((gap + 1) // 2, 0))
-    want = np.where(runner_count > 0, want, 0)   # consensus rows: skip
-    want = np.minimum(want, lead_count)
-    kmax = int(want.max()) if want.size else 0
-    if kmax <= 0:
-        return out
-
-    # rank i.i.d. keys over each run's leader holders; the want[r] smallest
-    # keys are a uniform random want[r]-subset of the holders
-    keys = rng.random((R, n))
-    keys[out != uniq[lead_idx][:, None]] = np.inf
-    cand = np.argpartition(keys, kmax - 1, axis=1)[:, :kmax]
-    cand_keys = np.take_along_axis(keys, cand, axis=1)
-    order = np.argsort(cand_keys, axis=1)
-    cand = np.take_along_axis(cand, order, axis=1)
-
-    sel = np.arange(kmax)[None, :] < want[:, None]
-    rr, cc = np.nonzero(sel)
-    out[rr, cand[rr, cc]] = uniq[runner_idx][rr]
-    return out
-
-
-def run_batch_fused(
-    initial: Configuration,
-    num_runs: int,
-    *,
-    seed: Optional[int] = None,
-    max_rounds: Optional[int] = None,
-    adversary_budget: int = 0,
-    tolerance: Optional[int] = None,
-    stability_window: int = 10,
-) -> BatchResult:
-    """Simulate ``num_runs`` median-rule runs from the same initial state, fused.
-
-    All runs share the initial configuration but use independent randomness.
-    Without an adversary a run's convergence round is its first
-    exact-consensus round; with ``adversary_budget > 0`` a fused balancing
-    adversary is applied each round and the convergence round is the first
-    round of the trailing window in which at most ``tolerance`` processes
-    disagree with the plurality (defaults to ``4 · budget``).
-
-    Falls back to :func:`run_batch` semantics in accuracy but is typically an
-    order of magnitude faster for medium ``n`` and many runs.
-    """
-    if num_runs <= 0:
-        raise ValueError("num_runs must be positive")
-    n = initial.n
-    horizon = max_rounds if max_rounds is not None else default_max_rounds(n)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    tol = (4 * adversary_budget) if tolerance is None else int(tolerance)
-
-    values = np.tile(initial.copy_values(), (num_runs, 1))
-    rounds = np.full(num_runs, np.nan)
-    converged = np.zeros(num_runs, dtype=bool)
-    # streak bookkeeping for the adversarial (almost-stable) case
-    streak = np.zeros(num_runs, dtype=np.int64)
-    streak_start = np.full(num_runs, -1, dtype=np.int64)
-
-    def _minorities(vals: np.ndarray) -> np.ndarray:
-        # number of processes outside the plurality value, per run — one
-        # batched bincount pass instead of a per-run np.unique loop
-        _, counts = _dense_batch_counts(vals)
-        return (vals.shape[1] - counts.max(axis=1)).astype(np.int64)
-
-    active = np.ones(num_runs, dtype=bool)
-    for t in range(1, horizon + 1):
-        if not np.any(active):
-            break
-        if adversary_budget > 0:
-            values[active] = _fused_balancing_corruption(values[active], adversary_budget, rng)
-        values[active] = _fused_median_round(values[active], rng)
-
-        if adversary_budget == 0:
-            # exact consensus check per active run
-            act_idx = np.flatnonzero(active)
-            same = np.all(values[act_idx] == values[act_idx, :1], axis=1)
-            done = act_idx[same]
-            rounds[done] = t
-            converged[done] = True
-            active[done] = False
-        else:
-            act_idx = np.flatnonzero(active)
-            mins = _minorities(values[act_idx])
-            ok = mins <= tol
-            # update streaks
-            started = ok & (streak[act_idx] == 0)
-            streak_start[act_idx[started]] = t
-            streak[act_idx[ok]] += 1
-            streak[act_idx[~ok]] = 0
-            streak_start[act_idx[~ok]] = -1
-            finished = act_idx[streak[act_idx] >= stability_window]
-            rounds[finished] = streak_start[finished]
-            converged[finished] = True
-            active[finished] = False
-
-    return BatchResult(
-        n=n,
-        num_runs=num_runs,
-        rounds=rounds,
-        converged=converged,
-        results=[],
-        meta={
-            "rule": "median",
-            "fused": True,
-            "adversary_budget": adversary_budget,
-            "tolerance": tol,
-            "horizon": horizon,
-        },
-    )
-
-
-# ---------------------------------------------------------------------- #
 # fused multi-run engine in occupancy (count) space
 # ---------------------------------------------------------------------- #
 #: Per-round working-set cap for the fused occupancy engine, in float64
@@ -693,9 +505,8 @@ def run_batch_fused_occupancy(
 ) -> BatchResult:
     """Simulate ``num_runs`` independent runs as one count-tensor program.
 
-    The multi-run form of :func:`repro.engine.occupancy.simulate_occupancy`
-    (and the occupancy twin of :func:`run_batch_fused`): both run the same
-    round loop, here with the batch state an ``(R, m)`` int64 tensor of bin
+    The multi-run form of :func:`repro.engine.occupancy.simulate_occupancy`:
+    both run the same round loop, here with the batch state an ``(R, m)`` int64 tensor of bin
     counts over a shared value support.  Each round draws every run's
     scatter in one seam call and detects convergence in count space
     (``n − counts.max(axis=1)``, O(m) per run).  Per-round cost is O(R·m²)

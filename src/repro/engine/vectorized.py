@@ -15,22 +15,21 @@ The entry point is :func:`simulate`, which produces a
   rounds (useful with an adversary, where exact consensus may never happen);
 * or always run the full ``max_rounds`` horizon (``run_to_horizon=True``),
   which experiments use when they need complete trajectories.
+
+The horizon, the stop rules, the consensus and almost-stable bookkeeping and
+the result are owned by one private round loop, which
+:class:`~repro.network.simulator.NetworkSimulator` drives with its
+message-passing round in place of the vectorized one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.adversary.base import Adversary, AdversaryTiming, NullAdversary
-from repro.core.consensus import (
-    AlmostStableCriterion,
-    ConsensusStatus,
-    consensus_value,
-    is_consensus,
-)
+from repro.core.consensus import AlmostStableCriterion, ConsensusStatus, is_consensus
 from repro.core.median_rule import MedianRule
 from repro.core.metrics import minority_count
 from repro.core.rules import Rule
@@ -39,7 +38,7 @@ from repro.engine.rng import make_rng
 from repro.engine.run import SimulationResult
 from repro.engine.trajectory import RecordLevel, TrajectoryRecorder
 
-__all__ = ["simulate", "default_max_rounds", "EngineConfig"]
+__all__ = ["simulate", "default_max_rounds"]
 
 
 def default_max_rounds(n: int, factor: float = 40.0, floor: int = 200) -> int:
@@ -52,47 +51,6 @@ def default_max_rounds(n: int, factor: float = 40.0, floor: int = 200) -> int:
     if n <= 1:
         return floor
     return max(floor, int(np.ceil(factor * np.log2(n))))
-
-
-@dataclass
-class EngineConfig:
-    """Knobs of the vectorized engine (all optional).
-
-    Attributes
-    ----------
-    max_rounds:
-        Horizon; ``None`` selects :func:`default_max_rounds`.
-    record:
-        Trajectory record level.
-    stop_at_consensus:
-        Stop as soon as all values are equal.
-    stop_when_stable:
-        Stop once the almost-stable criterion has held for ``criterion.window``
-        consecutive rounds (only meaningful when a criterion is supplied).
-    run_to_horizon:
-        Ignore both stop rules and always execute ``max_rounds`` rounds.
-    """
-
-    max_rounds: Optional[int] = None
-    record: RecordLevel = RecordLevel.METRICS
-    stop_at_consensus: bool = True
-    stop_when_stable: bool = True
-    run_to_horizon: bool = False
-
-
-def _almost_stable_status(final_values: np.ndarray,
-                          first_stable_round: Optional[int]) -> ConsensusStatus:
-    """Build the almost-stable ConsensusStatus from run bookkeeping.
-
-    ``first_stable_round`` is the start of the trailing streak of rounds
-    satisfying the tolerance (``None`` if the streak is broken); the winning
-    value is the plurality value of the final configuration.
-    """
-    if first_stable_round is None:
-        return ConsensusStatus(reached=False, round=None, value=None)
-    uniq, counts = np.unique(final_values, return_counts=True)
-    value = int(uniq[int(np.argmax(counts))])
-    return ConsensusStatus(reached=True, round=first_stable_round, value=value)
 
 
 def simulate(
@@ -128,8 +86,15 @@ def simulate(
         adversary: tolerance ``4·T`` (a concrete stand-in for the paper's
         ``O(T)``) and a stability window of 10 rounds; for a null adversary
         the criterion degenerates to exact consensus.
-    record, stop_at_consensus, stop_when_stable, run_to_horizon:
-        See :class:`EngineConfig`.
+    record:
+        Trajectory record level.
+    stop_at_consensus:
+        Stop as soon as all values are equal (only without an adversary).
+    stop_when_stable:
+        Stop once the almost-stable criterion has held for
+        ``criterion.window`` consecutive rounds (only with an adversary).
+    run_to_horizon:
+        Ignore both stop rules and always execute ``max_rounds`` rounds.
     admissible_values:
         The set of initial values the adversary may write.  Defaults to the
         support of ``initial`` (the paper's ``{v_1, ..., v_n}``).
@@ -142,88 +107,111 @@ def simulate(
     rule = rule or MedianRule()
     adversary = adversary or NullAdversary()
     rng = make_rng(seed)
-    horizon = max_rounds if max_rounds is not None else default_max_rounds(cfg.n)
+    admissible = np.asarray(
+        cfg.support if admissible_values is None else admissible_values, dtype=np.int64
+    )
+    n = cfg.n
+    before = adversary.budget > 0 and adversary.timing is AdversaryTiming.BEFORE_SAMPLING
+    after = adversary.budget > 0 and adversary.timing is AdversaryTiming.AFTER_SAMPLING
+
+    def step(values: np.ndarray, t: int) -> np.ndarray:
+        if before:  # the adversary acts at the beginning of the round
+            values = adversary.corrupt(values, t, admissible, rng)
+        values = rule.apply_vectorized(values, rule.sample_contacts(n, rng), rng)
+        if after:  # ... or after the random choices (Section 3 variant)
+            values = adversary.corrupt(values, t, admissible, rng)
+        return values
+
+    return _value_loop(
+        cfg, cfg.copy_values(), step, adversary, rule.name,
+        max_rounds=max_rounds, criterion=criterion, record=record,
+        stop_at_consensus=stop_at_consensus, stop_when_stable=stop_when_stable,
+        run_to_horizon=run_to_horizon,
+    )
+
+
+def _value_loop(
+    initial: Configuration,
+    values: np.ndarray,
+    step: Callable[[np.ndarray, int], np.ndarray],
+    adversary: Adversary,
+    rule_name: str,
+    *,
+    max_rounds: Optional[int],
+    criterion: Optional[AlmostStableCriterion],
+    record: RecordLevel,
+    stop_at_consensus: bool,
+    stop_when_stable: bool,
+    run_to_horizon: bool,
+) -> SimulationResult:
+    """The value-space round loop of :func:`simulate` and the network simulator.
+
+    The run starts from ``values`` (``initial`` is only reported), and
+    ``step(values, t)`` executes round ``t`` — adversary placement plus the
+    protocol round — returning the new values.  Everything else is here
+    once: the horizon, the default criterion, trajectory recording, the
+    consensus latch, the almost-stable streak, the stop rules and the result.
+    """
+    horizon = max_rounds if max_rounds is not None else default_max_rounds(initial.n)
     if horizon < 0:
         raise ValueError("max_rounds must be non-negative")
-
     if criterion is None:
         tolerance = 4 * adversary.budget
         window = 10 if adversary.budget > 0 else 1
         criterion = AlmostStableCriterion(tolerance=tolerance, window=window)
 
-    admissible = np.asarray(
-        cfg.support if admissible_values is None else admissible_values, dtype=np.int64
-    )
-
     adversary.reset()
-    values = cfg.copy_values()
-    n = values.shape[0]
-
     recorder = TrajectoryRecorder(level=record)
     recorder.record(values, 0)
 
-    consensus_status = ConsensusStatus(reached=False, round=None, value=None)
+    consensus = ConsensusStatus(reached=False, round=None, value=None)
     if is_consensus(values):
-        consensus_status = ConsensusStatus(reached=True, round=0, value=int(values[0]))
+        consensus = ConsensusStatus(reached=True, round=0, value=int(values[0]))
 
-    # bookkeeping for almost-stable detection: length of the current trailing
-    # streak of rounds satisfying the tolerance, and the first round of the
-    # streak that eventually persists to the end of the run.
+    # almost-stable bookkeeping: length of the trailing streak of rounds
+    # within the tolerance, and the round that streak started in
     streak = 1 if minority_count(values) <= criterion.tolerance else 0
-    first_stable_round: Optional[int] = 0 if streak else None
+    first_stable: Optional[int] = 0 if streak else None
 
     rounds_executed = 0
     for t in range(1, horizon + 1):
-        # --- adversary acting at the beginning of the round ---------------
-        if adversary.budget > 0 and adversary.timing is AdversaryTiming.BEFORE_SAMPLING:
-            values = adversary.corrupt(values, t, admissible, rng)
-
-        # --- the protocol round -------------------------------------------
-        samples = rule.sample_contacts(n, rng)
-        new_values = rule.apply_vectorized(values, samples, rng)
-
-        # --- adversary acting after the random choices (Section 3 variant) -
-        if adversary.budget > 0 and adversary.timing is AdversaryTiming.AFTER_SAMPLING:
-            new_values = adversary.corrupt(new_values, t, admissible, rng)
-
-        values = new_values
+        values = step(values, t)
         rounds_executed = t
         recorder.record(values, t)
 
-        # --- consensus bookkeeping -----------------------------------------
-        if not consensus_status.reached and is_consensus(values):
-            consensus_status = ConsensusStatus(reached=True, round=t, value=int(values[0]))
-
+        if not consensus.reached and is_consensus(values):
+            consensus = ConsensusStatus(reached=True, round=t, value=int(values[0]))
         if minority_count(values) <= criterion.tolerance:
             if streak == 0:
-                first_stable_round = t
+                first_stable = t
             streak += 1
         else:
             streak = 0
-            first_stable_round = None
+            first_stable = None
 
-        # --- stop rules ------------------------------------------------------
         if run_to_horizon:
             continue
-        if stop_at_consensus and consensus_status.reached and adversary.budget == 0:
+        if stop_at_consensus and consensus.reached and adversary.budget == 0:
             break
-        if (stop_when_stable and adversary.budget > 0 and streak >= criterion.window):
+        if stop_when_stable and adversary.budget > 0 and streak >= criterion.window:
             break
 
-    almost_status = _almost_stable_status(values, first_stable_round)
-    if almost_status.reached and streak < criterion.window:
-        # The trailing streak is too short to certify stability.
-        almost_status = ConsensusStatus(reached=False, round=None, value=None)
+    # a trailing streak shorter than the window does not certify stability;
+    # the stable value is the plurality of the final configuration
+    almost = ConsensusStatus(reached=False, round=None, value=None)
+    if first_stable is not None and streak >= criterion.window:
+        uniq, counts = np.unique(values, return_counts=True)
+        almost = ConsensusStatus(reached=True, round=first_stable,
+                                 value=int(uniq[int(np.argmax(counts))]))
 
-    final = Configuration.from_values(values)
     return SimulationResult(
-        initial=cfg,
-        final=final,
+        initial=initial,
+        final=Configuration.from_values(values),
         rounds_executed=rounds_executed,
-        consensus=consensus_status,
-        almost_stable=almost_status,
+        consensus=consensus,
+        almost_stable=almost,
         trajectory=recorder.finish(),
-        rule_name=rule.name,
+        rule_name=rule_name,
         adversary_name=type(adversary).__name__,
         criterion=criterion,
         meta={

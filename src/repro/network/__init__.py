@@ -2,12 +2,7 @@
 
 from repro.network.messages import DroppedRequest, MessageStats, ValueRequest, ValueResponse
 from repro.network.node import Process
-from repro.network.sampling import (
-    choice_in_degrees,
-    override_choices,
-    sample_k_choices,
-    sample_two_choices,
-)
+from repro.network.sampling import choice_in_degrees, override_choices
 from repro.network.scheduler import RoundScheduler, default_capacity
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import (
@@ -34,8 +29,6 @@ __all__ = [
     "ring_topology",
     "random_regular_topology",
     "torus_topology",
-    "sample_two_choices",
-    "sample_k_choices",
     "choice_in_degrees",
     "override_choices",
 ]

@@ -1,46 +1,20 @@
 """Two-choice sampling utilities shared by the simulators and analyses.
 
-Small helpers around the sampling step of the protocol: building contact
-matrices, converting contact matrices into "who chose whom" in-degree counts
-(used to validate the gravity function), and adversarial manipulation of a
-fixed set of choices (the Section 3 adversary changes *choices*, not values).
+Small helpers around the sampling step of the protocol, whose contact
+matrices come from :meth:`repro.network.topology.CompleteTopology.sample_all`:
+converting contact matrices into "who chose whom" in-degree counts (used to
+validate the gravity function), and adversarial manipulation of a fixed set
+of choices (the Section 3 adversary changes *choices*, not values).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 __all__ = [
-    "sample_two_choices",
-    "sample_k_choices",
     "choice_in_degrees",
     "override_choices",
 ]
-
-
-def sample_two_choices(n: int, rng: np.random.Generator,
-                       include_self: bool = True) -> np.ndarray:
-    """An ``(n, 2)`` matrix of uniformly random contacts.
-
-    ``include_self=True`` reproduces the paper's model (sampling with
-    replacement over all processes, self included).
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if include_self or n == 1:
-        return rng.integers(0, n, size=(n, 2), dtype=np.int64)
-    own = np.arange(n, dtype=np.int64)[:, None]
-    draws = rng.integers(0, n - 1, size=(n, 2), dtype=np.int64)
-    return draws + (draws >= own)
-
-
-def sample_k_choices(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """An ``(n, k)`` matrix of uniformly random contacts with replacement."""
-    if n <= 0 or k <= 0:
-        raise ValueError("n and k must be positive")
-    return rng.integers(0, n, size=(n, k), dtype=np.int64)
 
 
 def choice_in_degrees(samples: np.ndarray, n: int) -> np.ndarray:

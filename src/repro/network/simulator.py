@@ -8,31 +8,31 @@ the per-round contact cap, and an optional T-bounded adversary rewrites up to
 
 It is intentionally object-based and readable rather than fast — its role is
 to validate protocol mechanics (anonymity, message budgets, drops, adversary
-placement) and to cross-check the vectorized engine: both simulators produce
-statistically indistinguishable convergence behaviour, and a test verifies
-bit-exact agreement when the network simulator's sampling is replayed through
-the vectorized kernel.
+placement) and to cross-check the vectorized engine.  Only the round itself
+(:meth:`NetworkSimulator.step`) is its own: :meth:`NetworkSimulator.run`
+drives it through the round loop of :func:`repro.engine.vectorized.simulate`,
+so horizon, stop rules, criterion and result are shared.  With a request cap
+of ``n·k`` (nothing is ever dropped) the two simulators are equal in law,
+which ``tests/test_engine_differential.py`` certifies.
 
 For large-n statistics use :mod:`repro.engine.vectorized` instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.adversary.base import Adversary, AdversaryTiming, NullAdversary
-from repro.core.consensus import AlmostStableCriterion, ConsensusStatus, is_consensus
+from repro.core.consensus import AlmostStableCriterion
 from repro.core.median_rule import MedianRule
-from repro.core.metrics import minority_count
 from repro.core.rules import Rule
 from repro.core.state import Configuration
 from repro.engine.rng import make_rng
 from repro.engine.run import SimulationResult
-from repro.engine.trajectory import RecordLevel, TrajectoryRecorder
-from repro.engine.vectorized import default_max_rounds
+from repro.engine.trajectory import RecordLevel
+from repro.engine.vectorized import _value_loop
 from repro.network.messages import MessageStats, ValueRequest
 from repro.network.node import Process
 from repro.network.scheduler import RoundScheduler
@@ -157,66 +157,19 @@ class NetworkSimulator:
         record: RecordLevel = RecordLevel.METRICS,
         stop_at_consensus: bool = True,
     ) -> SimulationResult:
-        """Run until consensus / stability / the horizon; mirror of ``simulate``."""
-        horizon = max_rounds if max_rounds is not None else default_max_rounds(self.n)
-        if criterion is None:
-            tolerance = 4 * self.adversary.budget
-            window = 10 if self.adversary.budget > 0 else 1
-            criterion = AlmostStableCriterion(tolerance=tolerance, window=window)
+        """Run until consensus / stability / the horizon, through ``simulate``'s loop.
 
-        self.adversary.reset()
-        recorder = TrajectoryRecorder(level=record)
-        values = self.values()
-        recorder.record(values, 0)
-
-        consensus_status = ConsensusStatus(reached=False, round=None, value=None)
-        if is_consensus(values):
-            consensus_status = ConsensusStatus(reached=True, round=0, value=int(values[0]))
-        streak = 1 if minority_count(values) <= criterion.tolerance else 0
-        first_stable: Optional[int] = 0 if streak else None
-
-        rounds_executed = 0
-        for t in range(1, horizon + 1):
-            values = self.step()
-            rounds_executed = t
-            recorder.record(values, t)
-
-            if not consensus_status.reached and is_consensus(values):
-                consensus_status = ConsensusStatus(reached=True, round=t, value=int(values[0]))
-            if minority_count(values) <= criterion.tolerance:
-                if streak == 0:
-                    first_stable = t
-                streak += 1
-            else:
-                streak = 0
-                first_stable = None
-
-            if stop_at_consensus and consensus_status.reached and self.adversary.budget == 0:
-                break
-            if self.adversary.budget > 0 and streak >= criterion.window:
-                break
-
-        if first_stable is not None and streak >= criterion.window:
-            uniq, counts = np.unique(values, return_counts=True)
-            almost = ConsensusStatus(reached=True, round=first_stable,
-                                     value=int(uniq[int(np.argmax(counts))]))
-        else:
-            almost = ConsensusStatus(reached=False, round=None, value=None)
-
-        return SimulationResult(
-            initial=self.initial,
-            final=Configuration.from_values(values),
-            rounds_executed=rounds_executed,
-            consensus=consensus_status,
-            almost_stable=almost,
-            trajectory=recorder.finish(),
-            rule_name=self.rule.name,
-            adversary_name=type(self.adversary).__name__,
-            criterion=criterion,
-            meta={
-                "adversary_budget": self.adversary.budget,
-                "horizon": horizon,
-                "messages": self.message_stats.as_dict(),
-                "simulator": "network",
-            },
+        The run starts from the processes' current values; the stop rules,
+        default criterion and result are those of
+        :func:`repro.engine.vectorized.simulate` with ``stop_when_stable``
+        on.  ``meta`` adds the message counts and ``"simulator": "network"``.
+        """
+        result = _value_loop(
+            self.initial, self.values(), lambda values, t: self.step(),
+            self.adversary, self.rule.name,
+            max_rounds=max_rounds, criterion=criterion, record=record,
+            stop_at_consensus=stop_at_consensus, stop_when_stable=True,
+            run_to_horizon=False,
         )
+        result.meta.update(messages=self.message_stats.as_dict(), simulator="network")
+        return result

@@ -2,7 +2,8 @@
 
 Every fast engine in this library (occupancy, occupancy-fused) claims to be
 *equal in law* to the reference vectorized engine — not sample-path equal for
-a shared seed, since the substrates consume randomness differently.  This
+a shared seed, since the substrates consume randomness differently — and so
+does the agent-level network simulator when no request is ever dropped.  This
 module is the single place where that claim is turned into assertions, so
 every current and future kernel is pinned by the same machinery instead of
 hand-rolled per-test comparisons:
@@ -50,13 +51,16 @@ from repro.core.rules import Rule
 from repro.core.state import Configuration
 from repro.engine.batch import run_batch_fused_occupancy
 from repro.engine.occupancy import simulate_occupancy
+from repro.engine.run import SimulationResult
 from repro.engine.trajectory import RecordLevel
 from repro.engine.vectorized import simulate
 from repro.experiments.workloads import blocks_workload
+from repro.network.simulator import NetworkSimulator
 
 __all__ = [
     "DEFAULT_RUNS",
     "SINGLE_RUN_ENGINES",
+    "simulate_network",
     "EquivalenceScenario",
     "collect_convergence_rounds",
     "collect_minority_trajectories",
@@ -74,9 +78,26 @@ __all__ = [
 #: Runs per engine per scenario for the paired-run distribution checks.
 DEFAULT_RUNS = 200
 
+
+def simulate_network(initial: Configuration, rule: Rule, adversary: Optional[Adversary],
+                     *, seed: int, max_rounds: int,
+                     record: RecordLevel = RecordLevel.METRICS) -> SimulationResult:
+    """One :class:`NetworkSimulator` run with a request cap of ``n·k``.
+
+    Every process sends ``k`` requests a round, so no destination can ever
+    receive more than ``n·k``: nothing is dropped and the law is exactly the
+    vectorized engine's.
+    """
+    sim = NetworkSimulator(initial, rule=rule, adversary=adversary, seed=seed,
+                           capacity=initial.n * rule.num_choices)
+    return sim.run(max_rounds=max_rounds, record=record)
+
+
 #: Engines with a single-run entry point (the fused engine only exists as a
-#: batch and is compared through :func:`collect_convergence_rounds`).
-SINGLE_RUN_ENGINES = {"vectorized": simulate, "occupancy": simulate_occupancy}
+#: batch and is compared through :func:`collect_convergence_rounds`; the
+#: network engine has no ``run_to_horizon`` and only collects rounds).
+SINGLE_RUN_ENGINES = {"vectorized": simulate, "occupancy": simulate_occupancy,
+                      "network": simulate_network}
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Tests for repro.engine.batch: run_batch and the fused multi-run engine."""
+"""Tests for repro.engine.batch: run_batch and the batch result record."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 from repro.adversary.strategies import BalancingAdversary
 from repro.core.median_rule import MedianRule
 from repro.core.state import Configuration
-from repro.engine.batch import BatchResult, run_batch, run_batch_fused
+from repro.engine.batch import BatchResult, run_batch
 
 
 class TestRunBatch:
@@ -88,48 +88,3 @@ class TestBatchResult:
     def test_zero_runs(self):
         br = BatchResult(n=0, num_runs=0, rounds=np.array([]), converged=np.array([], dtype=bool))
         assert br.convergence_fraction == 0.0
-
-
-class TestRunBatchFused:
-    def test_no_adversary_matches_unfused_statistically(self):
-        init = Configuration.all_distinct(128)
-        fused = run_batch_fused(init, 20, seed=10)
-        unfused = run_batch(init, 20, seed=11)
-        assert fused.convergence_fraction == 1.0
-        assert unfused.convergence_fraction == 1.0
-        # both measure the same distribution; means within 35% of each other
-        assert fused.mean_rounds == pytest.approx(unfused.mean_rounds, rel=0.35)
-
-    def test_all_runs_converge_quickly(self):
-        fused = run_batch_fused(Configuration.all_distinct(256), 10, seed=12)
-        assert fused.convergence_fraction == 1.0
-        assert fused.max_rounds < 80
-
-    def test_reproducible(self):
-        init = Configuration.all_distinct(64)
-        a = run_batch_fused(init, 6, seed=13)
-        b = run_batch_fused(init, 6, seed=13)
-        assert np.array_equal(a.rounds, b.rounds, equal_nan=True)
-
-    def test_with_balancing_adversary(self):
-        init = Configuration.two_bins(512, minority=256)
-        fused = run_batch_fused(init, 6, seed=14, adversary_budget=5, max_rounds=500)
-        assert fused.convergence_fraction == 1.0
-        assert fused.meta["adversary_budget"] == 5
-
-    def test_adversary_tolerance_default(self):
-        init = Configuration.two_bins(128, minority=64)
-        fused = run_batch_fused(init, 3, seed=15, adversary_budget=2, max_rounds=400)
-        assert fused.meta["tolerance"] == 8
-
-    def test_short_horizon_leaves_nan(self):
-        fused = run_batch_fused(Configuration.all_distinct(128), 4, seed=16, max_rounds=2)
-        assert fused.convergence_fraction == 0.0
-
-    def test_invalid_num_runs(self):
-        with pytest.raises(ValueError):
-            run_batch_fused(Configuration.all_distinct(8), 0)
-
-    def test_consensus_rounds_positive(self):
-        fused = run_batch_fused(Configuration.all_distinct(64), 5, seed=17)
-        assert np.all(fused.rounds[fused.converged] >= 1)

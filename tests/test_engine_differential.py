@@ -1,4 +1,5 @@
-"""Differential tests: the occupancy engines are pinned to the vectorized engine.
+"""Differential tests: the occupancy engines and the network simulator are
+pinned to the vectorized engine.
 
 The occupancy engines claim *statistical exactness*: for any initial
 configuration, rule and (count-expressible) adversary, the distribution of
@@ -14,7 +15,10 @@ module declares the scenario grid:
   identity-tracking adversaries (sticky, hiding, in their exact
   victim-occupancy count form), crossed over ``engine="occupancy"`` *and*
   ``engine="occupancy-fused"`` — the scenarios the paper contrasts against
-  the median rule, previously forced onto the O(n) vectorized path.
+  the median rule, previously forced onto the O(n) vectorized path;
+* the agent-level network simulator (``engine="network"`` in the harness,
+  request cap n·k so nothing is dropped), median rule with and without a
+  balancing adversary at n = 64.
 
 Seeds are fixed, so these tests are deterministic; the tolerances are sized
 so a correct implementation passes with wide margin while an off-by-one in a
@@ -158,6 +162,21 @@ ONE_ROUND_SCENARIOS = [
 @pytest.mark.parametrize("sc", ONE_ROUND_SCENARIOS, ids=lambda sc: sc.name)
 def test_one_round_occupancy_distribution_matches_exactly(sc: EquivalenceScenario):
     assert_one_round_flows_match(sc, trials=3000, seed_base=50_000)
+
+
+#: The agent-level network simulator, with a request cap no round can reach,
+#: against the vectorized engine it shares its round loop with.
+NETWORK_SCENARIOS = [
+    EquivalenceScenario("median/n=64/noadv", 64, 4, MedianRule),
+    EquivalenceScenario("median/n=64/adv", 64, 4, MedianRule, _balancing(2)),
+]
+
+
+@pytest.mark.parametrize("sc", NETWORK_SCENARIOS, ids=lambda sc: sc.name)
+def test_network_simulator_statistics_match(sc: EquivalenceScenario):
+    vect = collect_convergence_rounds("vectorized", sc, RUNS, seed_base=60_000)
+    net = collect_convergence_rounds("network", sc, RUNS, seed_base=70_000)
+    assert_rounds_equivalent(vect, net, f"{sc.name} via network")
 
 
 # --------------------------------------------------------------------------- #

@@ -8,12 +8,7 @@ import pytest
 from repro.core.median_rule import MedianRule
 from repro.network.messages import DroppedRequest, MessageStats, ValueRequest, ValueResponse
 from repro.network.node import Process
-from repro.network.sampling import (
-    choice_in_degrees,
-    override_choices,
-    sample_k_choices,
-    sample_two_choices,
-)
+from repro.network.sampling import choice_in_degrees, override_choices
 from repro.network.scheduler import RoundScheduler, default_capacity
 from repro.network.topology import (
     CompleteTopology,
@@ -224,33 +219,26 @@ class TestScheduler:
 
 
 class TestSampling:
-    def test_two_choices_shape(self, rng):
-        s = sample_two_choices(50, rng)
-        assert s.shape == (50, 2)
-
-    def test_two_choices_without_self(self, rng):
-        s = sample_two_choices(50, rng, include_self=False)
-        assert not np.any(s == np.arange(50)[:, None])
-
     def test_k_choices(self, rng):
-        s = sample_k_choices(30, 5, rng)
+        s = CompleteTopology(30).sample_all(5, rng)
         assert s.shape == (30, 5)
         with pytest.raises(ValueError):
-            sample_k_choices(0, 2, rng)
+            CompleteTopology(0).sample_all(2, rng)
 
     def test_in_degrees_total(self, rng):
-        s = sample_two_choices(100, rng)
+        s = CompleteTopology(100).sample_all(2, rng)
         deg = choice_in_degrees(s, 100)
         assert deg.sum() == 200
 
     def test_in_degrees_mean_is_k(self, rng):
+        topo = CompleteTopology(50)
         totals = np.zeros(50)
         for _ in range(200):
-            totals += choice_in_degrees(sample_two_choices(50, rng), 50)
+            totals += choice_in_degrees(topo.sample_all(2, rng), 50)
         assert totals.mean() / 200 == pytest.approx(2.0, rel=0.05)
 
     def test_override_choices(self, rng):
-        s = sample_two_choices(10, rng)
+        s = CompleteTopology(10).sample_all(2, rng)
         out = override_choices(s, victims=np.array([3, 7]),
                                new_choices=np.array([[0, 0], [1, 1]]))
         assert out[3].tolist() == [0, 0]
@@ -261,7 +249,7 @@ class TestSampling:
         assert not np.array_equal(s[3], [0, 0]) or not np.array_equal(s[7], [1, 1])
 
     def test_override_shape_mismatch(self, rng):
-        s = sample_two_choices(10, rng)
+        s = CompleteTopology(10).sample_all(2, rng)
         with pytest.raises(ValueError):
             override_choices(s, victims=np.array([1]), new_choices=np.array([[0, 0], [1, 1]]))
 

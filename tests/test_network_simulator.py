@@ -104,6 +104,26 @@ class TestNetworkSimulatorWithAdversary:
         assert res.reached_almost_stable
         assert res.final.agreement_fraction() > 0.9
 
+    def test_budget_ledger_in_result_meta(self):
+        sim = NetworkSimulator(Configuration.two_bins(64, minority=32),
+                               adversary=BalancingAdversary(budget=3), seed=13)
+        res = sim.run(max_rounds=300)
+        assert res.meta["budget_ledger_ok"] is True
+        assert res.meta["budget_ledger_total"] > 0
+
+    def test_zero_rounds_spend_no_budget(self):
+        sim = NetworkSimulator(Configuration.two_bins(64, minority=32),
+                               adversary=BalancingAdversary(budget=3), seed=14)
+        res = sim.run(max_rounds=0)
+        assert res.rounds_executed == 0
+        assert sim.round_index == 0
+        assert res.meta["budget_ledger_total"] == 0
+
+    def test_negative_max_rounds_rejected(self):
+        sim = NetworkSimulator(Configuration.all_distinct(8), seed=15)
+        with pytest.raises(ValueError):
+            sim.run(max_rounds=-1)
+
 
 class TestCrossSimulatorAgreement:
     def test_convergence_time_statistically_similar(self):

@@ -16,7 +16,7 @@ from repro.analysis.statistics import compare_predictors, fit_scaling
 from repro.core.baseline_rules import MinimumRule, VoterRule
 from repro.core.median_rule import MedianRule
 from repro.core.state import Configuration
-from repro.engine.batch import run_batch, run_batch_fused
+from repro.engine.batch import run_batch
 from repro.engine.vectorized import simulate
 from repro.experiments.workloads import blocks_workload, uniform_random_workload
 
@@ -26,14 +26,14 @@ class TestTheorem1LogNConvergence:
 
     def test_consensus_always_reached(self):
         for n in (64, 256, 1024):
-            batch = run_batch_fused(Configuration.all_distinct(n), 10, seed=n)
+            batch = run_batch(Configuration.all_distinct(n), 10, seed=n)
             assert batch.convergence_fraction == 1.0
 
     def test_rounds_grow_logarithmically(self):
         ns = [64, 128, 256, 512, 1024, 2048]
         means = []
         for n in ns:
-            batch = run_batch_fused(Configuration.all_distinct(n), 12, seed=n)
+            batch = run_batch(Configuration.all_distinct(n), 12, seed=n)
             means.append(batch.mean_rounds)
         fits = compare_predictors(ns, [2] * len(ns), means, ["log_n", "linear_n", "sqrt_n"])
         assert fits[0].predictor_name == "log_n"
@@ -41,7 +41,7 @@ class TestTheorem1LogNConvergence:
         assert means[-1] < 2.0 * means[0]
 
     def test_rounds_are_small_in_absolute_terms(self):
-        batch = run_batch_fused(Configuration.all_distinct(1024), 10, seed=3)
+        batch = run_batch(Configuration.all_distinct(1024), 10, seed=3)
         # ~2-4x log2(n) in practice
         assert batch.mean_rounds < 6 * np.log2(1024)
 
