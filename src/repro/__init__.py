@@ -18,45 +18,51 @@ Quickstart
 True
 """
 
-from repro.adversary import (
-    Adversary,
-    AdversaryTiming,
-    BalancingAdversary,
-    HidingAdversary,
-    NullAdversary,
-    RandomCorruptionAdversary,
-    RevivingAdversary,
-    StickyAdversary,
-    SwitchingAdversary,
-    TargetedMedianAdversary,
-    make_adversary,
-)
-from repro.core import (
-    AlmostStableCriterion,
-    BestOfKMedianRule,
-    Configuration,
-    MajorityRule,
-    MaximumRule,
-    MeanRule,
-    MedianRule,
-    MedianRuleWithoutReplacement,
-    MinimumRule,
-    Rule,
-    TwoChoicesMajorityRule,
-    TwoChoicesRule,
-    VoterRule,
-    available_rules,
-    get_rule,
-    is_consensus,
-)
-from repro.engine import (
-    BatchResult,
-    RecordLevel,
-    SimulationResult,
-    run_batch,
-    simulate,
-)
-from repro.network import CompleteTopology, NetworkSimulator
+from repro._lazy import lazy_exports
+
+# public names resolve on first use, so ``import repro.cli`` (or a worker's
+# ``import repro.store.coordinator``) loads only the modules it runs
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.adversary": (
+        "Adversary",
+        "AdversaryTiming",
+        "BalancingAdversary",
+        "HidingAdversary",
+        "NullAdversary",
+        "RandomCorruptionAdversary",
+        "RevivingAdversary",
+        "StickyAdversary",
+        "SwitchingAdversary",
+        "TargetedMedianAdversary",
+        "make_adversary",
+    ),
+    "repro.core": (
+        "AlmostStableCriterion",
+        "BestOfKMedianRule",
+        "Configuration",
+        "MajorityRule",
+        "MaximumRule",
+        "MeanRule",
+        "MedianRule",
+        "MedianRuleWithoutReplacement",
+        "MinimumRule",
+        "Rule",
+        "TwoChoicesMajorityRule",
+        "TwoChoicesRule",
+        "VoterRule",
+        "available_rules",
+        "get_rule",
+        "is_consensus",
+    ),
+    "repro.engine": (
+        "BatchResult",
+        "RecordLevel",
+        "SimulationResult",
+        "run_batch",
+        "simulate",
+    ),
+    "repro.network": ("CompleteTopology", "NetworkSimulator"),
+})
 
 __version__ = "1.0.0"
 

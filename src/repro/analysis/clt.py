@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = [
     "imbalance_std_after_balanced_round",
@@ -48,11 +47,14 @@ def lemma14_asymptotic_probability(c: float) -> float:
     """Asymptotic value of ``P[Ψ_{t+1} ≥ c·sqrt(n)]`` from a balanced state.
 
     By the CLT this converges to ``1 − Φ(c·sqrt(16/3))`` where Φ is the
-    standard-normal CDF (the paper's expression with x = c·√(16/3)).
+    standard-normal CDF (the paper's expression with x = c·√(16/3)).  The
+    tail is evaluated as ``erfc(x/√2)/2``: subtracting ``Φ(x)`` from 1
+    cancels to 0 for c ≥ 4, below :func:`lemma14_lower_bound`.
     """
     if c < 0:
         raise ValueError("c must be non-negative")
-    return float(1.0 - norm.cdf(c * math.sqrt(16.0 / 3.0)))
+    x = c * math.sqrt(16.0 / 3.0)
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def lemma14_lower_bound(c: float, epsilon: float = 0.0) -> float:

@@ -18,6 +18,7 @@ This module provides
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -120,11 +121,10 @@ def two_bin_step_distribution(n: int, minority: int) -> np.ndarray:
     full probability vector over ``{0, ..., n}``; used by
     :mod:`repro.analysis.markov` to build the exact Markov chain.
     """
-    from scipy.stats import binom
-
     p_leave, p_join = exact_two_bin_transition(n, minority)
-    stay = binom.pmf(np.arange(minority + 1), minority, 1.0 - p_leave)
-    join = binom.pmf(np.arange(n - minority + 1), n - minority, p_join)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    stay = _binomial_pmf(minority, 1.0 - p_leave, log_factorial)
+    join = _binomial_pmf(n - minority, p_join, log_factorial)
     dist = np.convolve(stay, join)
     out = np.zeros(n + 1)
     out[: dist.shape[0]] = dist
@@ -132,3 +132,20 @@ def two_bin_step_distribution(n: int, minority: int) -> np.ndarray:
     np.clip(out, 0.0, None, out=out)
     out /= out.sum()
     return out
+
+
+def _binomial_pmf(trials: int, p: float, log_factorial: np.ndarray) -> np.ndarray:
+    """``Binom(trials, p)`` probabilities over ``{0, ..., trials}``.
+
+    Evaluated in log space from ``log_factorial[k] = log k!`` (which must
+    reach ``trials``); ``p ∈ {0, 1}`` gives the exact point mass, where the
+    logarithms would be infinite.
+    """
+    if p <= 0.0 or p >= 1.0:
+        pmf = np.zeros(trials + 1)
+        pmf[trials if p >= 1.0 else 0] = 1.0
+        return pmf
+    k = np.arange(trials + 1)
+    log_pmf = (log_factorial[trials] - log_factorial[k] - log_factorial[trials - k]
+               + k * math.log(p) + (trials - k) * math.log1p(-p))
+    return np.exp(log_pmf)

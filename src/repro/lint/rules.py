@@ -51,12 +51,19 @@ Rule catalog (ids are what ``# repro-lint: disable=<id>`` takes):
     Every literal seam name at a ``fault_point``/``maybe_torn`` call site
     (or a ``seam=`` keyword) exists in ``robustness/faults.py::SEAMS``,
     and every cataloged seam has at least one instrumented call site.
+
+``import-hygiene``
+    No module-level import of ``scipy`` or ``networkx`` anywhere in the
+    package, and none of ``http.server`` or ``urllib.request`` outside
+    ``store/coordinator.py``: every CLI invocation and spawned worker pays
+    for what the import chain loads.  Import such modules inside the
+    function that uses them (``if TYPE_CHECKING:`` blocks are exempt).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.lint.framework import FileContext, Finding, Rule
 
@@ -571,6 +578,66 @@ class FaultSeamRule(Rule):
                     snippet=catalog_ctx.line_text(lineno))
 
 
+# --------------------------------------------------------------------- #
+# 8. import-hygiene
+# --------------------------------------------------------------------- #
+class ImportHygieneRule(Rule):
+    id = "import-hygiene"
+    doc = ("no module-level import of scipy or networkx, nor of http.server "
+           "or urllib.request outside store/coordinator.py")
+
+    #: banned at module level everywhere (scipy is a test oracle only;
+    #: networkx serves the graph topologies alone)
+    HEAVY = ("scipy", "networkx")
+    #: banned at module level outside the coordinator that serves them
+    SERVER = ("http.server", "urllib.request")
+    SERVER_FILES = ("store/coordinator.py",)
+
+    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        banned = self.HEAVY if ctx.rel in self.SERVER_FILES \
+            else self.HEAVY + self.SERVER
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if ctx.enclosing_function(node) is not None \
+                    or self._type_checking_only(ctx, node):
+                continue
+            for module in self._modules(node):
+                hit = next((b for b in banned
+                            if module == b or module.startswith(b + ".")),
+                           None)
+                if hit is not None:
+                    yield ctx.finding(
+                        node, self.id,
+                        f"module-level import of `{module}` loads {hit} on "
+                        f"every import of this module; import it inside "
+                        f"the function that uses it")
+                    break
+
+    @staticmethod
+    def _modules(node: Union[ast.Import, ast.ImportFrom]) -> List[str]:
+        """Modules an import statement loads (``from p import m`` may load
+        the submodule ``p.m``)."""
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if node.level or node.module is None:
+            return []   # relative: inside the package
+        return [node.module] + [f"{node.module}.{alias.name}"
+                                for alias in node.names]
+
+    @staticmethod
+    def _type_checking_only(ctx: FileContext, node: ast.AST) -> bool:
+        """True iff ``node`` sits in the body of ``if TYPE_CHECKING:``."""
+        child, parent = node, ctx.parents.get(node)
+        while parent is not None:
+            if (isinstance(parent, ast.If) and child in parent.body
+                    and _dotted(parent.test) in ("TYPE_CHECKING",
+                                                 "typing.TYPE_CHECKING")):
+                return True
+            child, parent = parent, ctx.parents.get(parent)
+        return False
+
+
 #: Rule registry: id -> factory.  ``default_rules()`` instantiates fresh
 #: rule objects per run (cross-file rules keep accumulator state on self).
 ALL_RULES = {
@@ -581,6 +648,7 @@ ALL_RULES = {
     AtomicWriteRule.id: AtomicWriteRule,
     SpawnContextRule.id: SpawnContextRule,
     FaultSeamRule.id: FaultSeamRule,
+    ImportHygieneRule.id: ImportHygieneRule,
 }
 
 

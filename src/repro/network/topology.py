@@ -5,7 +5,8 @@ contact every other process, but no global IDs exist — each process only has
 its own private numbering of the others.  :class:`CompleteTopology` models
 this; :class:`GraphTopology` generalizes to arbitrary connected graphs
 (random regular, ring, torus, ...) for the "higher dimensions / robustness"
-extensions the conclusion section calls out as future work.
+extensions the conclusion section calls out as future work.  Graph
+topologies need networkx (the ``graph`` extra), imported on first use.
 
 A topology answers one question for the simulator: *which processes may
 process ``i`` sample this round?*  For the complete topology the answer is
@@ -15,10 +16,12 @@ process ``i`` sample this round?*  For the complete topology the answer is
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Topology", "CompleteTopology", "GraphTopology", "ring_topology",
            "random_regular_topology", "torus_topology"]
@@ -96,6 +99,8 @@ class GraphTopology(Topology):
     """
 
     def __init__(self, graph: nx.Graph) -> None:
+        import networkx as nx
+
         n = graph.number_of_nodes()
         super().__init__(n)
         if set(graph.nodes) != set(range(n)):
@@ -119,6 +124,8 @@ class GraphTopology(Topology):
 
 def ring_topology(n: int) -> GraphTopology:
     """A cycle of ``n`` processes (the 1-D 'higher dimensions' testbed)."""
+    import networkx as nx
+
     return GraphTopology(nx.cycle_graph(n))
 
 
@@ -133,6 +140,8 @@ def random_regular_topology(
     global state (rng-discipline: the process-wide stream stays untouched,
     and an integer ``seed`` fully determines the edge set).
     """
+    import networkx as nx
+
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     graph = nx.random_regular_graph(degree, n, seed=rng)
     graph = nx.convert_node_labels_to_integers(graph)
@@ -141,6 +150,8 @@ def random_regular_topology(
 
 def torus_topology(side: int) -> GraphTopology:
     """A 2-D ``side × side`` torus (periodic grid)."""
+    import networkx as nx
+
     graph = nx.grid_2d_graph(side, side, periodic=True)
     graph = nx.convert_node_labels_to_integers(graph, ordering="sorted")
     return GraphTopology(graph)

@@ -25,38 +25,50 @@ CLI surface: ``repro-consensus sweep --store DIR [--no-cache|--rerun]
 and ``repro-consensus store {ls,info,gc}``.
 """
 
-from repro.store.artifacts import ArtifactRegistry, build_provenance, git_sha
-from repro.store.backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    PoolBackend,
-    SerialBackend,
-    resolve_backend,
-)
-from repro.store.coordinator import (
-    CoordinatorClient,
-    CoordinatorError,
-    CoordinatorServer,
-    CoordinatorStore,
-    HttpBackend,
-    HttpLeaseClient,
-)
-from repro.store.hashing import canonical_cell_dict, cell_key, short_key
-from repro.store.runner import (
-    CachedSweepRunner,
-    CacheStats,
-    StoreMissError,
-    run_sweep_cached,
-)
-from repro.store.shard import (
-    LeaseManager,
-    ShardBackend,
-    ShardWorker,
-    failed_markers,
-    read_execution_log,
-    run_sweep_sharded,
-)
-from repro.store.store import STORE_SCHEMA_VERSION, ResultStore, StoreRecord
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.store.artifacts": (
+        "ArtifactRegistry",
+        "build_provenance",
+        "git_sha",
+    ),
+    "repro.store.backends": (
+        "BACKEND_NAMES",
+        "ExecutionBackend",
+        "PoolBackend",
+        "SerialBackend",
+        "resolve_backend",
+    ),
+    "repro.store.coordinator": (
+        "CoordinatorClient",
+        "CoordinatorError",
+        "CoordinatorServer",
+        "CoordinatorStore",
+        "HttpBackend",
+        "HttpLeaseClient",
+    ),
+    "repro.store.hashing": ("canonical_cell_dict", "cell_key", "short_key"),
+    "repro.store.runner": (
+        "CachedSweepRunner",
+        "CacheStats",
+        "StoreMissError",
+        "run_sweep_cached",
+    ),
+    "repro.store.shard": (
+        "LeaseManager",
+        "ShardBackend",
+        "ShardWorker",
+        "failed_markers",
+        "read_execution_log",
+        "run_sweep_sharded",
+    ),
+    "repro.store.store": (
+        "STORE_SCHEMA_VERSION",
+        "ResultStore",
+        "StoreRecord",
+    ),
+})
 
 __all__ = [
     "cell_key",

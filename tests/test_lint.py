@@ -405,6 +405,60 @@ class TestFaultSeamCoverage:
         assert result.findings == []
 
 
+class TestImportHygiene:
+    def test_positive_heavy_modules_anywhere(self, tmp_path):
+        src = ("import networkx as nx\n"
+               "from scipy.stats import norm\n"
+               "from scipy import special\n")
+        result = findings_for(tmp_path, {"analysis/m.py": src},
+                              "import-hygiene")
+        assert [f.line for f in result.findings] == [1, 2, 3]
+        assert "networkx" in result.findings[0].message
+
+    def test_positive_server_modules_outside_coordinator(self, tmp_path):
+        src = ("import urllib.request\n"
+               "from http.server import ThreadingHTTPServer\n"
+               "from http import server\n"
+               "class Client:\n"
+               "    import urllib.request as request\n")
+        result = findings_for(tmp_path, {"store/shard.py": src},
+                              "import-hygiene")
+        assert [f.line for f in result.findings] == [1, 2, 3, 5]
+
+    def test_positive_heavy_module_in_coordinator(self, tmp_path):
+        src = "import http.server\nimport scipy\n"
+        result = findings_for(tmp_path, {"store/coordinator.py": src},
+                              "import-hygiene")
+        assert [f.line for f in result.findings] == [2]
+
+    def test_negative(self, tmp_path):
+        files = {
+            "network/topology.py": (
+                "from typing import TYPE_CHECKING\n"
+                "import numpy as np\n"
+                "import urllib.error\n"
+                "from http import HTTPStatus\n"
+                "if TYPE_CHECKING:\n"
+                "    import networkx as nx\n"
+                "def ring(n):\n"
+                "    import networkx as nx\n"
+                "    from scipy.stats import binom\n"
+                "    return nx.cycle_graph(n)\n"),
+            "store/coordinator.py": (
+                "import urllib.request\n"
+                "from http.server import BaseHTTPRequestHandler\n"),
+        }
+        result = findings_for(tmp_path, files, "import-hygiene")
+        assert result.findings == []
+
+    def test_suppression(self, tmp_path):
+        src = "import networkx as nx  # repro-lint: disable=import-hygiene\n"
+        result = findings_for(tmp_path, {"network/m.py": src},
+                              "import-hygiene")
+        assert result.findings == []
+        assert len(result.suppressed) == 1
+
+
 # --------------------------------------------------------------------------- #
 # canaries: each injected single-rule violation must exit 4
 # --------------------------------------------------------------------------- #
@@ -426,6 +480,8 @@ CANARIES = {
     "fault-seam-coverage":
         {"robustness/faults.py": SEAM_CATALOG,
          "store/m.py": SEAM_CALLER + "fault_point('s.ghost')\n"},
+    "import-hygiene":
+        {"analysis/m.py": "from scipy.stats import norm\n"},
 }
 
 
