@@ -20,7 +20,8 @@ by tests and experiments.
 Section 3 additionally considers an adversary that acts *after* the random
 choices of the round (it "is allowed to change the choices of at most sqrt(n)
 balls").  Both placements are supported through the ``timing`` attribute and
-the simulators honour it; the ablation benchmark compares them.
+the simulators honour it; an ablation in ``tests/test_theorems.py``
+compares them.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class AdversaryTiming(enum.Enum):
     beginning of the round, before processes draw their contacts);
     ``AFTER_SAMPLING`` is the Section 3 variant (the adversary reacts to the
     drawn choices).  Against an omniscient adversary the two are equally
-    strong for the strategies shipped here, which is verified empirically by
-    the ablation benchmark.
+    strong for the strategies shipped here, which an ablation in
+    ``tests/test_theorems.py`` checks empirically.
     """
 
     BEFORE_SAMPLING = "before-sampling"

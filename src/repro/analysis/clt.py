@@ -88,8 +88,8 @@ def simulate_balanced_round_imbalance(n: int, samples: int,
 
     Runs ``samples`` independent single rounds of the majority rule from the
     50/50 configuration and returns the resulting labelled imbalances
-    ``(R_{t+1} − L_{t+1}) / 2``.  Used by the DRIFT benchmark to overlay the
-    empirical distribution on the Lemma 14 normal approximation.
+    ``(R_{t+1} − L_{t+1}) / 2``.  The Lemma 14 tests compare this empirical
+    distribution with the normal approximation and the lemma's lower bound.
     """
     if n % 2 != 0:
         raise ValueError("the balanced state needs even n")

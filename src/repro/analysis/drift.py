@@ -15,7 +15,7 @@ The proofs of Section 3 rest on three regimes of the minority load
 All three expectations follow from the exact per-ball switch probabilities
 (:func:`repro.core.majority_rule.exact_two_bin_transition`); this module
 exposes them in the paper's notation and provides empirical-drift
-measurement helpers used by the DRIFT benchmark and the tests.
+measurement helpers used by the tests.
 
 Beyond the two-bin closed forms, :func:`occupancy_expected_counts` /
 :func:`occupancy_expected_drift` compute the exact one-round expected
@@ -82,7 +82,8 @@ def lemma12_contraction_factor(n: int, minority: int) -> float:
     """The factor ``E[X_{t+1}] / X_t`` in the Lemma 12 regime.
 
     The paper shows it is at most ``1 − δ_t/2`` for ``δ_t < 1/3``; callers
-    (tests, the drift benchmark) compare the exact value against that bound.
+    (``tests/test_analysis_drift_clt.py``) compare the exact value against
+    that bound.
     """
     if minority <= 0:
         raise ValueError("minority must be positive")
@@ -211,7 +212,7 @@ def measure_empirical_occupancy_drift(
     batched ``(samples, m)`` program) and returns the empirical mean next
     occupancy, the exact prediction, and the per-bin standard error — callers
     assert ``|mean − predicted| ≤ k·SE`` (a CLT bound; used by the drift tests
-    and the occupancy-rules benchmark).
+    and the three-majority + sticky cell of the fused-engine tests).
     """
     from repro.engine.occupancy import occupancy_round_batch
 

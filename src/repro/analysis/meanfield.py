@@ -18,8 +18,8 @@ proof of Lemma 11 for the two-bin case: ``p ↦ p²(3−2p)``).
 This module provides the exact map, its fixed-point analysis (0, 1/2, 1 with
 1/2 unstable), trajectory iteration, a convergence-time predictor, and a
 validation helper against the stochastic engine.  It is the deterministic
-skeleton of the paper's drift arguments and is used by tests and the
-mean-field benchmark/ablation.
+skeleton of the paper's drift arguments and is checked against simulation
+in ``tests/test_meanfield_async_plots.py``.
 """
 
 from __future__ import annotations

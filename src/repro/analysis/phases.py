@@ -12,7 +12,7 @@ contiguous window of values satisfying that two-sided load condition;
 :func:`detect_phases` tracks the window width along a trajectory and reports
 when it halves, giving an empirical view of the phase structure (the number
 of detected phases should be ≈ log2(m), each lasting ≈ O(log log n) rounds —
-the PHASES part of the drift benchmark checks this shape).
+``tests/test_analysis_phases.py`` checks this shape).
 """
 
 from __future__ import annotations

@@ -168,7 +168,7 @@ def empirical_success_probability(converged: Sequence[bool]) -> Tuple[float, flo
     """Estimate ``P[success]`` with a normal-approximation 95% half-width.
 
     Used to state "w.h.p."-style findings ("all 200 runs converged; the 95%
-    CI for the failure probability is below x") in EXPERIMENTS.md.
+    CI for the failure probability is below x").
     """
     arr = np.asarray(converged, dtype=bool)
     if arr.size == 0:

@@ -1,7 +1,7 @@
 """Predicted round counts of the paper's theorems.
 
 The theorems give asymptotic bounds (O(log n), O(log m·log log n + log n),
-...).  For plotting and for the "shape" comparison in EXPERIMENTS.md we need
+...).  For plotting and for the "shape" comparisons of the theorem tests we need
 concrete *predictor functions* of (n, m, adversary) that measured round
 counts can be regressed against.  This module provides them, together with
 the little helpers the proofs use (phase counts, thresholds like Φ and the

@@ -125,8 +125,8 @@ class MeanRule(Rule):
 
     Values converge towards a common number, but the limit is generally *not*
     one of the initial values, so the rule does not solve the consensus
-    problem in the paper's sense.  Kept as a baseline for the ablation
-    benchmark (median vs. mean).
+    problem in the paper's sense.  Kept as a baseline for the median-vs-mean
+    ablation in ``tests/test_theorems.py``.
     """
 
     name = "mean"

@@ -15,9 +15,9 @@ dominates the coarser one's.  This module provides
   construct a witnessing monotone map;
 * :func:`refine_configuration` — apply a refinement map to a configuration;
 * :func:`coupled_step` / :func:`coupled_run` — execute the shared-randomness
-  coupling of Lemma 17, returning both trajectories; the test-suite and the
-  FINENESS benchmark verify that the coarser state remains the image of the
-  finer one and that it reaches consensus no later.
+  coupling of Lemma 17, returning both trajectories; the test-suite
+  verifies that the coarser state remains the image of the finer one and
+  that it reaches consensus no later.
 """
 
 from __future__ import annotations

@@ -100,7 +100,7 @@ class MedianRuleWithoutReplacement(MedianRule):
 
     The analysis of the paper does not depend on self-inclusion (the
     probability of sampling oneself is ``O(1/n)``), so this variant should
-    behave identically at scale; the ablation benchmark verifies this.
+    behave identically at scale; ``tests/test_theorems.py`` checks this.
     """
 
     name = "median-noreplace"

@@ -19,8 +19,7 @@ empirically:
   *does* preserve the initial value set, at the cost of weaker contraction.
 
 Both operate on a :class:`VectorConfiguration` (an ``(n, d)`` integer array)
-and are exercised by the higher-dimension ablation benchmark and the
-``examples``/tests.
+and are exercised by the ``examples`` and ``tests/test_multidim.py``.
 """
 
 from __future__ import annotations

@@ -41,8 +41,9 @@ per round and therefore in where they are fast:
     O(R·m² · 8 bytes) peak memory (chunked over runs beyond ~134 MB), versus
     O(R·m²) time *plus O(R) interpreter round trips* for the looped
     occupancy path — the fused engine wins by an order of magnitude once R is
-    in the hundreds (``benchmarks/bench_batch_fused.py``), and by far more at
-    large n against the looped value-space engine.
+    in the hundreds (``tests/test_batch_fused_occupancy.py`` guards ≥ 2× at
+    R = 96), and by far more at large n against the looped value-space
+    engine.
 
     Supported rule/adversary matrix of the occupancy substrates (single-run
     and fused alike):
@@ -105,8 +106,9 @@ with :func:`repro.engine.rng.multinomial_kernel_id` (also stamped into
 store provenance, shown by ``repro store info``).  Expected effect: at
 m ≤ 32 the dense rounds are cheap and fusion already wins, so the backend
 barely matters; at m = 64 the compiled banded path is what restores the
-≥10× fused-vs-looped gap (``benchmarks/bench_multinomial.py`` /
-``BENCH_multinomial.json``).  Reproducibility is backend-scoped: identical
+≥10× fused-vs-looped gap (``tests/test_multinomial_seam.py`` guards ≥ 3×
+over the looped NumPy path at n = 10⁵, m = 64, R = 64).  Reproducibility is
+backend-scoped: identical
 seeds give identical results only within one backend; across backends the
 engines agree in distribution (certified by
 ``tests/test_engine_differential.py`` and ``tests/test_multinomial_seam.py``).

@@ -1,9 +1,9 @@
 """Feature-detected seam for exact-multinomial sampling.
 
 Every fast path in the repository bottoms out in drawing multinomial flows
-(``BENCH_batch_fused.json``: at m = 64 a dense round costs ~R·m² sequential
-binomial draws inside ``Generator.multinomial``, and the fused engine's win
-collapses from ~60× at m = 8 to ~3–4×).  This module is the single seam the
+(at m = 64 a dense round costs ~R·m² sequential binomial draws inside
+``Generator.multinomial``, so on NumPy the fused engine's win over the
+looped one shrinks to a few ×).  This module is the single seam the
 occupancy engines sample through, with two interchangeable *backends*:
 
 ``numpy``

@@ -18,9 +18,9 @@ This module provides that execution model:
   ``"adversarial-lifo"`` (always activate the process that deviates most from
   the current plurality — a scheduler trying to slow convergence down).
 
-The asynchronous-vs-synchronous comparison is exercised by tests and the
-robustness ablation benchmark; empirically the median rule converges in
-O(log n) sweeps under all three schedules.
+The asynchronous-vs-synchronous comparison is exercised by the tests
+(``tests/test_meanfield_async_plots.py``); empirically the median rule
+converges in O(log n) sweeps under all three schedules.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ randomness differently), only equal in law.
 
 Cost per round is O(m²) for the transition matrix and draws, with **no
 dependence on n**, so n = 10⁸–10⁹ runs cost the same as n = 10⁴ for fixed m
-(``benchmarks/bench_engine_occupancy.py``).
+(guarded by ``test_round_cost_flat_in_n`` in ``tests/test_engine_occupancy.py``).
 
 Supported rules: :class:`~repro.core.median_rule.MedianRule`,
 :class:`~repro.core.median_rule.BestOfKMedianRule` (any k),

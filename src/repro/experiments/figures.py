@@ -6,9 +6,9 @@ series a reproduction must produce (convergence round vs n, vs m, odd vs even
 m, with vs without adversary).  This module provides one function per
 artifact, each returning an :class:`~repro.experiments.results.ExperimentReport`
 plus, where appropriate, the scaling fits that turn raw measurements into the
-"grows like ..." statements recorded in EXPERIMENTS.md.
+"grows like ..." statements of the theorems.
 
-All functions accept a ``scale`` knob so that benchmarks can run them at
+All functions accept a ``scale`` knob so that tests can run them at
 laptop-friendly sizes while the CLI can run the full grid, and an optional
 ``runner`` — any object with a ``run(sweep) -> ExperimentReport`` method,
 typically :class:`repro.store.CachedSweepRunner` — so the same figure

@@ -2,7 +2,7 @@
 
 The paper's single table (Figure 1) and the per-theorem result series are
 reported as plain-text / markdown tables.  These helpers keep formatting in
-one place so benchmarks, the CLI and EXPERIMENTS.md all print the same rows.
+one place so the CLI and the figure functions all print the same rows.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 A :class:`CellResult` summarizes one executed experiment cell; an
 :class:`ExperimentReport` groups the cells of a sweep with its metadata and
-supports round-tripping to JSON and CSV so EXPERIMENTS.md tables can be
+supports round-tripping to JSON and CSV so report tables can be
 regenerated without re-running simulations.
 
 The dict forms are schema-versioned (:data:`RESULT_SCHEMA_VERSION`): every

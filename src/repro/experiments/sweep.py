@@ -1,10 +1,10 @@
 """Sweep builders for the paper's experiments.
 
 Each builder returns a :class:`~repro.experiments.config.SweepConfig` whose
-cells cover one experiment from the DESIGN.md per-experiment index.  The
-benchmark harness calls these with small default sizes (so
-``pytest benchmarks/`` finishes in minutes); the CLI and EXPERIMENTS.md use
-larger grids.
+cells cover one experiment of the paper (one entry of
+:data:`repro.experiments.figures.FIGURE_REGISTRY`).  The default grids are
+laptop-sized; ``tests/test_theorems.py`` runs them at half size and the
+figure functions rescale them with ``scale``.
 
 Every builder accepts ``engine="vectorized" | "occupancy" | "occupancy-fused"``
 and retargets all of its cells; the occupancy engines make the same sweeps

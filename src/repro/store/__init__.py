@@ -10,7 +10,7 @@ execution backend (:mod:`repro.store.backends`: ``serial``, ``pool``, the
 lease-based multi-worker ``shard`` backend of :mod:`repro.store.shard`, or
 the coordinator-backed ``http`` backend of :mod:`repro.store.coordinator`
 for workers on disjoint filesystems), and
-derived outputs (benchmarks, figures, saved reports) record their input keys
+derived outputs (figure tables, saved reports) record their input keys
 and git revision via :mod:`repro.store.artifacts`.
 
 Execution robustness (payload/sidecar integrity verification on read with

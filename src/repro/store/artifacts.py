@@ -1,19 +1,19 @@
 """Artifact provenance: register derived outputs against their inputs.
 
-Benchmarks (``BENCH_*.json``), figure tables and saved sweep reports are
+Figure tables and saved sweep reports (``sweep --json/--csv``) are
 *derived* artifacts: their numbers are a function of (a) the experiment cells
 they were computed from and (b) the code revision that computed them.  This
 module makes that function explicit:
 
 * :func:`build_provenance` returns the standard provenance block — git SHA
   (+ a ``dirty`` flag), package version, timestamp, and the store keys of the
-  cells the artifact was derived from — which producers embed in the artifact
-  itself (``benchmarks/bench_batch_fused.py`` stamps its JSON with it).
+  cells the artifact was derived from — which producers can embed in the
+  artifact itself.
 * :class:`ArtifactRegistry` is an append-mostly JSON ledger
   (``artifacts.json``, by default inside a :class:`~repro.store.store.ResultStore`
   directory) mapping each registered artifact file to its provenance and a
-  content hash, so a perf trajectory can always be traced back to the exact
-  configs and revision that produced each point.
+  content hash, so every registered output can be traced back to the exact
+  configs and revision that produced it.
 """
 
 from __future__ import annotations

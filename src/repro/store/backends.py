@@ -98,7 +98,7 @@ class CellStep:
     ``persist(cell, key, result, provenance)`` stores one computed cell
     (``None``: a store-less run, which builds no provenance either).
     ``compute`` defaults to this module's ``run_cell``, looked up at call
-    time (tests and benchmarks patch it).  ``worker`` (shard and http
+    time (tests patch it and perfbench wraps it).  ``worker`` (shard and http
     workers) lands in the provenance and the ``cell.compute`` span next to
     ``backend``.
     """

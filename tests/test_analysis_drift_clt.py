@@ -123,6 +123,24 @@ class TestEmpiricalDrift:
         with pytest.raises(ValueError):
             measure_empirical_drift(100, 30, 0, np.random.default_rng(0))
 
+    def test_drift_curve_within_lemma11_12_bounds(self):
+        """One-round minority drift at n = 2000 for five imbalances: the
+        exact mean matches Monte Carlo and obeys the Lemma 11/12 bounds."""
+        n = 2000
+        minorities = [int(f * n) for f in (0.05, 0.15, 0.25, 0.35, 0.45)]
+        rng = np.random.default_rng(77)
+        for x in minorities:
+            obs = measure_empirical_drift(n, x, samples=200, rng=rng)
+            assert obs.relative_error < 0.03
+            delta = (n / 2 - x) / n
+            if delta < 1 / 3:      # Lemma 12's regime
+                assert obs.predicted_mean <= (1 - delta / 2) * x + 1e-9
+            if x <= n / 4:         # Lemma 11's regime
+                assert obs.predicted_mean <= lemma11_quadratic_bound(n, x) + 1e-9
+        # the contraction factor improves as the minority shrinks
+        factors = [lemma12_contraction_factor(n, x) for x in minorities]
+        assert all(a <= b + 1e-12 for a, b in zip(factors, factors[1:]))
+
 
 class TestOccupancyExpectedDrift:
     """Exact E[c'|c] = cᵀQ from the O(m²) transition matrix — the finite-n
@@ -221,3 +239,13 @@ class TestLemma14CLT:
         for c in (0.25, 0.5, 1.0):
             freq = np.mean(psi >= c * np.sqrt(n))
             assert freq >= lemma14_lower_bound(c) - 0.03
+
+    def test_kickstart_at_n_2048(self):
+        """Lemma 14 at n = 2048 over 3000 balanced rounds: std within 8% of
+        sqrt(3n/16), tail frequencies above the lemma's lower bound."""
+        n = 2048
+        psi = simulate_balanced_round_imbalance(n, 3000, np.random.default_rng(78))
+        assert psi.std() == pytest.approx(imbalance_std_after_balanced_round(n),
+                                          rel=0.08)
+        for c in (0.25, 0.5, 1.0):
+            assert np.mean(psi >= c * np.sqrt(n)) >= lemma14_lower_bound(c) - 0.03

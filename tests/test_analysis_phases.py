@@ -68,6 +68,13 @@ class TestDetectPhases:
         records = detect_phases(res.trajectory.configurations)
         assert len(records) <= expected_phase_count(m) + 2
 
+    def test_phases_at_n_1024_end_in_one_value_within_budget(self):
+        """Theorem 20 phase structure at n = 1024, m = 16."""
+        res = simulate(blocks_workload(1024, 16), seed=79, record=RecordLevel.FULL)
+        records = detect_phases(res.trajectory.configurations)
+        assert records and records[-1].window_values == 1
+        assert len(records) <= expected_phase_count(16) + 2
+
     def test_consensus_trajectory_single_phase(self):
         traj = [Configuration.from_values([3] * 20)] * 5
         records = detect_phases(traj)

@@ -9,6 +9,7 @@ stop rules, adversary count edits, and the large-n contract.
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -38,6 +39,11 @@ from repro.engine.occupancy import (
     simulate_occupancy,
 )
 from repro.engine.trajectory import RecordLevel
+from repro.experiments.workloads import make_occupancy_workload
+
+
+def _blocks_counts(n: int, m: int = 64) -> np.ndarray:
+    return np.asarray(make_occupancy_workload("blocks", n=n, m=m).counts)
 
 
 def _brute_force_with_replacement(p: np.ndarray, k: int) -> np.ndarray:
@@ -228,6 +234,35 @@ class TestOccupancyRound:
         out = occupancy_round(counts, MedianRule(), rng)
         assert int(out.sum()) == 10**8
 
+    @pytest.mark.parametrize("n", [10**4, 10**6], ids=["n=1e4", "n=1e6"])
+    def test_blocks_round_conserves_population(self, n):
+        out = occupancy_round(_blocks_counts(n), MedianRule(),
+                              np.random.default_rng(0))
+        assert int(out.sum()) == n
+
+    def test_round_cost_flat_in_n(self):
+        """Guard: at m = 64 the median round time at n = 10⁸ is at most 10×
+        the one at n = 10⁴ (the code path is identical; the factor only
+        absorbs timer noise on loaded machines)."""
+        rule = MedianRule()
+
+        def median_round_time(n: int, reps: int = 30) -> float:
+            counts = _blocks_counts(n)
+            rng = np.random.default_rng(42)
+            occupancy_round(counts, rule, rng)  # warm-up
+            times = []
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                occupancy_round(counts, rule, rng)
+                times.append(time.perf_counter() - t0)
+            return float(np.median(times))
+
+        t_small = median_round_time(10**4)
+        t_huge = median_round_time(10**8)
+        assert t_huge <= 10.0 * t_small, (
+            f"occupancy round not flat in n: {t_small * 1e6:.0f}µs at n=1e4 vs "
+            f"{t_huge * 1e6:.0f}µs at n=1e8")
+
 
 class TestSimulateOccupancy:
     def test_reaches_consensus_two_bins(self):
@@ -282,6 +317,11 @@ class TestSimulateOccupancy:
         with pytest.raises(ValueError, match="FULL"):
             simulate_occupancy(st, record=RecordLevel.FULL)
 
+    def test_full_run_at_n_1e8_reaches_consensus(self):
+        init = OccupancyState(support=np.arange(32, dtype=np.int64),
+                              counts=_blocks_counts(10**8, 32))
+        assert simulate_occupancy(init, seed=1).reached_consensus
+
     def test_large_n_result_not_materialized(self):
         st = OccupancyState.from_loads({0: 10**8, 1: 10**8 + 5})
         res = simulate_occupancy(st, seed=4)
@@ -316,6 +356,15 @@ class TestOccupancyAdversaries:
         adv = BalancingAdversary(budget=8)
         res = simulate_occupancy(Configuration.two_bins(4096, minority=2048),
                                  adversary=adv, seed=0, max_rounds=500)
+        assert res.reached_almost_stable
+        assert res.meta["budget_ledger_ok"] is True
+
+    def test_balancing_at_n_1e7_reaches_almost_stable(self):
+        n = 10**7
+        init = OccupancyState(support=np.array([0, 1], dtype=np.int64),
+                              counts=np.array([n // 2, n - n // 2], dtype=np.int64))
+        adv = BalancingAdversary(budget=int(np.sqrt(n) // 4))
+        res = simulate_occupancy(init, adversary=adv, seed=2, max_rounds=400)
         assert res.reached_almost_stable
         assert res.meta["budget_ledger_ok"] is True
 

@@ -32,6 +32,9 @@ class TestSimulateNoAdversary:
         assert res.consensus_round is not None and res.consensus_round > 0
         assert res.final.is_consensus
 
+    def test_reaches_consensus_from_4096_distinct_values(self):
+        assert simulate(Configuration.all_distinct(4096), seed=1).reached_consensus
+
     def test_consensus_value_is_an_initial_value(self):
         init = Configuration.all_distinct(100)
         res = simulate(init, seed=1)

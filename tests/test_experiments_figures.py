@@ -1,9 +1,9 @@
 """Tests for repro.experiments.figures — the per-artifact reproduction entry points.
 
-Each ``reproduce_*`` function is exercised at a tiny scale (the benchmarks run
-them at paper scale); the tests check the structure of the returned
-:class:`FigureResult`, that every cell converged, and the headline qualitative
-finding of each artifact.
+Each ``reproduce_*`` function is exercised at a tiny scale (the claims at the
+artifact sizes live in ``tests/test_theorems.py``); the tests check the
+structure of the returned :class:`FigureResult`, that every cell converged,
+and the headline qualitative finding of each artifact.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class TestReproduceMinimumRuleAttack:
         by_rule = {c.config.rule: c for c in figure.report.cells}
         assert set(by_rule) == {"minimum", "median"}
         # the experiment runs to a fixed horizon; the informative signal is in
-        # the raw cells, which the benchmark inspects in detail — here we only
+        # the final states, which test_theorems.py inspects run by run — here we only
         # check both cells executed the configured number of runs
         assert all(c.num_runs == 3 for c in figure.report.cells)
 

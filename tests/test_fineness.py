@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from repro.core.fineness import (
 )
 from repro.core.median_rule import MedianRule
 from repro.core.state import Configuration
+from repro.engine.batch import run_batch
+from repro.experiments.workloads import blocks_workload
 
 
 class TestRefinementMap:
@@ -116,6 +120,31 @@ class TestCoupling:
             assert out.fine_consensus_round is not None
             assert out.coarse_consensus_round is not None
             assert out.coarse_consensus_round <= out.fine_consensus_round
+
+    def test_four_blocks_never_finish_after_all_distinct(self):
+        """Lemma 17 coupling at n = 128 over 5 coupled runs."""
+        fine = Configuration.all_distinct(128)
+        coarse = blocks_workload(128, 4)
+        for s in range(5):
+            out = coupled_run(fine, coarse, rounds=800,
+                              rng=np.random.default_rng(900 + s))
+            assert out.fine_consensus_round is not None
+            assert out.coarse_consensus_round is not None
+            assert out.coarse_consensus_round <= out.fine_consensus_round
+
+    def test_mean_consensus_time_monotone_in_fineness(self):
+        """Lemma 17 in the mean: all-distinct >= 4 blocks and 16 blocks >=
+        2 blocks at n = 256 over 15 runs, up to 2 rounds of noise."""
+        means = {}
+        for label, cfg in (("all-distinct", Configuration.all_distinct(256)),
+                           ("16 blocks", blocks_workload(256, 16)),
+                           ("4 blocks", blocks_workload(256, 4)),
+                           ("2 blocks", blocks_workload(256, 2))):
+            batch = run_batch(cfg, 15, seed=zlib.crc32(label.encode()))
+            assert batch.convergence_fraction == 1.0
+            means[label] = batch.mean_rounds
+        assert means["all-distinct"] >= means["4 blocks"] - 2.0
+        assert means["16 blocks"] >= means["2 blocks"] - 2.0
 
     def test_mismatched_sizes_rejected(self, rng):
         with pytest.raises(ValueError):

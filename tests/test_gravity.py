@@ -83,6 +83,20 @@ class TestExactGravity:
         # Monte-Carlo noise per rank is ~sqrt(g/rounds) ≈ 0.06; allow 5 sigma
         assert np.max(np.abs(emp - exact)) < 0.35
 
+    def test_equation1_shape_at_n_300(self):
+        """Equation (1) and the 4/3 threshold of Lemmas 18/19 at n = 300."""
+        n = 300
+        emp = empirical_gravity(n, 400, np.random.default_rng(11))
+        exact = np.array([exact_gravity(i, n) for i in range(1, n + 1)])
+        assert np.max(np.abs(emp - exact)) < 0.4
+        assert np.max(np.abs(gravity_array(n) - exact)) <= 6.5 / n + 1e-9
+        assert abs(int(np.argmax(emp)) + 1 - n / 2) < 0.1 * n
+        # gravity exceeds 4/3 strictly between ~n/3 and ~2n/3
+        above = np.flatnonzero(exact > 4 / 3) + 1
+        assert above.size > 0
+        assert abs(above.min() - n / 3) < 0.05 * n + 3
+        assert abs(above.max() - 2 * n / 3) < 0.05 * n + 3
+
     def test_empirical_requires_positive_rounds(self, rng):
         with pytest.raises(ValueError):
             empirical_gravity(10, 0, rng)

@@ -131,6 +131,13 @@ class TestMeanFieldTrajectories:
         assert simulated > 0
         assert 0.3 <= predicted / simulated <= 4.0
 
+    def test_skeleton_tracks_simulation_within_5x(self):
+        """The deterministic skeleton vs the engine at n = 1024, 5 runs."""
+        for fractions in ([0.4, 0.6], [0.2] * 5, [0.1, 0.2, 0.3, 0.4]):
+            predicted, simulated = compare_with_simulation(fractions, 1024,
+                                                           num_runs=5, seed=9)
+            assert 0.2 <= predicted / simulated <= 5.0, fractions
+
     def test_prediction_trivial_cases(self):
         assert predict_convergence_rounds([1.0], 1) == 0.0
         assert predict_convergence_rounds([1.0], 1024) <= 1.0
@@ -182,6 +189,19 @@ class TestAsynchronous:
         assert async_res.reached_consensus and sync_res.reached_consensus
         # asynchronous sweeps are within a small factor of synchronous rounds
         assert async_res.consensus_sweep <= 3 * sync_res.consensus_round + 5
+
+    def test_every_order_within_4x_synchronous_rounds(self):
+        """Mean sweeps to consensus at n = 512 over 5 seeds, per order."""
+        init = Configuration.all_distinct(512)
+        sync = np.mean([simulate(init, seed=s).consensus_round for s in range(5)])
+        for order in ACTIVATION_ORDERS:
+            sweeps = []
+            for s in range(5):
+                res = simulate_asynchronous(init, order=order, seed=100 + s,
+                                            max_sweeps=2000)
+                assert res.reached_consensus, order
+                sweeps.append(res.consensus_sweep)
+            assert np.mean(sweeps) < 4 * sync + 10, order
 
     def test_deterministic_given_seed(self):
         init = Configuration.all_distinct(64)

@@ -91,6 +91,14 @@ class TestMedianRule:
             values = rule.step(values, rng)
             assert set(np.unique(values)) <= set(range(7))
 
+    @pytest.mark.parametrize("values", [
+        np.arange(1 << 16, dtype=np.int64),
+        (np.arange(10**5, dtype=np.int64) * 64) // 10**5,
+    ], ids=["distinct-n65536", "64-blocks-n1e5"])
+    def test_one_round_at_scale_keeps_shape(self, values):
+        out = MedianRule().step(values, np.random.default_rng(0))
+        assert out.shape == values.shape
+
     def test_consensus_is_fixed_point(self, rng):
         rule = MedianRule()
         values = np.full(64, 3, dtype=np.int64)

@@ -112,6 +112,28 @@ class TestCoordinatewiseMedianRule:
         # 16x larger n costs far less than 4x the rounds
         assert means[-1] < 2.5 * means[0]
 
+    def test_dimension_costs_little_and_tukey_keeps_initial_vectors(self):
+        """The conclusion's higher dimensions at n = 256, d in {1, 2, 4}:
+        coordinate-wise rounds barely grow with d, Tukey's limit is always
+        an initial vector, and in d = 1 the two rules are close."""
+        mean_rounds = {}
+        for d in (1, 2, 4):
+            for label, rule in (("coordinatewise", CoordinatewiseMedianRule()),
+                                ("tukey", TukeyMedianRule())):
+                rounds = []
+                for s in range(5):
+                    vc = VectorConfiguration.random(
+                        256, d, 0, 10**6, np.random.default_rng(1000 + s))
+                    res = simulate_vector(vc, rule=rule, seed=s, max_rounds=4000)
+                    assert res.reached_consensus
+                    rounds.append(res.consensus_round)
+                    if label == "tukey":
+                        assert vc.contains_vector(res.final_vector)
+                mean_rounds[label, d] = np.mean(rounds)
+        coord_1 = mean_rounds["coordinatewise", 1]
+        assert mean_rounds["coordinatewise", 4] < 2.5 * coord_1
+        assert mean_rounds["tukey", 1] < 3 * coord_1 + 10
+
 
 class TestTukeyMedianRule:
     def test_output_is_one_of_the_three_inputs(self, rng):

@@ -12,7 +12,12 @@ from repro.core.state import Configuration
 from repro.engine.trajectory import RecordLevel
 from repro.engine.vectorized import simulate
 from repro.network.simulator import NetworkSimulator
-from repro.network.topology import CompleteTopology, ring_topology
+from repro.network.topology import (
+    CompleteTopology,
+    random_regular_topology,
+    ring_topology,
+    torus_topology,
+)
 
 
 class TestNetworkSimulatorBasics:
@@ -26,6 +31,10 @@ class TestNetworkSimulatorBasics:
         out = sim.step()
         assert out.shape == (16,)
         assert set(np.unique(out)) <= set(range(16))
+
+    def test_step_at_256_processes_keeps_shape(self):
+        sim = NetworkSimulator(Configuration.all_distinct(256), seed=3)
+        assert sim.step().shape == (256,)
 
     def test_reaches_consensus(self):
         sim = NetworkSimulator(Configuration.all_distinct(48), seed=2)
@@ -69,6 +78,19 @@ class TestNetworkSimulatorBasics:
         # on a ring the rule still reaches agreement on one of the two values
         assert res.final.num_values <= 2
         assert res.final.agreement_fraction() >= 0.5
+
+    def test_expander_and_torus_reach_high_agreement(self):
+        """Sparse neighbourhoods at n = 121 from a 1/3 : 2/3 two-value start."""
+        n = 121
+        init = Configuration.two_bins(n, minority=n // 3)
+
+        def run(topology):
+            return NetworkSimulator(init, topology=topology, seed=5).run(max_rounds=600)
+
+        assert run(None).reached_consensus
+        expander = run(random_regular_topology(n, 8, seed=1))
+        assert expander.final.agreement_fraction() > 0.95
+        assert run(torus_topology(11)).final.agreement_fraction() > 0.75
 
     def test_alternative_rule(self):
         sim = NetworkSimulator(Configuration.from_values([5, 3, 9, 1, 7, 2, 8, 4]),

@@ -35,6 +35,9 @@ from repro.robustness import activate as faults_activate
 from repro.robustness import deactivate as faults_deactivate
 from repro.store import (
     CachedSweepRunner,
+    CoordinatorServer,
+    CoordinatorStore,
+    HttpBackend,
     ResultStore,
     ShardBackend,
     read_execution_log,
@@ -206,6 +209,31 @@ class TestTracedSerial:
         assert any(line.startswith("sweep ") for line in lines)
         assert any("cell.compute" in line and "[computed]" in line
                    for line in lines)
+
+
+class TestTracedBackends:
+    def test_serial_shard_and_http_each_count_their_computations(self, tmp_path):
+        """One trace over cold serial, shard and http runs of a two-cell
+        sweep: the merged counters see each backend compute both cells,
+        including the spawned http workers that inherit the trace."""
+        sweep = SweepConfig(name="backends", description="traced backends")
+        for n in (256, 512):
+            sweep.add(ExperimentConfig(name=f"n={n}", workload="uniform-random",
+                                       workload_params={"n": n, "m": 8},
+                                       num_runs=4, seed=1234,
+                                       engine="vectorized"))
+        obs_trace.activate(tmp_path / "obs")
+        try:
+            for backend in ("serial", "shard"):
+                CachedSweepRunner(ResultStore(tmp_path / backend),
+                                  backend=backend, max_workers=2).run(sweep)
+            with CoordinatorServer(ResultStore(tmp_path / "http")) as server:
+                CachedSweepRunner(CoordinatorStore(server.url),
+                                  backend=HttpBackend(server.url, workers=2)
+                                  ).run(sweep)
+        finally:
+            obs_trace.deactivate()
+        assert merge_trace(tmp_path / "obs").counters["cells.computed"] == 6
 
 
 # ---------------------------------------------------------------------- #
