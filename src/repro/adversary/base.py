@@ -17,6 +17,12 @@ so no strategy can exceed the model even by accident; every application is
 also recorded in a :class:`~repro.adversary.budget.BudgetLedger` for auditing
 by tests and experiments.
 
+Within a run the value-space engines take one *census* per round — the
+``(support, counts)`` histogram of the value vector, exactly
+``np.unique(values, return_counts=True)`` — and hand it to an adversary
+acting at the beginning of the round; a strategy opts in by declaring a
+``census`` keyword in its :meth:`Adversary.propose` (see there).
+
 Section 3 additionally considers an adversary that acts *after* the random
 choices of the round (it "is allowed to change the choices of at most sqrt(n)
 balls").  Both placements are supported through the ``timing`` attribute and
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import inspect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,7 +43,12 @@ import numpy as np
 from repro.adversary.budget import BudgetLedger
 from repro.core.state import Configuration
 
-__all__ = ["AdversaryTiming", "Corruption", "CountCorruption", "Adversary", "NullAdversary"]
+__all__ = ["AdversaryTiming", "Census", "Corruption", "CountCorruption", "Adversary",
+           "NullAdversary"]
+
+#: A value vector's histogram ``(support, counts)``: sorted distinct values and
+#: their loads, exactly ``np.unique(values, return_counts=True)``.
+Census = Tuple[np.ndarray, np.ndarray]
 
 
 class AdversaryTiming(enum.Enum):
@@ -113,6 +125,23 @@ class CountCorruption:
         return cls(src_values=z, dst_values=z, amounts=z)
 
 
+def _sorted_palette(admissible_values: np.ndarray) -> np.ndarray:
+    """The palette as sorted distinct ``int64`` values.
+
+    A palette already in that form (what the engines pass) is used as is
+    after an O(m) check; anything else is normalised with ``np.unique``.
+    """
+    palette = np.asarray(admissible_values, dtype=np.int64)
+    if palette.ndim == 1 and (palette[1:] > palette[:-1]).all():
+        return palette
+    return np.unique(palette)
+
+
+def _in_palette(values: np.ndarray, palette: np.ndarray) -> np.ndarray:
+    """Membership mask of ``values`` in a non-empty sorted ``palette``."""
+    return palette.take(palette.searchsorted(values), mode="clip") == values
+
+
 class Adversary(abc.ABC):
     """Base class for T-bounded adversaries.
 
@@ -126,6 +155,8 @@ class Adversary(abc.ABC):
         step (see :class:`AdversaryTiming`).
     """
 
+    _propose_takes_census = False
+
     def __init__(self, budget: int,
                  timing: AdversaryTiming = AdversaryTiming.BEFORE_SAMPLING) -> None:
         if budget < 0:
@@ -133,6 +164,11 @@ class Adversary(abc.ABC):
         self.budget = int(budget)
         self.timing = timing
         self.ledger = BudgetLedger(budget=self.budget)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # a strategy opts in to the round's census by declaring it in propose
+        cls._propose_takes_census = "census" in inspect.signature(cls.propose).parameters
 
     # ------------------------------------------------------------------ #
     # strategy interface
@@ -150,6 +186,15 @@ class Adversary(abc.ABC):
         Implementations may return more writes than the budget allows or
         values outside the admissible set; :meth:`corrupt` clips and filters
         the proposal so the T-bounded model is never violated.
+
+        A strategy that reads the configuration's histogram can opt in to the
+        engine's: declare an optional ``census=None`` keyword here.
+        :meth:`corrupt` then passes the census it was given —
+        ``(support, counts)``, exactly ``np.unique(values,
+        return_counts=True)`` — or ``None``, in which case the strategy
+        computes its own.  The value-space engines supply one only to
+        adversaries acting before sampling; strategies with the four
+        arguments above are called exactly as before.
         """
 
     # ------------------------------------------------------------------ #
@@ -161,32 +206,40 @@ class Adversary(abc.ABC):
         round_index: int,
         admissible_values: np.ndarray,
         rng: np.random.Generator,
+        census: Optional[Census] = None,
     ) -> np.ndarray:
         """Apply the (budget- and value-constrained) corruption for one round.
 
-        Returns a **new** value vector; the input is never mutated.
+        ``census``, when given, is the histogram of ``values`` (see
+        :data:`Census`); it reaches :meth:`propose` only if the strategy
+        declares it.  Returns a **new** value vector; the input is never
+        mutated.
         """
         values = np.asarray(values, dtype=np.int64)
-        admissible = np.unique(np.asarray(admissible_values, dtype=np.int64))
+        admissible = _sorted_palette(admissible_values)
         if self.budget == 0 or admissible.shape[0] == 0:
             self.ledger.record(round_index, 0)
             return np.array(values)
 
-        proposal = self.propose(values, round_index, admissible, rng)
+        if self._propose_takes_census:
+            proposal = self.propose(values, round_index, admissible, rng, census=census)
+        else:
+            proposal = self.propose(values, round_index, admissible, rng)
         idx = proposal.indices
         val = proposal.values
 
         if idx.shape[0]:
             # Drop out-of-range indices and inadmissible values, then clip to
             # the per-round budget (keeping the strategy's preferred order).
-            in_range = (idx >= 0) & (idx < values.shape[0])
-            admissible_mask = np.isin(val, admissible)
-            keep = in_range & admissible_mask
+            keep = (idx >= 0) & (idx < values.shape[0]) & _in_palette(val, admissible)
             idx, val = idx[keep], val[keep]
-            # de-duplicate process indices, keeping the first write for each
-            _, first = np.unique(idx, return_index=True)
-            first.sort()
-            idx, val = idx[first], val[first]
+            if idx.shape[0] > 1:
+                # de-duplicate process indices, keeping the first write for each
+                order = np.argsort(idx, kind="stable")
+                ranked = idx[order]
+                first = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+                first.sort()
+                idx, val = idx[first], val[first]
             if idx.shape[0] > self.budget:
                 idx, val = idx[: self.budget], val[: self.budget]
 
@@ -273,7 +326,7 @@ class Adversary(abc.ABC):
         """
         support = np.asarray(support, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
-        admissible = np.unique(np.asarray(admissible_values, dtype=np.int64))
+        admissible = _sorted_palette(admissible_values)
         out = np.array(counts)
         if self.budget == 0 or admissible.shape[0] == 0:
             self.ledger.record(round_index, 0)
@@ -287,11 +340,10 @@ class Adversary(abc.ABC):
             )
 
         spent = 0
-        for src, dst, amount in zip(proposal.src_values, proposal.dst_values,
-                                    proposal.amounts):
-            if spent >= self.budget or amount <= 0:
-                continue
-            if dst not in admissible:
+        admitted = _in_palette(proposal.dst_values, admissible)
+        for src, dst, amount, ok in zip(proposal.src_values, proposal.dst_values,
+                                        proposal.amounts, admitted):
+            if spent >= self.budget or amount <= 0 or not ok:
                 continue
             si = int(np.searchsorted(support, src))
             di = int(np.searchsorted(support, dst))

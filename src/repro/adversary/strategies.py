@@ -40,7 +40,14 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.adversary.base import Adversary, AdversaryTiming, Corruption, CountCorruption
+from repro.adversary.base import (
+    Adversary,
+    AdversaryTiming,
+    Census,
+    Corruption,
+    CountCorruption,
+)
+from repro.core.metrics import histogram_median
 
 __all__ = [
     "BalancingAdversary",
@@ -113,8 +120,9 @@ class BalancingAdversary(Adversary):
         self._last_runner_up = None
 
     def propose(self, values: np.ndarray, round_index: int,
-                admissible_values: np.ndarray, rng: np.random.Generator) -> Corruption:
-        uniq, counts = np.unique(values, return_counts=True)
+                admissible_values: np.ndarray, rng: np.random.Generator,
+                census: Optional[Census] = None) -> Corruption:
+        uniq, counts = np.unique(values, return_counts=True) if census is None else census
         order = np.argsort(-counts, kind="stable")
         leader = int(uniq[order[0]])
 
@@ -402,8 +410,12 @@ class TargetedMedianAdversary(Adversary):
     """
 
     def propose(self, values: np.ndarray, round_index: int,
-                admissible_values: np.ndarray, rng: np.random.Generator) -> Corruption:
-        median_val = int(np.sort(values)[(values.shape[0] - 1) // 2])
+                admissible_values: np.ndarray, rng: np.random.Generator,
+                census: Optional[Census] = None) -> Corruption:
+        if census is None:
+            median_val = int(np.sort(values)[(values.shape[0] - 1) // 2])
+        else:
+            median_val = histogram_median(*census)
         lo, hi = int(admissible_values.min()), int(admissible_values.max())
         target = hi if (hi - median_val) >= (median_val - lo) else lo
         holders = np.flatnonzero(values == median_val)

@@ -40,6 +40,7 @@ __all__ = [
     "superbin_split",
     "ConfigurationMetrics",
     "configuration_metrics",
+    "histogram_median",
 ]
 
 
@@ -197,15 +198,32 @@ class ConfigurationMetrics:
         return self.agreement / max(self.agreement + self.minority, 1)
 
 
+def histogram_median(support: np.ndarray, counts: np.ndarray) -> int:
+    """The median ball's value, ``np.sort(values)[(n - 1) // 2]``, from a histogram.
+
+    ``counts[i]`` is the load of ``support[i]`` (ascending support; empty
+    bins allowed — ``searchsorted`` lands on the first bin whose cumulative
+    load passes the median position, and that bin is never empty).
+    """
+    cum = np.cumsum(counts)
+    return int(support[int(np.searchsorted(cum, (int(cum[-1]) - 1) // 2 + 1))])
+
+
 def configuration_metrics(values: np.ndarray | Configuration, round_index: int = 0
                           ) -> ConfigurationMetrics:
-    """Compute the standard per-round metrics for a configuration."""
+    """Compute the standard per-round metrics for a configuration.
+
+    Every field comes from one histogram (a single sort); majority ties go to
+    the smaller value, as in :meth:`Configuration.majority_value`.
+    """
     cfg = values if isinstance(values, Configuration) else Configuration.from_values(values)
+    support, counts = np.unique(cfg.values, return_counts=True)
+    agreement = int(counts.max())
     return ConfigurationMetrics(
         round=int(round_index),
-        support_size=cfg.num_values,
-        agreement=agreement_count(cfg),
-        minority=minority_count(cfg),
-        median_value=cfg.median_value(),
-        majority_value=cfg.majority_value(),
+        support_size=int(support.shape[0]),
+        agreement=agreement,
+        minority=cfg.n - agreement,
+        median_value=histogram_median(support, counts),
+        majority_value=int(support[int(np.argmax(counts))]),
     )

@@ -25,7 +25,7 @@ from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.metrics import ConfigurationMetrics
+from repro.core.metrics import ConfigurationMetrics, histogram_median
 from repro.core.state import Configuration
 
 __all__ = [
@@ -143,12 +143,9 @@ class OccupancyState:
 
     def median_value(self) -> int:
         """The value of the median ball (lower of the two central balls)."""
-        n = self.n
-        if n == 0:
+        if self.n == 0:
             raise ValueError("median of an empty occupancy state")
-        cum = np.cumsum(self.counts)
-        idx = int(np.searchsorted(cum, (n - 1) // 2 + 1))
-        return int(self.support[idx])
+        return histogram_median(self.support, self.counts)
 
     def majority_value(self) -> int:
         """The most loaded value (ties broken towards the smaller value)."""

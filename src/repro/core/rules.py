@@ -109,7 +109,12 @@ class Rule(abc.ABC):
         return self.apply_vectorized(values, samples, rng)
 
     def validate_samples(self, n: int, samples: np.ndarray) -> None:
-        """Raise ``ValueError`` if a sample matrix is malformed for this rule."""
+        """Raise ``ValueError`` if a sample matrix is malformed for this rule.
+
+        Every matrix is checked, the engine's own draws included:
+        ``sample_contacts`` may be overridden, so a drawn matrix is not in
+        range by construction.
+        """
         samples = np.asarray(samples)
         if samples.ndim != 2 or samples.shape[1] != self.num_choices:
             raise ValueError(
@@ -118,11 +123,24 @@ class Rule(abc.ABC):
             )
         if samples.shape[0] != n:
             raise ValueError(f"{self.name}: samples rows {samples.shape[0]} != n={n}")
-        if samples.size and (samples.min() < 0 or samples.max() >= n):
+        if samples.size and _indices_out_of_range(samples, n):
             raise ValueError(f"{self.name}: sample indices out of range [0, {n})")
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}()"
+
+
+def _indices_out_of_range(samples: np.ndarray, n: int) -> bool:
+    """True iff some entry of ``samples`` lies outside ``[0, n)``.
+
+    Signed integers take one reduction: viewed as unsigned, a negative index
+    becomes at least ``2**(bits-1)``, which is ``>= n`` whenever every index
+    in ``[0, n)`` fits the signed type.
+    """
+    if samples.dtype.kind == "i" and n <= 1 << (8 * samples.dtype.itemsize - 1):
+        unsigned = samples.view(samples.dtype.str.replace("i", "u"))
+        return bool(np.maximum.reduce(unsigned, axis=None) >= n)
+    return bool(samples.min() < 0 or samples.max() >= n)
 
 
 # ---------------------------------------------------------------------- #

@@ -5,7 +5,12 @@ per round and therefore in where they are fast:
 
 ``vectorized`` (:func:`repro.engine.vectorized.simulate`)
     One value per process, one NumPy pass per round: O(n) time and memory per
-    round.  The default.  Use it whenever n is laptop-sized (up to ~10⁷),
+    round.  A round costs one contact draw, one rule pass and one *census* —
+    the values' histogram, a bounded ``np.bincount`` over the run's value
+    range — which feeds the stop checks and a before-sampling adversary;
+    ``np.unique`` runs only as the fallback (a value-creating rule such as
+    ``mean``, or a value range wider than 4·n).  The default.  Use it
+    whenever n is laptop-sized (up to ~10⁷),
     when you need per-process trajectories, sample-path couplings, custom
     rules without count-space kernels, or custom identity-tracking
     adversaries.

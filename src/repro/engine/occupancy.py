@@ -502,10 +502,12 @@ def simulate_occupancy(
     from repro.engine.batch import _occupancy_loop
 
     state = _as_occupancy(initial)
+    n = state.n
+    if n == 0:
+        raise ValueError("cannot simulate an empty population")
     rule = rule or MedianRule()
     adversary = adversary or NullAdversary()
     rng = make_rng(seed)
-    n = state.n
     if record is RecordLevel.FULL and n > _FULL_RECORD_LIMIT:
         raise ValueError(
             f"RecordLevel.FULL would materialize {n} values per round; "

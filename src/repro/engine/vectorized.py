@@ -19,7 +19,11 @@ The entry point is :func:`simulate`, which produces a
 The horizon, the stop rules, the consensus and almost-stable bookkeeping and
 the result are owned by one private round loop, which
 :class:`~repro.network.simulator.NetworkSimulator` drives with its
-message-passing round in place of the vectorized one.
+message-passing round in place of the vectorized one.  That loop takes one
+*census* of the values per round — their histogram, a bounded
+``np.bincount`` over a value range fixed once per run — and reads the
+consensus latch, the almost-stable streak, the final plurality and the next
+round's before-sampling adversary input off it; no round sorts the values.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.adversary.base import Adversary, AdversaryTiming, NullAdversary
-from repro.core.consensus import AlmostStableCriterion, ConsensusStatus, is_consensus
+from repro.adversary.base import Adversary, AdversaryTiming, Census, NullAdversary
+from repro.core.consensus import AlmostStableCriterion, ConsensusStatus
 from repro.core.median_rule import MedianRule
-from repro.core.metrics import minority_count
 from repro.core.rules import Rule
 from repro.core.state import Configuration
 from repro.engine.rng import make_rng
@@ -39,6 +42,10 @@ from repro.engine.run import SimulationResult
 from repro.engine.trajectory import RecordLevel, TrajectoryRecorder
 
 __all__ = ["simulate", "default_max_rounds"]
+
+#: The census is a bounded ``np.bincount`` while the run's value range is at
+#: most this many times n wide (``np.unique`` beyond).
+_CENSUS_SPAN_PER_PROCESS = 4
 
 
 def default_max_rounds(n: int, factor: float = 40.0, floor: int = 200) -> int:
@@ -102,40 +109,85 @@ def simulate(
     Returns
     -------
     SimulationResult
+
+    Raises
+    ------
+    ValueError
+        For an empty population.
     """
     cfg = initial if isinstance(initial, Configuration) else Configuration.from_values(initial)
+    if cfg.n == 0:
+        raise ValueError("cannot simulate an empty population")
     rule = rule or MedianRule()
     adversary = adversary or NullAdversary()
     rng = make_rng(seed)
-    admissible = np.asarray(
-        cfg.support if admissible_values is None else admissible_values, dtype=np.int64
-    )
+    # the palette is normalised once per run (sorted, distinct)
+    admissible = cfg.support if admissible_values is None \
+        else np.unique(np.asarray(admissible_values, dtype=np.int64))
     n = cfg.n
     before = adversary.budget > 0 and adversary.timing is AdversaryTiming.BEFORE_SAMPLING
     after = adversary.budget > 0 and adversary.timing is AdversaryTiming.AFTER_SAMPLING
 
-    def step(values: np.ndarray, t: int) -> np.ndarray:
+    def step(values: np.ndarray, t: int, census: Census) -> np.ndarray:
         if before:  # the adversary acts at the beginning of the round
-            values = adversary.corrupt(values, t, admissible, rng)
+            values = adversary.corrupt(values, t, admissible, rng, census=census)
         values = rule.apply_vectorized(values, rule.sample_contacts(n, rng), rng)
         if after:  # ... or after the random choices (Section 3 variant)
             values = adversary.corrupt(values, t, admissible, rng)
         return values
 
     return _value_loop(
-        cfg, cfg.copy_values(), step, adversary, rule.name,
+        cfg, cfg.copy_values(), step, adversary, rule, admissible,
         max_rounds=max_rounds, criterion=criterion, record=record,
         stop_at_consensus=stop_at_consensus, stop_when_stable=stop_when_stable,
         run_to_horizon=run_to_horizon,
     )
 
 
+def _unique_census(values: np.ndarray) -> Census:
+    return np.unique(values, return_counts=True)
+
+
+def _census_of(start: np.ndarray, palette: np.ndarray, rule: Rule
+               ) -> Callable[[np.ndarray], Census]:
+    """The run's census: ``values -> np.unique(values, return_counts=True)``.
+
+    A value-preserving rule keeps every round inside the range of the
+    starting values and the adversary's palette, fixed here once per run;
+    within it the census is one bounded ``np.bincount``.  ``np.unique`` is
+    the fallback for a rule that creates values (``mean``), for a range
+    wider than ``_CENSUS_SPAN_PER_PROCESS · n``, and for a round whose
+    values leave the range (a custom rule breaking its ``preserves_values``
+    promise).
+    """
+    lo, hi = int(start.min()), int(start.max())
+    if palette.size:
+        lo, hi = min(lo, int(palette.min())), max(hi, int(palette.max()))
+    width = hi - lo + 1
+    if not rule.preserves_values or width > _CENSUS_SPAN_PER_PROCESS * start.shape[0]:
+        return _unique_census
+
+    def census(values: np.ndarray) -> Census:
+        if values.dtype != np.int64:
+            return _unique_census(values)
+        shifted = values - lo if lo else values
+        # one reduction checks both ends: below lo wraps to a huge unsigned
+        if np.maximum.reduce(shifted.view(np.uint64)) >= width:
+            return _unique_census(values)
+        loads = np.bincount(shifted, minlength=width)
+        present = loads.nonzero()[0]
+        return present + lo, loads[present]
+
+    return census
+
+
 def _value_loop(
     initial: Configuration,
     values: np.ndarray,
-    step: Callable[[np.ndarray, int], np.ndarray],
+    step: Callable[[np.ndarray, int, Census], np.ndarray],
     adversary: Adversary,
-    rule_name: str,
+    rule: Rule,
+    palette: np.ndarray,
     *,
     max_rounds: Optional[int],
     criterion: Optional[AlmostStableCriterion],
@@ -147,10 +199,13 @@ def _value_loop(
     """The value-space round loop of :func:`simulate` and the network simulator.
 
     The run starts from ``values`` (``initial`` is only reported), and
-    ``step(values, t)`` executes round ``t`` — adversary placement plus the
-    protocol round — returning the new values.  Everything else is here
-    once: the horizon, the default criterion, trajectory recording, the
-    consensus latch, the almost-stable streak, the stop rules and the result.
+    ``step(values, t, census)`` executes round ``t`` — adversary placement
+    plus the protocol round — returning the new values; ``census`` is the
+    histogram of the ``values`` it is handed, for a before-sampling
+    adversary.  ``palette`` is the adversary's sorted admissible values.
+    Everything else is here once: the horizon, the default criterion,
+    trajectory recording, the census, the consensus latch, the almost-stable
+    streak, the stop rules and the result.
     """
     horizon = max_rounds if max_rounds is not None else default_max_rounds(initial.n)
     if horizon < 0:
@@ -164,24 +219,28 @@ def _value_loop(
     recorder = TrajectoryRecorder(level=record)
     recorder.record(values, 0)
 
+    n = values.shape[0]
+    census_of = _census_of(values, palette, rule)
+    support, counts = census = census_of(values)
     consensus = ConsensusStatus(reached=False, round=None, value=None)
-    if is_consensus(values):
-        consensus = ConsensusStatus(reached=True, round=0, value=int(values[0]))
+    if support.shape[0] == 1:
+        consensus = ConsensusStatus(reached=True, round=0, value=int(support[0]))
 
     # almost-stable bookkeeping: length of the trailing streak of rounds
     # within the tolerance, and the round that streak started in
-    streak = 1 if minority_count(values) <= criterion.tolerance else 0
+    streak = 1 if n - int(counts.max()) <= criterion.tolerance else 0
     first_stable: Optional[int] = 0 if streak else None
 
     rounds_executed = 0
     for t in range(1, horizon + 1):
-        values = step(values, t)
+        values = step(values, t, census)
         rounds_executed = t
         recorder.record(values, t)
 
-        if not consensus.reached and is_consensus(values):
-            consensus = ConsensusStatus(reached=True, round=t, value=int(values[0]))
-        if minority_count(values) <= criterion.tolerance:
+        support, counts = census = census_of(values)
+        if not consensus.reached and support.shape[0] == 1:
+            consensus = ConsensusStatus(reached=True, round=t, value=int(support[0]))
+        if n - int(counts.max()) <= criterion.tolerance:
             if streak == 0:
                 first_stable = t
             streak += 1
@@ -200,9 +259,8 @@ def _value_loop(
     # the stable value is the plurality of the final configuration
     almost = ConsensusStatus(reached=False, round=None, value=None)
     if first_stable is not None and streak >= criterion.window:
-        uniq, counts = np.unique(values, return_counts=True)
         almost = ConsensusStatus(reached=True, round=first_stable,
-                                 value=int(uniq[int(np.argmax(counts))]))
+                                 value=int(support[int(np.argmax(counts))]))
 
     return SimulationResult(
         initial=initial,
@@ -211,7 +269,7 @@ def _value_loop(
         consensus=consensus,
         almost_stable=almost,
         trajectory=recorder.finish(),
-        rule_name=rule_name,
+        rule_name=rule.name,
         adversary_name=type(adversary).__name__,
         criterion=criterion,
         meta={

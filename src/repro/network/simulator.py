@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.adversary.base import Adversary, AdversaryTiming, NullAdversary
+from repro.adversary.base import Adversary, AdversaryTiming, Census, NullAdversary
 from repro.core.consensus import AlmostStableCriterion
 from repro.core.median_rule import MedianRule
 from repro.core.rules import Rule
@@ -107,12 +107,17 @@ class NetworkSimulator:
     # ------------------------------------------------------------------ #
     def step(self) -> np.ndarray:
         """Execute one synchronous round; returns the new value vector."""
+        return self._round(None)
+
+    def _round(self, census: Optional[Census]) -> np.ndarray:
+        """One round; ``census`` is the current values' histogram, if known."""
         self.round_index += 1
         t = self.round_index
 
         # 1. adversary at the beginning of the round (Section 1.1 placement)
         if self.adversary.budget > 0 and self.adversary.timing is AdversaryTiming.BEFORE_SAMPLING:
-            corrupted = self.adversary.corrupt(self.values(), t, self._admissible, self.rng)
+            corrupted = self.adversary.corrupt(self.values(), t, self._admissible, self.rng,
+                                               census=census)
             for proc, val in zip(self.processes, corrupted):
                 if proc.value != val:
                     proc.corrupt(int(val))
@@ -165,8 +170,8 @@ class NetworkSimulator:
         on.  ``meta`` adds the message counts and ``"simulator": "network"``.
         """
         result = _value_loop(
-            self.initial, self.values(), lambda values, t: self.step(),
-            self.adversary, self.rule.name,
+            self.initial, self.values(), lambda values, t, census: self._round(census),
+            self.adversary, self.rule, self._admissible,
             max_rounds=max_rounds, criterion=criterion, record=record,
             stop_at_consensus=stop_at_consensus, stop_when_stable=True,
             run_to_horizon=False,

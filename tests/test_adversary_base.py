@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.adversary.base import Adversary, AdversaryTiming, Corruption, NullAdversary
+from repro.adversary.base import (
+    Adversary,
+    AdversaryTiming,
+    Corruption,
+    CountCorruption,
+    NullAdversary,
+)
 from repro.adversary.budget import BudgetLedger
 
 
@@ -111,6 +117,52 @@ class TestAdversaryEnforcement:
     def test_timing_default(self):
         adv = GreedyAdversary(budget=1)
         assert adv.timing is AdversaryTiming.BEFORE_SAMPLING
+
+
+class _ScriptedAdversary(Adversary):
+    """Test helper: proposes fixed writes and records the palette it was shown."""
+
+    def __init__(self, budget, indices, values):
+        super().__init__(budget=budget)
+        self.indices, self.values, self.seen = indices, values, []
+
+    def propose(self, values, round_index, admissible_values, rng):
+        self.seen.append(np.array(admissible_values))
+        return Corruption(indices=np.array(self.indices), values=np.array(self.values))
+
+
+class TestPalette:
+    def test_unsorted_palette_with_duplicates_is_honoured(self, rng):
+        adv = _ScriptedAdversary(budget=4, indices=[0, 1, 2, 3], values=[9, 7, 5, 1])
+        out = adv.corrupt(np.zeros(6, dtype=np.int64), 1, np.array([9, 5, 5, 1, 9]), rng)
+        assert out.tolist() == [9, 0, 5, 1, 0, 0]   # 7 is not admissible
+        assert adv.seen[0].tolist() == [1, 5, 9]    # strategies see it normalised
+        assert adv.ledger.per_round[1] == 3
+
+    def test_different_palette_on_a_later_call_is_honoured(self, rng):
+        adv = _ScriptedAdversary(budget=3, indices=[0, 1, 2], values=[1, 2, 3])
+        values = np.zeros(4, dtype=np.int64)
+        assert adv.corrupt(values, 1, np.array([0, 1, 2]), rng).tolist() == [1, 2, 0, 0]
+        assert adv.corrupt(values, 2, np.array([3, 2]), rng).tolist() == [0, 2, 3, 0]
+        assert adv.corrupt(values, 3, np.array([1, 3]), rng).tolist() == [1, 0, 3, 0]
+        assert [p.tolist() for p in adv.seen] == [[0, 1, 2], [2, 3], [1, 3]]
+
+    def test_count_edits_honour_an_unsorted_palette(self, rng):
+        class Mover(Adversary):
+            def propose(self, values, round_index, admissible_values, rng):
+                return Corruption.empty()
+
+            def propose_counts(self, support, counts, round_index,
+                               admissible_values, rng):
+                return CountCorruption(src_values=[0, 0], dst_values=[2, 1],
+                                       amounts=[1, 1])
+
+        adv = Mover(budget=2)
+        support = np.array([0, 1, 2])
+        out = adv.corrupt_counts(support, np.array([4, 0, 0]), 1, np.array([2, 0, 2]), rng)
+        assert out.tolist() == [3, 0, 1]            # 1 is not admissible
+        out = adv.corrupt_counts(support, np.array([4, 0, 0]), 2, np.array([1, 0]), rng)
+        assert out.tolist() == [3, 1, 0]            # ... on this call 2 is not
 
 
 class TestBudgetLedger:

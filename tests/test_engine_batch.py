@@ -9,6 +9,8 @@ from repro.adversary.strategies import BalancingAdversary
 from repro.core.median_rule import MedianRule
 from repro.core.state import Configuration
 from repro.engine.batch import BatchResult, run_batch
+from repro.engine.occupancy import simulate_occupancy
+from repro.engine.vectorized import simulate
 
 
 class TestRunBatch:
@@ -74,6 +76,20 @@ class TestRunBatch:
         batch = run_batch(Configuration.all_distinct(64), num_runs=10, seed=9)
         assert batch.quantile(0.0) <= batch.median_rounds <= batch.quantile(1.0)
         assert batch.mean_rounds <= batch.max_rounds
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda e: simulate(e), id="simulate"),
+    pytest.param(lambda e: simulate_occupancy(e), id="simulate_occupancy"),
+    pytest.param(lambda e: run_batch(e, 2), id="run_batch-vectorized"),
+    pytest.param(lambda e: run_batch(e, 2, engine="occupancy"), id="run_batch-occupancy"),
+    pytest.param(lambda e: run_batch(e, 2, engine="occupancy-fused"),
+                 id="run_batch-occupancy-fused"),
+])
+def test_empty_population_is_rejected_up_front(run):
+    empty = Configuration.from_values(np.array([], dtype=np.int64))
+    with pytest.raises(ValueError, match="cannot simulate an empty population"):
+        run(empty)
 
 
 class TestBatchResult:

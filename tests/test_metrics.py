@@ -131,3 +131,27 @@ class TestConfigurationMetrics:
         m = configuration_metrics(np.array([0, 0, 1]), round_index=2)
         assert m.round == 2
         assert m.agreement == 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fields_match_the_single_metric_functions(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 7, 10, 64, 65):
+            for m in (1, 2, 3, 9):
+                values = rng.integers(-4, -4 + m, size=n) * 3
+                cfg = Configuration.from_values(values)
+                metrics = configuration_metrics(values, round_index=n)
+                assert metrics.round == n
+                assert metrics.support_size == support_size(cfg)
+                assert metrics.agreement == agreement_count(cfg)
+                assert metrics.minority == minority_count(cfg)
+                assert metrics.median_value == cfg.median_value()
+                assert metrics.majority_value == cfg.majority_value()
+
+    def test_ties_and_even_n(self):
+        # even n: the lower of the two central balls; tied majority: smaller value
+        metrics = configuration_metrics(np.array([5, 9, 9, 5, 1, 7]))
+        assert metrics.median_value == 5
+        assert metrics.majority_value == 5
+        metrics = configuration_metrics(np.array([8, 2, 8, 2]))
+        assert (metrics.median_value, metrics.majority_value) == (2, 2)
+        assert (metrics.support_size, metrics.agreement, metrics.minority) == (2, 2, 2)

@@ -82,6 +82,37 @@ class TestRuleBaseClass:
         with pytest.raises(ValueError):
             rule.validate_samples(1, samples)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("bad", [-1, -(2**31), 7, 8, 2**31 - 1])
+    def test_validate_samples_rejects_indices_outside_range(self, dtype, bad):
+        rule = get_rule("median")
+        samples = np.zeros((7, 2), dtype=dtype)
+        rule.validate_samples(7, samples)
+        samples[3, 1] = bad
+        with pytest.raises(ValueError, match="out of range"):
+            rule.validate_samples(7, samples)
+        # ... and through the rule's own round, on a non-contiguous view too
+        strided = np.repeat(samples, 2, axis=1)[:, ::2]
+        with pytest.raises(ValueError, match="out of range"):
+            rule.apply_vectorized(np.zeros(7, dtype=np.int64), strided,
+                                  np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8])
+    def test_validate_samples_accepts_every_index_in_range(self, dtype):
+        rule = get_rule("voter")
+        rule.validate_samples(100, np.arange(100, dtype=dtype)[:, None])
+        with pytest.raises(ValueError):
+            rule.validate_samples(100, (np.arange(100, dtype=dtype) - 1)[:, None])
+
+    def test_validate_samples_narrow_type_with_large_n(self):
+        # an int8 -1 viewed as unsigned is 255, inside [0, 300)
+        rule = get_rule("voter")
+        samples = np.zeros((300, 1), dtype=np.int8)
+        rule.validate_samples(300, samples)
+        samples[5, 0] = -1
+        with pytest.raises(ValueError, match="out of range"):
+            rule.validate_samples(300, samples)
+
     def test_sample_contacts_is_uniform(self):
         rng = np.random.default_rng(0)
         rule = get_rule("median")
