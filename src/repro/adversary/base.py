@@ -262,18 +262,19 @@ class Adversary(abc.ABC):
     ) -> Optional[CountCorruption]:
         """Propose this round's writes as count edits over the value support.
 
-        Strategies whose behaviour depends on the configuration only through
-        its occupancy vector override this (balancing, reviving, switching,
-        random, targeted-median); the override must be *distributionally
-        equivalent* to :meth:`propose` applied to any expansion of the counts.
-        Identity-tracking strategies (sticky, hiding) override it too, by
-        tracking the *occupancy* of their victim set instead of victim
-        identities (see :meth:`victim_counts` /
-        :meth:`observe_victim_scatter` — the engines scatter the victim
-        subpopulation separately, which keeps the tracking exact).  Custom
-        identity-tracking adversaries without such a form keep the default,
-        which returns ``None`` so the occupancy engine can fail fast with a
-        clear error.
+        An override must be *distributionally equivalent* to :meth:`propose`
+        applied to any expansion of the counts.  The five shipped strategies
+        whose behaviour depends on the configuration only through its
+        occupancy vector (balancing, reviving, switching, random,
+        targeted-median) get theirs, with their ``propose``, from one move
+        each realized in both spaces.  The identity-tracking strategy
+        (sticky, and hiding as its paper name) overrides it by tracking the
+        *occupancy* of its victim set instead of victim identities (see
+        :meth:`victim_counts` / :meth:`observe_victim_scatter` — the engines
+        scatter the victim subpopulation separately, which keeps the
+        tracking exact).  Custom identity-tracking adversaries without such a
+        form keep the default, which returns ``None`` so the occupancy engine
+        can fail fast with a clear error.
         """
         return None
 

@@ -14,7 +14,7 @@ paper:
   1.1) and that the median rule shrugs off.
 * :class:`HidingAdversary` — parks a reservoir of processes on a value and
   keeps re-asserting it every round ("hiding values for an unbounded amount
-  of time", Section 1.2).
+  of time", Section 1.2): sticky under its paper name.
 * :class:`SwitchingAdversary` — alternates the corrupted processes between
   the two extreme initial values each round ("switching values").
 * :class:`RandomCorruptionAdversary` — rewrites T uniformly random processes
@@ -28,15 +28,20 @@ paper:
 All strategies only *propose*; :class:`~repro.adversary.base.Adversary`
 enforces the budget and the initial-value-set constraint.
 
-Every strategy also carries a count-space form (``propose_counts``) able to
-drive the occupancy engines; the identity-tracking pair (sticky, hiding)
-does so exactly by tracking its victims' *occupancy* instead of their
-identities (:class:`_VictimOccupancyMixin`).
+Five of them — balancing, reviving, switching, random, targeted-median — are
+*histogram strategies*: their rewrite depends on the configuration only
+through its ``(support, counts)`` histogram.  Each states its move once
+(``_decide``), and :class:`_HistogramMixin` realizes that move in both
+spaces: ``propose`` draws the victims from a value vector, ``propose_counts``
+turns the same move into count edits for the occupancy engines.  The
+identity-tracking strategy (sticky, and hiding as its paper name) drives the
+occupancy engines exactly by tracking its victims' *occupancy* instead of
+their identities.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -100,7 +105,92 @@ def _victims_per_bin(counts: np.ndarray, size: int,
     return np.bincount(bins, minlength=counts.shape[0]).astype(np.int64)
 
 
-class BalancingAdversary(Adversary):
+class _Move(NamedTuple):
+    """One decision of a histogram strategy: rewrite ``amount`` processes to ``dst``.
+
+    The victims hold ``src``, or — with ``src`` ``None`` — are drawn from
+    every process (sparing the holders of ``dst`` when ``spare``).  A ``dst``
+    of ``None`` sends each victim to an independent uniform admissible value.
+    """
+
+    amount: int
+    dst: Optional[int]
+    src: Optional[int] = None
+    spare: bool = False
+
+
+class _HistogramMixin:
+    """Both realizations of a histogram strategy's ``_decide``.
+
+    ``_decide(support, counts, round_index, admissible_values)`` returns the
+    round's :class:`_Move` (or ``None``); the histogram may carry empty bins.
+    In value space the victims are a uniform draw without replacement from
+    the source's processes; in count space a one-value source is an exact
+    mass transfer and an every-process source is split over the bins by a
+    multivariate hypergeometric draw (:func:`_victims_per_bin`) — the same
+    law, so the two forms stay distributionally equivalent by construction.
+    """
+
+    #: whether ``_decide`` reads the histogram; the others are handed
+    #: ``None`` for it, so a round without a census sorts nothing for them
+    _reads_histogram = False
+
+    def propose(self, values: np.ndarray, round_index: int,
+                admissible_values: np.ndarray, rng: np.random.Generator,
+                census: Optional[Census] = None) -> Corruption:
+        if census is None:
+            census = np.unique(values, return_counts=True) if self._reads_histogram \
+                else (None, None)
+        move = self._decide(*census, round_index, admissible_values)
+        if move is None:
+            return Corruption.empty()
+        if move.src is None and not move.spare:
+            # every process: draw indices directly, O(T) for T << n
+            victims = rng.choice(values.shape[0], size=min(move.amount, values.shape[0]),
+                                 replace=False)
+        else:
+            pool = np.flatnonzero(values == move.src if move.src is not None
+                                  else values != move.dst)
+            if pool.shape[0] == 0:
+                return Corruption.empty()
+            victims = rng.choice(pool, size=min(move.amount, pool.shape[0]), replace=False)
+        if move.dst is None:
+            writes = rng.choice(admissible_values, size=victims.shape[0], replace=True)
+        else:
+            writes = np.full(victims.shape[0], move.dst, dtype=np.int64)
+        return Corruption(indices=victims, values=writes)
+
+    def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
+                       admissible_values: np.ndarray, rng: np.random.Generator
+                       ) -> CountCorruption:
+        move = self._decide(support, counts, round_index, admissible_values)
+        if move is None:
+            return CountCorruption.empty()
+        if move.src is not None:
+            # which holders get rewritten is irrelevant in count space
+            return CountCorruption(src_values=[move.src], dst_values=[move.dst],
+                                   amounts=[move.amount])
+        pool = np.where(support == move.dst, 0, counts) if move.spare else counts
+        per_bin = _victims_per_bin(pool, move.amount, rng)
+        hit = np.flatnonzero(per_bin)
+        if move.dst is not None:
+            return CountCorruption(src_values=support[hit],
+                                   dst_values=np.full(hit.shape[0], move.dst, dtype=np.int64),
+                                   amounts=per_bin[hit])
+        uniform = np.full(admissible_values.shape[0], 1.0 / admissible_values.shape[0])
+        src, dst, amounts = [], [], []
+        for i in hit:
+            # each victim from this bin independently picks a uniform
+            # admissible value, exactly as in the per-process proposal
+            split = rng.multinomial(int(per_bin[i]), uniform)
+            for j in np.flatnonzero(split):
+                src.append(int(support[i]))
+                dst.append(int(admissible_values[j]))
+                amounts.append(int(split[j]))
+        return CountCorruption(src_values=src, dst_values=dst, amounts=amounts)
+
+
+class BalancingAdversary(_HistogramMixin, Adversary):
     """Keep the top two values as balanced as possible.
 
     Each round the strategy finds the two most loaded values, computes their
@@ -109,6 +199,8 @@ class BalancingAdversary(Adversary):
     budget re-seeding the second-most-recent value (so a consensus can never
     be *exact*, only almost stable — matching the paper's definition).
     """
+
+    _reads_histogram = True
 
     def __init__(self, budget: int,
                  timing: AdversaryTiming = AdversaryTiming.BEFORE_SAMPLING) -> None:
@@ -119,80 +211,38 @@ class BalancingAdversary(Adversary):
         super().reset()
         self._last_runner_up = None
 
-    def propose(self, values: np.ndarray, round_index: int,
-                admissible_values: np.ndarray, rng: np.random.Generator,
-                census: Optional[Census] = None) -> Corruption:
-        uniq, counts = np.unique(values, return_counts=True) if census is None else census
-        order = np.argsort(-counts, kind="stable")
-        leader = int(uniq[order[0]])
-
-        if uniq.shape[0] >= 2:
-            runner_up = int(uniq[order[1]])
+    def _decide(self, support: np.ndarray, counts: np.ndarray, round_index: int,
+                admissible_values: np.ndarray) -> Optional[_Move]:
+        nz = np.flatnonzero(counts)
+        if nz.shape[0] == 0:
+            return None
+        order = nz[np.argsort(-counts[nz], kind="stable")]
+        leader = int(support[order[0]])
+        if order.shape[0] >= 2:
+            runner_up = int(support[order[1]])
             self._last_runner_up = runner_up
-            gap = int(counts[order[0]]) - int(counts[order[1]])
-            want = min(self.budget, max((gap + 1) // 2, 0))
+            amount = min(self.budget, (int(counts[order[0]]) - int(counts[order[1]]) + 1) // 2)
         else:
             # consensus reached: re-seed a different admissible value
             others = admissible_values[admissible_values != leader]
             if others.shape[0] == 0:
-                return Corruption.empty()
+                return None
             if self._last_runner_up is not None and self._last_runner_up in others:
                 runner_up = self._last_runner_up
             else:
                 runner_up = int(others[0])
-            want = self.budget
-
-        if want <= 0:
-            return Corruption.empty()
-        leaders = np.flatnonzero(values == leader)
-        if leaders.shape[0] == 0:
-            return Corruption.empty()
-        victims = rng.choice(leaders, size=min(want, leaders.shape[0]), replace=False)
-        return Corruption(indices=victims,
-                          values=np.full(victims.shape[0], runner_up, dtype=np.int64))
+            amount = self.budget
+        return _Move(amount, runner_up, src=leader) if amount > 0 else None
 
 
-    def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                       admissible_values: np.ndarray, rng: np.random.Generator
-                       ) -> CountCorruption:
-        # Mirrors `propose` exactly: which holders of the leader get rewritten
-        # is irrelevant in count space, so the move is a deterministic mass
-        # transfer from the leader bin to the runner-up bin.
-        nz = np.flatnonzero(counts > 0)
-        if nz.shape[0] == 0:
-            return CountCorruption.empty()
-        order = nz[np.argsort(-counts[nz], kind="stable")]
-        leader = int(support[order[0]])
-
-        if order.shape[0] >= 2:
-            runner_up = int(support[order[1]])
-            self._last_runner_up = runner_up
-            gap = int(counts[order[0]]) - int(counts[order[1]])
-            want = min(self.budget, max((gap + 1) // 2, 0))
-        else:
-            others = admissible_values[admissible_values != leader]
-            if others.shape[0] == 0:
-                return CountCorruption.empty()
-            if self._last_runner_up is not None and self._last_runner_up in others:
-                runner_up = self._last_runner_up
-            else:
-                runner_up = int(others[0])
-            want = self.budget
-
-        if want <= 0:
-            return CountCorruption.empty()
-        return CountCorruption(src_values=[leader], dst_values=[runner_up],
-                               amounts=[want])
-
-
-class RevivingAdversary(Adversary):
+class RevivingAdversary(_HistogramMixin, Adversary):
     """Re-introduce an extinct value once agreement looks settled.
 
     The strategy waits ``delay`` rounds, then every round flips up to ``T``
-    processes of the current plurality value to ``target_value`` (by default
-    the smallest admissible value — the one the minimum rule would
-    irreversibly chase).  Against the minimum rule one such write eventually
-    flips the whole system; against the median rule the write is absorbed.
+    uniformly chosen processes not holding ``target_value`` (by default the
+    smallest admissible value — the one the minimum rule would irreversibly
+    chase) to it.  Against the minimum rule one such write eventually flips
+    the whole system; against the median rule the write is absorbed.
     """
 
     def __init__(self, budget: int, delay: int = 0, target_value: Optional[int] = None,
@@ -203,58 +253,133 @@ class RevivingAdversary(Adversary):
         self.delay = int(delay)
         self.target_value = target_value
 
-    def propose(self, values: np.ndarray, round_index: int,
-                admissible_values: np.ndarray, rng: np.random.Generator) -> Corruption:
+    def _decide(self, support: np.ndarray, counts: np.ndarray, round_index: int,
+                admissible_values: np.ndarray) -> Optional[_Move]:
         if round_index < self.delay:
-            return Corruption.empty()
+            return None
         target = int(admissible_values.min()) if self.target_value is None \
             else int(self.target_value)
-        candidates = np.flatnonzero(values != target)
-        if candidates.shape[0] == 0:
-            return Corruption.empty()
-        victims = rng.choice(candidates, size=min(self.budget, candidates.shape[0]),
-                             replace=False)
-        return Corruption(indices=victims,
-                          values=np.full(victims.shape[0], target, dtype=np.int64))
+        return _Move(self.budget, target, spare=True)
+
+
+class SwitchingAdversary(_HistogramMixin, Adversary):
+    """Alternate corrupted processes between the two extreme initial values.
+
+    On even rounds the victims are written to the smallest admissible value,
+    on odd rounds to the largest ("switching values" of Section 1.2).  Fresh
+    victims are drawn every round.
+    """
+
+    def _decide(self, support: np.ndarray, counts: np.ndarray, round_index: int,
+                admissible_values: np.ndarray) -> Optional[_Move]:
+        target = int(admissible_values.min()) if round_index % 2 == 0 \
+            else int(admissible_values.max())
+        return _Move(self.budget, target)
+
+
+class RandomCorruptionAdversary(_HistogramMixin, Adversary):
+    """Rewrite T uniformly random processes to uniformly random admissible values."""
+
+    def _decide(self, support: np.ndarray, counts: np.ndarray, round_index: int,
+                admissible_values: np.ndarray) -> Optional[_Move]:
+        return _Move(self.budget, None)
+
+
+class TargetedMedianAdversary(_HistogramMixin, Adversary):
+    """Attack the pivot: push processes holding the current median value outward.
+
+    Every round the strategy identifies the median value of the current
+    configuration and rewrites up to T of its holders to whichever admissible
+    extreme (min or max) is farther from the median, trying to destabilize
+    the quantity the rule converges around.
+    """
+
+    _reads_histogram = True
+
+    def _decide(self, support: np.ndarray, counts: np.ndarray, round_index: int,
+                admissible_values: np.ndarray) -> Optional[_Move]:
+        median = histogram_median(support, counts)
+        lo, hi = int(admissible_values.min()), int(admissible_values.max())
+        target = hi if (hi - median) >= (median - lo) else lo
+        holders = int(counts[np.searchsorted(support, median)])
+        return _Move(min(self.budget, holders), target, src=median)
+
+
+class StickyAdversary(Adversary):
+    """T fixed Byzantine processes that never update and always assert one value.
+
+    Victims are chosen once (uniformly at random) on the first round and then
+    pinned to ``pinned_value`` (default: the largest admissible value) in
+    every round; they are re-drawn only if their number no longer equals
+    ``min(T, n)``.  This models crash-into-stuck / classic Byzantine
+    behaviour rather than an adaptive attacker.
+
+    Count-space form: a fixed victim set re-pinned to one value every round
+    depends on process identities only through the victims' current
+    *occupancy*.  The initial uniform victim choice is a
+    multivariate-hypergeometric split of the bin loads, each corruption is
+    the deterministic count edit "move every victim to the pinned value", and
+    between corruptions the victims' occupancy evolves by the same per-class
+    scatter as everyone else's.  The occupancy engines realize that last step
+    exactly by scattering the victim subpopulation separately
+    (:func:`repro.engine.occupancy.occupancy_round_split`) and reporting the
+    victims' new occupancy back through :meth:`observe_victim_scatter` — so
+    the count-space form is equal in law to the vectorized one, not an
+    approximation.  Its state is a ``{value: victim count}`` mapping
+    (``None`` before the victims are chosen).
+    """
+
+    def __init__(self, budget: int, pinned_value: Optional[int] = None,
+                 timing: AdversaryTiming = AdversaryTiming.BEFORE_SAMPLING) -> None:
+        super().__init__(budget=budget, timing=timing)
+        self.pinned_value = pinned_value
+        self._victims: Optional[np.ndarray] = None
+        self._victim_loads: Optional[Dict[int, int]] = None
+
+    def reset(self) -> None:
+        super().reset()
+        self._victims = None
+        self._victim_loads = None
+
+    def _target(self, admissible_values: np.ndarray) -> int:
+        return int(admissible_values.max()) if self.pinned_value is None \
+            else int(self.pinned_value)
+
+    def propose(self, values: np.ndarray, round_index: int,
+                admissible_values: np.ndarray, rng: np.random.Generator) -> Corruption:
+        size = min(self.budget, values.shape[0])
+        if self._victims is None or self._victims.shape[0] != size:
+            self._victims = rng.choice(values.shape[0], size=size, replace=False)
+        return Corruption(indices=self._victims,
+                          values=np.full(size, self._target(admissible_values),
+                                         dtype=np.int64))
 
     def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
                        admissible_values: np.ndarray, rng: np.random.Generator
                        ) -> CountCorruption:
-        if round_index < self.delay:
+        target = self._target(admissible_values)
+        if self._victim_loads is None:
+            # victims are chosen once, uniformly among all processes — the
+            # count-space twin of rng.choice(n, T, replace=False)
+            per_bin = _victims_per_bin(counts, self.budget, rng)
+            self._victim_loads = {int(v): int(c)
+                                  for v, c in zip(support, per_bin) if c > 0}
+        else:
+            per_bin = self.victim_counts(support)
+        if target not in admissible_values:
+            # the enforcement wrapper would drop every write (matching the
+            # vectorized path, where inadmissible values are filtered); the
+            # victims stay tracked but unpinned
             return CountCorruption.empty()
-        target = int(admissible_values.min()) if self.target_value is None \
-            else int(self.target_value)
-        # victims are uniform among processes *not* holding the target
-        candidate_counts = np.where(support == target, 0, counts)
-        per_bin = _victims_per_bin(candidate_counts, self.budget, rng)
-        src = support[per_bin > 0]
-        amounts = per_bin[per_bin > 0]
-        return CountCorruption(src_values=src,
-                               dst_values=np.full(src.shape[0], target, dtype=np.int64),
-                               amounts=amounts)
-
-
-class _VictimOccupancyMixin:
-    """Count-space form of the identity-tracking strategies (sticky, hiding).
-
-    A fixed victim set re-pinned to one value every round depends on process
-    identities only through the victims' current *occupancy*: the initial
-    uniform victim choice is a multivariate-hypergeometric split of the bin
-    loads, each corruption is the deterministic count edit "move every victim
-    to the pinned value", and between corruptions the victims' occupancy
-    evolves by the same per-class scatter as everyone else's.  The occupancy
-    engines realize that last step exactly by scattering the victim
-    subpopulation separately (:func:`repro.engine.occupancy.occupancy_round_split`)
-    and reporting the victims' new occupancy back through
-    :meth:`observe_victim_scatter` — so the count-space form is equal in law
-    to the vectorized one, not an approximation.
-
-    State is a ``{value: victim count}`` mapping (``None`` before the victims
-    are chosen); subclasses call :meth:`_propose_pinned_counts` from their
-    ``propose_counts``.
-    """
-
-    _victim_loads: Optional[Dict[int, int]] = None
+        total = int(per_bin.sum())
+        if total > 0:
+            self._victim_loads = {target: total}
+        mask = per_bin > 0
+        src = np.asarray(support, dtype=np.int64)[mask]
+        return CountCorruption(
+            src_values=src,
+            dst_values=np.full(src.shape[0], target, dtype=np.int64),
+            amounts=per_bin[mask])
 
     def victim_counts(self, support: np.ndarray) -> Optional[np.ndarray]:
         if self._victim_loads is None:
@@ -275,210 +400,23 @@ class _VictimOccupancyMixin:
         self._victim_loads = {int(v): int(c)
                               for v, c in zip(support, victim_counts) if c > 0}
 
-    def _propose_pinned_counts(self, support: np.ndarray, counts: np.ndarray,
-                               target: int, admissible_values: np.ndarray,
-                               rng: np.random.Generator) -> CountCorruption:
-        if self._victim_loads is None:
-            # victims are chosen once, uniformly among all processes — the
-            # count-space twin of rng.choice(n, T, replace=False)
-            per_bin = _victims_per_bin(counts, self.budget, rng)
-            self._victim_loads = {int(v): int(c)
-                                  for v, c in zip(support, per_bin) if c > 0}
-        else:
-            per_bin = self.victim_counts(support)
-        if target not in admissible_values:
-            # the enforcement wrapper would drop every write (matching the
-            # vectorized path, where inadmissible values are filtered); the
-            # victims stay tracked but unpinned
-            return CountCorruption.empty()
-        total = int(per_bin.sum())
-        if total > 0:
-            self._victim_loads = {int(target): total}
-        mask = per_bin > 0
-        src = np.asarray(support, dtype=np.int64)[mask]
-        return CountCorruption(
-            src_values=src,
-            dst_values=np.full(src.shape[0], target, dtype=np.int64),
-            amounts=per_bin[mask])
 
-
-class HidingAdversary(_VictimOccupancyMixin, Adversary):
+class HidingAdversary(StickyAdversary):
     """Maintain a hidden reservoir of processes pinned to a chosen value.
 
     The same ``T`` victim processes are re-pinned every round to
     ``hidden_value`` (default: the largest admissible value), modelling the
-    "hiding values for an unbounded amount of time" counter-strategy.
+    "hiding values for an unbounded amount of time" counter-strategy — the
+    sticky strategy under its paper name.
     """
 
     def __init__(self, budget: int, hidden_value: Optional[int] = None,
                  timing: AdversaryTiming = AdversaryTiming.BEFORE_SAMPLING) -> None:
-        super().__init__(budget=budget, timing=timing)
-        self.hidden_value = hidden_value
-        self._victims: Optional[np.ndarray] = None
+        super().__init__(budget=budget, pinned_value=hidden_value, timing=timing)
 
-    def reset(self) -> None:
-        super().reset()
-        self._victims = None
-        self._victim_loads = None
-
-    def propose(self, values: np.ndarray, round_index: int,
-                admissible_values: np.ndarray, rng: np.random.Generator) -> Corruption:
-        target = int(admissible_values.max()) if self.hidden_value is None \
-            else int(self.hidden_value)
-        if self._victims is None or self._victims.shape[0] != min(self.budget, values.shape[0]):
-            self._victims = rng.choice(values.shape[0],
-                                       size=min(self.budget, values.shape[0]),
-                                       replace=False)
-        return Corruption(indices=self._victims,
-                          values=np.full(self._victims.shape[0], target, dtype=np.int64))
-
-    def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                       admissible_values: np.ndarray, rng: np.random.Generator
-                       ) -> CountCorruption:
-        target = int(admissible_values.max()) if self.hidden_value is None \
-            else int(self.hidden_value)
-        return self._propose_pinned_counts(support, counts, target,
-                                           admissible_values, rng)
-
-
-class SwitchingAdversary(Adversary):
-    """Alternate corrupted processes between the two extreme initial values.
-
-    On even rounds the victims are written to the smallest admissible value,
-    on odd rounds to the largest ("switching values" of Section 1.2).  Fresh
-    victims are drawn every round.
-    """
-
-    def propose(self, values: np.ndarray, round_index: int,
-                admissible_values: np.ndarray, rng: np.random.Generator) -> Corruption:
-        target = int(admissible_values.min()) if round_index % 2 == 0 \
-            else int(admissible_values.max())
-        victims = rng.choice(values.shape[0], size=min(self.budget, values.shape[0]),
-                             replace=False)
-        return Corruption(indices=victims,
-                          values=np.full(victims.shape[0], target, dtype=np.int64))
-
-    def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                       admissible_values: np.ndarray, rng: np.random.Generator
-                       ) -> CountCorruption:
-        target = int(admissible_values.min()) if round_index % 2 == 0 \
-            else int(admissible_values.max())
-        per_bin = _victims_per_bin(counts, self.budget, rng)
-        src = support[per_bin > 0]
-        amounts = per_bin[per_bin > 0]
-        return CountCorruption(src_values=src,
-                               dst_values=np.full(src.shape[0], target, dtype=np.int64),
-                               amounts=amounts)
-
-
-class RandomCorruptionAdversary(Adversary):
-    """Rewrite T uniformly random processes to uniformly random admissible values."""
-
-    def propose(self, values: np.ndarray, round_index: int,
-                admissible_values: np.ndarray, rng: np.random.Generator) -> Corruption:
-        victims = rng.choice(values.shape[0], size=min(self.budget, values.shape[0]),
-                             replace=False)
-        new_vals = rng.choice(admissible_values, size=victims.shape[0], replace=True)
-        return Corruption(indices=victims, values=new_vals)
-
-    def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                       admissible_values: np.ndarray, rng: np.random.Generator
-                       ) -> CountCorruption:
-        per_bin = _victims_per_bin(counts, self.budget, rng)
-        uniform = np.full(admissible_values.shape[0],
-                          1.0 / admissible_values.shape[0])
-        src_list, dst_list, amount_list = [], [], []
-        for i in np.flatnonzero(per_bin):
-            # each victim from this bin independently picks a uniform
-            # admissible value, exactly as in the per-process proposal
-            split = rng.multinomial(int(per_bin[i]), uniform)
-            for j in np.flatnonzero(split):
-                src_list.append(int(support[i]))
-                dst_list.append(int(admissible_values[j]))
-                amount_list.append(int(split[j]))
-        return CountCorruption(src_values=src_list, dst_values=dst_list,
-                               amounts=amount_list)
-
-
-class TargetedMedianAdversary(Adversary):
-    """Attack the pivot: push processes holding the current median value outward.
-
-    Every round the strategy identifies the median value of the current
-    configuration and rewrites up to T of its holders to whichever admissible
-    extreme (min or max) is farther from the median, trying to destabilize
-    the quantity the rule converges around.
-    """
-
-    def propose(self, values: np.ndarray, round_index: int,
-                admissible_values: np.ndarray, rng: np.random.Generator,
-                census: Optional[Census] = None) -> Corruption:
-        if census is None:
-            median_val = int(np.sort(values)[(values.shape[0] - 1) // 2])
-        else:
-            median_val = histogram_median(*census)
-        lo, hi = int(admissible_values.min()), int(admissible_values.max())
-        target = hi if (hi - median_val) >= (median_val - lo) else lo
-        holders = np.flatnonzero(values == median_val)
-        if holders.shape[0] == 0:
-            holders = np.arange(values.shape[0])
-        victims = rng.choice(holders, size=min(self.budget, holders.shape[0]), replace=False)
-        return Corruption(indices=victims,
-                          values=np.full(victims.shape[0], target, dtype=np.int64))
-
-    def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                       admissible_values: np.ndarray, rng: np.random.Generator
-                       ) -> CountCorruption:
-        cum = np.cumsum(counts)
-        n = int(cum[-1])
-        # searchsorted can only land on a bin whose count is positive (a zero
-        # bin repeats the previous cumulative value), so holders > 0 always
-        med_idx = int(np.searchsorted(cum, (n - 1) // 2 + 1))
-        median_val = int(support[med_idx])
-        lo, hi = int(admissible_values.min()), int(admissible_values.max())
-        target = hi if (hi - median_val) >= (median_val - lo) else lo
-        holders = int(counts[med_idx])
-        return CountCorruption(src_values=[median_val], dst_values=[target],
-                               amounts=[min(self.budget, holders)])
-
-
-class StickyAdversary(_VictimOccupancyMixin, Adversary):
-    """T fixed Byzantine processes that never update and always assert one value.
-
-    Victims are chosen once (uniformly at random) on the first round and then
-    pinned to ``pinned_value`` (default: the largest admissible value) in
-    every round.  This models crash-into-stuck / classic Byzantine behaviour
-    rather than an adaptive attacker.
-    """
-
-    def __init__(self, budget: int, pinned_value: Optional[int] = None,
-                 timing: AdversaryTiming = AdversaryTiming.BEFORE_SAMPLING) -> None:
-        super().__init__(budget=budget, timing=timing)
-        self.pinned_value = pinned_value
-        self._victims: Optional[np.ndarray] = None
-
-    def reset(self) -> None:
-        super().reset()
-        self._victims = None
-        self._victim_loads = None
-
-    def propose(self, values: np.ndarray, round_index: int,
-                admissible_values: np.ndarray, rng: np.random.Generator) -> Corruption:
-        target = int(admissible_values.max()) if self.pinned_value is None \
-            else int(self.pinned_value)
-        if self._victims is None:
-            self._victims = rng.choice(values.shape[0],
-                                       size=min(self.budget, values.shape[0]),
-                                       replace=False)
-        return Corruption(indices=self._victims,
-                          values=np.full(self._victims.shape[0], target, dtype=np.int64))
-
-    def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                       admissible_values: np.ndarray, rng: np.random.Generator
-                       ) -> CountCorruption:
-        target = int(admissible_values.max()) if self.pinned_value is None \
-            else int(self.pinned_value)
-        return self._propose_pinned_counts(support, counts, target,
-                                           admissible_values, rng)
+    @property
+    def hidden_value(self) -> Optional[int]:
+        return self.pinned_value
 
 
 #: Registry of adversary strategies by name (for experiment configuration).

@@ -35,7 +35,20 @@ __all__ = [
     "AlmostStableCriterion",
     "detect_consensus_round",
     "detect_almost_stable_round",
+    "default_max_rounds",
 ]
+
+
+def default_max_rounds(n: int, factor: float = 40.0, floor: int = 200) -> int:
+    """A generous default horizon of ``max(floor, factor · log2 n)`` rounds.
+
+    The paper's bounds are O(log n)–O(log m log log n + log n); a horizon of
+    ~40·log2(n) rounds leaves ample slack while keeping worst-case sweeps
+    bounded.
+    """
+    if n <= 1:
+        return floor
+    return max(floor, int(np.ceil(factor * np.log2(n))))
 
 
 def is_consensus(values: np.ndarray | Configuration) -> bool:

@@ -40,6 +40,7 @@ __all__ = [
     "superbin_split",
     "ConfigurationMetrics",
     "configuration_metrics",
+    "histogram_metrics",
     "histogram_median",
 ]
 
@@ -209,21 +210,31 @@ def histogram_median(support: np.ndarray, counts: np.ndarray) -> int:
     return int(support[int(np.searchsorted(cum, (int(cum[-1]) - 1) // 2 + 1))])
 
 
-def configuration_metrics(values: np.ndarray | Configuration, round_index: int = 0
-                          ) -> ConfigurationMetrics:
-    """Compute the standard per-round metrics for a configuration.
+def histogram_metrics(support: np.ndarray, counts: np.ndarray, round_index: int
+                      ) -> ConfigurationMetrics:
+    """The standard per-round metrics record of a histogram.
 
-    Every field comes from one histogram (a single sort); majority ties go to
-    the smaller value, as in :meth:`Configuration.majority_value`.
+    ``counts[i]`` is the load of ``support[i]`` (ascending support; empty
+    bins allowed).  Majority ties go to the smaller value, as in
+    :meth:`Configuration.majority_value`.
     """
-    cfg = values if isinstance(values, Configuration) else Configuration.from_values(values)
-    support, counts = np.unique(cfg.values, return_counts=True)
-    agreement = int(counts.max())
+    n = int(counts.sum())
+    if n == 0:
+        raise ValueError("metrics of an empty histogram")
+    top = int(np.argmax(counts))
+    agreement = int(counts[top])
     return ConfigurationMetrics(
         round=int(round_index),
-        support_size=int(support.shape[0]),
+        support_size=int(np.count_nonzero(counts)),
         agreement=agreement,
-        minority=cfg.n - agreement,
+        minority=n - agreement,
         median_value=histogram_median(support, counts),
-        majority_value=int(support[int(np.argmax(counts))]),
+        majority_value=int(support[top]),
     )
+
+
+def configuration_metrics(values: np.ndarray | Configuration, round_index: int = 0
+                          ) -> ConfigurationMetrics:
+    """Compute the standard per-round metrics for a configuration (one sort)."""
+    cfg = values if isinstance(values, Configuration) else Configuration.from_values(values)
+    return histogram_metrics(*np.unique(cfg.values, return_counts=True), round_index)

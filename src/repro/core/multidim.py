@@ -29,6 +29,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.consensus import default_max_rounds
+
 __all__ = [
     "VectorConfiguration",
     "CoordinatewiseMedianRule",
@@ -177,21 +179,28 @@ def simulate_vector(
     seed: Optional[int] = None,
     max_rounds: Optional[int] = None,
 ) -> VectorSimulationResult:
-    """Run a d-dimensional median-rule variant to consensus or the horizon."""
+    """Run a d-dimensional median-rule variant to consensus or the horizon.
+
+    The default horizon is :func:`~repro.core.consensus.default_max_rounds`;
+    a run that starts at consensus executes no round.  An empty population
+    raises ``ValueError``.
+    """
+    if initial.n == 0:
+        raise ValueError("cannot simulate an empty population")
     rule = rule or CoordinatewiseMedianRule()
     rng = np.random.default_rng(seed)
-    n = initial.n
-    horizon = max_rounds if max_rounds is not None else max(200, int(40 * np.log2(max(n, 2))))
+    horizon = max_rounds if max_rounds is not None else default_max_rounds(initial.n)
 
     values = initial.copy_values()
     consensus_round: Optional[int] = 0 if initial.is_consensus else None
     rounds = 0
     for t in range(1, horizon + 1):
+        if consensus_round is not None:
+            break
         values = rule.step(values, rng)
         rounds = t
-        if consensus_round is None and bool(np.all(values == values[0])):
+        if bool(np.all(values == values[0])):
             consensus_round = t
-            break
 
     return VectorSimulationResult(
         initial=initial,

@@ -25,7 +25,7 @@ from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.metrics import ConfigurationMetrics, histogram_median
+from repro.core.metrics import ConfigurationMetrics, histogram_median, histogram_metrics
 from repro.core.state import Configuration
 
 __all__ = [
@@ -243,11 +243,4 @@ def occupancy_metrics(state: OccupancyState, round_index: int = 0) -> Configurat
     :func:`repro.core.metrics.configuration_metrics` would on the expanded
     configuration, without ever materializing it.
     """
-    return ConfigurationMetrics(
-        round=int(round_index),
-        support_size=state.num_values,
-        agreement=state.agreement_count(),
-        minority=state.minority_count(),
-        median_value=state.median_value(),
-        majority_value=state.majority_value(),
-    )
+    return histogram_metrics(state.support, state.counts, round_index)

@@ -26,8 +26,8 @@ per round and therefore in where they are fast:
     Limits: rules need a count-space kernel (median, median-k,
     median-noreplace, voter, minimum, maximum, three-majority,
     two-choices-majority) and adversaries a count-edit form — every shipped
-    strategy has one, the identity-tracking pair (sticky, hiding) through
-    exact victim-*occupancy* tracking, which costs one extra multinomial
+    strategy has one, sticky (hiding under its paper name) through exact
+    victim-*occupancy* tracking, which costs one extra multinomial
     scatter per round (~2× the no-adversary round, still n-independent);
     per-ball quantities (gravity, per-process trajectories) are unavailable.
 
@@ -59,14 +59,16 @@ per round and therefore in where they are fast:
                        polled processes), two-choices-majority (adopt iff two
                        samples agree), or any rule defining
                        ``occupancy_kernel(support, counts)``
-    adversaries        every shipped strategy: null, balancing, reviving,
-                       switching, random, targeted-median (count-edit forms
-                       via ``Adversary.corrupt_counts``) **and** the
-                       identity-tracking pair sticky / hiding (exact
-                       victim-occupancy forms: the engine scatters the victim
-                       subpopulation separately — one extra multinomial pass
-                       per round, cost ~2× the no-adversary round, still
-                       independent of n).  Custom adversaries without a
+    adversaries        every shipped strategy: null; the histogram
+                       strategies balancing, reviving, switching, random,
+                       targeted-median (each one move, realized as count
+                       edits via ``Adversary.corrupt_counts`` and as writes
+                       via ``Adversary.corrupt``); **and** sticky, with
+                       hiding as its paper name (an exact victim-occupancy
+                       form: the engine scatters the victim subpopulation
+                       separately — one extra multinomial pass per round,
+                       cost ~2× the no-adversary round, still independent
+                       of n).  Custom adversaries without a
                        ``propose_counts`` override stay vectorized-only.
     =================  =========================================================
 

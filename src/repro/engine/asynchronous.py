@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.consensus import ConsensusStatus, is_consensus
+from repro.core.consensus import ConsensusStatus, default_max_rounds, is_consensus
 from repro.core.median_rule import MedianRule
 from repro.core.rules import Rule
 from repro.core.state import Configuration
@@ -102,13 +102,22 @@ def simulate_asynchronous(
     order:
         Activation schedule per sweep (see :data:`ACTIVATION_ORDERS`).
     max_sweeps:
-        Horizon in sweeps; default ``max(200, 40·log2 n)``.
+        Horizon in sweeps; default
+        :func:`~repro.core.consensus.default_max_rounds`.  A run stops at
+        consensus, so one that starts there executes no sweep.
+
+    Raises
+    ------
+    ValueError
+        For an empty population.
     """
     cfg = initial if isinstance(initial, Configuration) else Configuration.from_values(initial)
+    if cfg.n == 0:
+        raise ValueError("cannot simulate an empty population")
     rule = rule or MedianRule()
     rng = make_rng(seed)
     n = cfg.n
-    horizon = max_sweeps if max_sweeps is not None else max(200, int(40 * np.log2(max(n, 2))))
+    horizon = max_sweeps if max_sweeps is not None else default_max_rounds(n)
 
     values = cfg.copy_values()
     consensus = ConsensusStatus(reached=False, round=None, value=None)
@@ -118,6 +127,8 @@ def simulate_asynchronous(
     sweeps = 0
     activations = 0
     for sweep in range(1, horizon + 1):
+        if consensus.reached:
+            break
         schedule = _activation_sequence(order, n, values, rng)
         for i in schedule:
             contacts = rng.integers(0, n, size=rule.num_choices)
@@ -125,9 +136,8 @@ def simulate_asynchronous(
             values[i] = rule.apply_single(int(values[i]), sampled, rng)
             activations += 1
         sweeps = sweep
-        if not consensus.reached and is_consensus(values):
+        if is_consensus(values):
             consensus = ConsensusStatus(reached=True, round=sweep, value=int(values[0]))
-            break
 
     return AsyncResult(
         initial=cfg,

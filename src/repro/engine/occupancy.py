@@ -74,17 +74,13 @@ from repro.core.median_rule import (
     MedianRule,
     MedianRuleWithoutReplacement,
 )
-from repro.core.occupancy_state import (
-    MATERIALIZE_LIMIT_DEFAULT,
-    OccupancyState,
-    occupancy_metrics,
-)
+from repro.core.occupancy_state import MATERIALIZE_LIMIT_DEFAULT, OccupancyState
 from repro.core.rules import RULE_REGISTRY, Rule
 from repro.core.state import Configuration
 from repro.engine import _multinomial as _mnk
 from repro.engine.rng import make_rng
 from repro.engine.run import SimulationResult
-from repro.engine.trajectory import RecordLevel, Trajectory
+from repro.engine.trajectory import RecordLevel, TrajectoryRecorder
 
 __all__ = [
     "OCCUPANCY_RULES",
@@ -522,13 +518,12 @@ def simulate_occupancy(
     # so count edits can re-introduce extinct admissible values
     state = state.with_support(np.union1d(state.support, admissible))
 
-    trajectory = Trajectory()
+    recorder = TrajectoryRecorder(level=record)
 
     def _record(t: int, support: np.ndarray, counts: np.ndarray) -> None:
-        snap = OccupancyState(support=support, counts=counts[0])
-        trajectory.metrics.append(occupancy_metrics(snap, t))
-        if record is RecordLevel.FULL:
-            trajectory.configurations.append(snap.to_configuration())
+        # only FULL expands the (sorted) configuration
+        values = np.repeat(support, counts[0]) if record is RecordLevel.FULL else None
+        recorder.record(values, t, (support, counts[0]))
 
     out = _occupancy_loop(
         state.counts[None, :], state.support, rule, [adversary], [admissible],
@@ -566,7 +561,7 @@ def simulate_occupancy(
         rounds_executed=out.rounds_executed,
         consensus=consensus_status,
         almost_stable=almost_status,
-        trajectory=trajectory,
+        trajectory=recorder.finish(),
         rule_name=rule.name,
         adversary_name=type(adversary).__name__,
         criterion=criterion or AlmostStableCriterion(

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.metrics import ConfigurationMetrics, configuration_metrics
+from repro.core.metrics import ConfigurationMetrics, configuration_metrics, histogram_metrics
 from repro.core.state import Configuration
 
 __all__ = ["RecordLevel", "Trajectory", "TrajectoryRecorder"]
@@ -90,16 +90,21 @@ class TrajectoryRecorder:
         self.level = level
         self.trajectory = Trajectory()
 
-    def record(self, values: np.ndarray, round_index: int) -> None:
-        """Record one round's state according to the configured level."""
+    def record(self, values: Optional[np.ndarray], round_index: int,
+               census: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> None:
+        """Record one round's state according to the configured level.
+
+        ``census`` is the round's ``(support, counts)`` histogram when the
+        caller already holds it (empty bins allowed); the metrics are then
+        built from it instead of from ``values``, which only ``FULL`` needs.
+        """
         if self.level is RecordLevel.NONE:
             return
         if self.level is RecordLevel.FULL:
-            cfg = Configuration.from_values(values)
-            self.trajectory.configurations.append(cfg)
-            self.trajectory.metrics.append(configuration_metrics(cfg, round_index))
-        else:
-            self.trajectory.metrics.append(configuration_metrics(values, round_index))
+            self.trajectory.configurations.append(Configuration.from_values(values))
+        self.trajectory.metrics.append(
+            configuration_metrics(values, round_index) if census is None
+            else histogram_metrics(*census, round_index))
 
     def finish(self) -> Trajectory:
         """Return the completed trajectory."""

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.adversary.base import Adversary, AdversaryTiming, Census, NullAdversary
-from repro.core.consensus import AlmostStableCriterion, ConsensusStatus
+from repro.core.consensus import AlmostStableCriterion, ConsensusStatus, default_max_rounds
 from repro.core.median_rule import MedianRule
 from repro.core.rules import Rule
 from repro.core.state import Configuration
@@ -46,18 +46,6 @@ __all__ = ["simulate", "default_max_rounds"]
 #: The census is a bounded ``np.bincount`` while the run's value range is at
 #: most this many times n wide (``np.unique`` beyond).
 _CENSUS_SPAN_PER_PROCESS = 4
-
-
-def default_max_rounds(n: int, factor: float = 40.0, floor: int = 200) -> int:
-    """A generous default horizon of ``max(floor, factor · log2 n)`` rounds.
-
-    The paper's bounds are O(log n)–O(log m log log n + log n); a horizon of
-    ~40·log2(n) rounds leaves ample slack while keeping worst-case sweeps
-    bounded.
-    """
-    if n <= 1:
-        return floor
-    return max(floor, int(np.ceil(factor * np.log2(n))))
 
 
 def simulate(
@@ -96,7 +84,8 @@ def simulate(
     record:
         Trajectory record level.
     stop_at_consensus:
-        Stop as soon as all values are equal (only without an adversary).
+        Stop as soon as all values are equal (only without an adversary); a
+        run that starts there executes no round.
     stop_when_stable:
         Stop once the almost-stable criterion has held for
         ``criterion.window`` consecutive rounds (only with an adversary).
@@ -217,11 +206,11 @@ def _value_loop(
 
     adversary.reset()
     recorder = TrajectoryRecorder(level=record)
-    recorder.record(values, 0)
 
     n = values.shape[0]
     census_of = _census_of(values, palette, rule)
     support, counts = census = census_of(values)
+    recorder.record(values, 0, census)
     consensus = ConsensusStatus(reached=False, round=None, value=None)
     if support.shape[0] == 1:
         consensus = ConsensusStatus(reached=True, round=0, value=int(support[0]))
@@ -231,13 +220,19 @@ def _value_loop(
     streak = 1 if n - int(counts.max()) <= criterion.tolerance else 0
     first_stable: Optional[int] = 0 if streak else None
 
+    # stop rules, both off with run_to_horizon: exact consensus without an
+    # adversary (a fixed point, so checked before round 1 too), and a full
+    # almost-stable window with one
+    stop_consensus = stop_at_consensus and not run_to_horizon and adversary.budget == 0
+    stop_stable = stop_when_stable and not run_to_horizon and adversary.budget > 0
     rounds_executed = 0
     for t in range(1, horizon + 1):
+        if stop_consensus and consensus.reached:
+            break
         values = step(values, t, census)
         rounds_executed = t
-        recorder.record(values, t)
-
         support, counts = census = census_of(values)
+        recorder.record(values, t, census)
         if not consensus.reached and support.shape[0] == 1:
             consensus = ConsensusStatus(reached=True, round=t, value=int(support[0]))
         if n - int(counts.max()) <= criterion.tolerance:
@@ -247,12 +242,7 @@ def _value_loop(
         else:
             streak = 0
             first_stable = None
-
-        if run_to_horizon:
-            continue
-        if stop_at_consensus and consensus.reached and adversary.budget == 0:
-            break
-        if stop_when_stable and adversary.budget > 0 and streak >= criterion.window:
+        if stop_stable and streak >= criterion.window:
             break
 
     # a trailing streak shorter than the window does not certify stability;

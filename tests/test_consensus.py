@@ -12,7 +12,12 @@ from repro.core.consensus import (
     detect_consensus_round,
     is_consensus,
 )
+from repro.core.multidim import VectorConfiguration, simulate_vector
 from repro.core.state import Configuration
+from repro.engine.asynchronous import simulate_asynchronous
+from repro.engine.occupancy import simulate_occupancy
+from repro.engine.vectorized import simulate
+from repro.network.simulator import NetworkSimulator
 
 
 class TestIsConsensus:
@@ -124,3 +129,36 @@ class TestDetectAlmostStableRound:
         traj = [Configuration.from_values([1, 1]), Configuration.from_values([1, 1])]
         status = detect_almost_stable_round(traj, AlmostStableCriterion(tolerance=0, window=2))
         assert status.reached and status.round == 0
+
+
+AGREED = Configuration.from_values(np.full(40, 5, dtype=np.int64))
+
+
+def _rounds_and_consensus(result):
+    return result.rounds_executed, result.consensus_round
+
+
+def _asynchronous(initial):
+    result = simulate_asynchronous(initial, seed=0)
+    assert result.activations_executed == 0
+    return result.sweeps_executed, result.consensus_sweep
+
+
+def _vector(initial):
+    result = simulate_vector(VectorConfiguration(np.column_stack([initial.values] * 2)), seed=0)
+    return result.rounds_executed, result.consensus_round
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda c: _rounds_and_consensus(simulate(c, seed=0)), id="simulate"),
+    pytest.param(lambda c: _rounds_and_consensus(simulate_occupancy(c, seed=0)),
+                 id="simulate_occupancy"),
+    pytest.param(lambda c: _rounds_and_consensus(NetworkSimulator(c, seed=0).run()),
+                 id="NetworkSimulator.run"),
+    pytest.param(_asynchronous, id="simulate_asynchronous"),
+    pytest.param(_vector, id="simulate_vector"),
+])
+def test_run_starting_at_consensus_executes_no_round(run):
+    # without an adversary consensus is a fixed point, so every simulator
+    # stops before its first round
+    assert run(AGREED) == (0, 0)

@@ -7,7 +7,9 @@ import pytest
 
 from repro.adversary.strategies import BalancingAdversary
 from repro.core.median_rule import MedianRule
+from repro.core.multidim import VectorConfiguration, simulate_vector
 from repro.core.state import Configuration
+from repro.engine.asynchronous import simulate_asynchronous
 from repro.engine.batch import BatchResult, run_batch
 from repro.engine.occupancy import simulate_occupancy
 from repro.engine.vectorized import simulate
@@ -85,6 +87,9 @@ class TestRunBatch:
     pytest.param(lambda e: run_batch(e, 2, engine="occupancy"), id="run_batch-occupancy"),
     pytest.param(lambda e: run_batch(e, 2, engine="occupancy-fused"),
                  id="run_batch-occupancy-fused"),
+    pytest.param(lambda e: simulate_asynchronous(e), id="simulate_asynchronous"),
+    pytest.param(lambda e: simulate_vector(VectorConfiguration(e.values.reshape(0, 2))),
+                 id="simulate_vector"),
 ])
 def test_empty_population_is_rejected_up_front(run):
     empty = Configuration.from_values(np.array([], dtype=np.int64))

@@ -86,6 +86,12 @@ class TestConfigurationCompatibleQueries:
         st = occupancy_from_values(values)
         assert occupancy_metrics(st, 3) == configuration_metrics(np.array(values), 3)
 
+    def test_metrics_of_an_all_zero_state_raise(self):
+        with pytest.raises(ValueError, match="empty histogram"):
+            occupancy_metrics(OccupancyState.from_loads({1: 0}))
+        with pytest.raises(ValueError, match="empty histogram"):
+            occupancy_metrics(OccupancyState.from_loads({0: 0, 3: 0}), 2)
+
     def test_zero_bins_do_not_disturb_queries(self):
         dense = OccupancyState.from_values([1, 1, 5])
         padded = dense.with_support([0, 1, 2, 5, 9])

@@ -86,6 +86,22 @@ class TestTrajectoryRecorder:
         assert traj.rounds == 0
 
 
+    def test_census_gives_the_same_records(self):
+        values = np.array([4, 0, 4, 2, 0, 4])
+        census = (np.array([0, 1, 2, 3, 4]), np.array([2, 0, 1, 0, 3]))  # empty bins
+        for level in RecordLevel:
+            plain, fed = TrajectoryRecorder(level), TrajectoryRecorder(level)
+            plain.record(values, 3)
+            fed.record(values, 3, census)
+            assert fed.finish() == plain.finish()
+
+    def test_census_without_values_below_full(self):
+        rec = TrajectoryRecorder(RecordLevel.METRICS)
+        rec.record(None, 1, (np.array([5, 7]), np.array([1, 2])))
+        (m,) = rec.finish().metrics
+        assert (m.round, m.support_size, m.agreement, m.median_value) == (1, 2, 2, 7)
+
+
 class TestTrajectorySeries:
     def _make(self) -> Trajectory:
         rec = TrajectoryRecorder(RecordLevel.METRICS)
