@@ -31,28 +31,40 @@ enforces the budget and the initial-value-set constraint.
 Five of them — balancing, reviving, switching, random, targeted-median — are
 *histogram strategies*: their rewrite depends on the configuration only
 through its ``(support, counts)`` histogram.  Each states its move once
-(``_decide``), and :class:`_HistogramMixin` realizes that move in both
-spaces: ``propose`` draws the victims from a value vector, ``propose_counts``
-turns the same move into count edits for the occupancy engines.  The
-identity-tracking strategy (sticky, and hiding as its paper name) drives the
-occupancy engines exactly by tracking its victims' *occupancy* instead of
-their identities.
+(``_decide``), for a stack of histograms, and :class:`_HistogramMixin`
+realizes that move in both spaces: ``propose`` decides on the round's one
+census and draws the victims from the value vector; in count space the same
+decision covers every run the round loop steps, and becomes count edits.
+The identity-tracking strategy (sticky, and hiding as its paper name) drives
+the occupancy engines exactly by tracking its victims' *occupancy* instead
+of their identities.
+
+In count space each strategy keeps its runs' state in arrays, one row per
+run (``Adversary._state_of``): the budgets, balancing's remembered runner-up,
+reviving's delay and target, the sticky victim occupancy.  The only draws
+made run by run, in run order, are the victims of reviving, switching and
+random, random's choice of value for them, and sticky's first-round victim
+choice.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.adversary.base import (
+    _NO_VALUE,
+    _ROW0,
     Adversary,
     AdversaryTiming,
     Census,
     Corruption,
     CountCorruption,
+    _locate,
+    _Palette,
+    _RowMoves,
 )
-from repro.core.metrics import histogram_median
 
 __all__ = [
     "BalancingAdversary",
@@ -105,89 +117,115 @@ def _victims_per_bin(counts: np.ndarray, size: int,
     return np.bincount(bins, minlength=counts.shape[0]).astype(np.int64)
 
 
-class _Move(NamedTuple):
-    """One decision of a histogram strategy: rewrite ``amount`` processes to ``dst``.
+class _Moves(NamedTuple):
+    """One round's decision of a histogram strategy, one entry per row.
 
-    The victims hold ``src``, or — with ``src`` ``None`` — are drawn from
-    every process (sparing the holders of ``dst`` when ``spare``).  A ``dst``
-    of ``None`` sends each victim to an independent uniform admissible value.
+    Row ``r`` rewrites ``amount[r]`` processes (none at 0) to ``dst[r]``.
+    The victims hold ``src[r]``, or — with ``src`` ``None`` — are drawn from
+    every process (sparing the holders of ``dst[r]`` when the strategy
+    ``_spares_dst``).  A ``dst`` of ``None`` sends each victim to an
+    independent uniform admissible value.
     """
 
-    amount: int
-    dst: Optional[int]
-    src: Optional[int] = None
-    spare: bool = False
+    amount: np.ndarray
+    dst: Optional[np.ndarray]
+    src: Optional[np.ndarray] = None
 
 
 class _HistogramMixin:
     """Both realizations of a histogram strategy's ``_decide``.
 
-    ``_decide(support, counts, round_index, admissible_values)`` returns the
-    round's :class:`_Move` (or ``None``); the histogram may carry empty bins.
-    In value space the victims are a uniform draw without replacement from
-    the source's processes; in count space a one-value source is an exact
-    mass transfer and an every-process source is split over the bins by a
-    multivariate hypergeometric draw (:func:`_victims_per_bin`) — the same
-    law, so the two forms stay distributionally equivalent by construction.
+    ``_decide(state, rows, support, counts, round_index, palette)`` returns
+    the round's :class:`_Moves` for the ``(L, m)`` histograms ``counts`` over
+    ``support`` (empty bins allowed), reading and updating the runs' state
+    at ``rows`` of the stacked ``state`` (see ``Adversary._state_of``).  In
+    value space it decides for one row, the census, and the victims are a
+    uniform draw without replacement from the source's processes.  In count
+    space it decides for a block of runs at once: a one-value source is an
+    exact mass transfer, and an every-process source is split over the bins
+    by a multivariate hypergeometric draw (:func:`_victims_per_bin`, per row
+    in run order) — the same law, so the two forms stay distributionally
+    equivalent by construction.
     """
 
     #: whether ``_decide`` reads the histogram; the others are handed
     #: ``None`` for it, so a round without a census sorts nothing for them
     _reads_histogram = False
+    #: whether victims drawn from every process spare the holders of ``dst``
+    _spares_dst = False
+
+    def _histogram(self, values: np.ndarray) -> Census:
+        """The census ``_decide`` reads, for a round the engine gave none."""
+        return np.unique(values, return_counts=True) if self._reads_histogram \
+            else (None, None)
 
     def propose(self, values: np.ndarray, round_index: int,
                 admissible_values: np.ndarray, rng: np.random.Generator,
                 census: Optional[Census] = None) -> Corruption:
-        if census is None:
-            census = np.unique(values, return_counts=True) if self._reads_histogram \
-                else (None, None)
-        move = self._decide(*census, round_index, admissible_values)
-        if move is None:
+        support, counts = self._histogram(values) if census is None else census
+        state = self._state_of([self], None)
+        move = self._decide(state, _ROW0, support, None if counts is None else counts[None],
+                            round_index, _Palette.of(admissible_values))
+        self._restore(state, 0, None)
+        amount = int(move.amount[0])
+        if amount <= 0:
             return Corruption.empty()
-        if move.src is None and not move.spare:
+        src = None if move.src is None else int(move.src[0])
+        dst = None if move.dst is None else int(move.dst[0])
+        if src is None and not self._spares_dst:
             # every process: draw indices directly, O(T) for T << n
-            victims = rng.choice(values.shape[0], size=min(move.amount, values.shape[0]),
+            victims = rng.choice(values.shape[0], size=min(amount, values.shape[0]),
                                  replace=False)
         else:
-            pool = np.flatnonzero(values == move.src if move.src is not None
-                                  else values != move.dst)
+            pool = np.flatnonzero(values == src if src is not None else values != dst)
             if pool.shape[0] == 0:
                 return Corruption.empty()
-            victims = rng.choice(pool, size=min(move.amount, pool.shape[0]), replace=False)
-        if move.dst is None:
+            victims = rng.choice(pool, size=min(amount, pool.shape[0]), replace=False)
+        if dst is None:
             writes = rng.choice(admissible_values, size=victims.shape[0], replace=True)
         else:
-            writes = np.full(victims.shape[0], move.dst, dtype=np.int64)
+            writes = np.full(victims.shape[0], dst, dtype=np.int64)
         return Corruption(indices=victims, values=writes)
 
     def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
                        admissible_values: np.ndarray, rng: np.random.Generator
                        ) -> CountCorruption:
-        move = self._decide(support, counts, round_index, admissible_values)
-        if move is None:
-            return CountCorruption.empty()
+        return self._row_step(np.asarray(support, dtype=np.int64),
+                              np.asarray(counts, dtype=np.int64)[None], round_index,
+                              _Palette.of(admissible_values), rng).proposal()
+
+    @classmethod
+    def _count_rows(cls, state: Dict[str, np.ndarray], rows: np.ndarray,
+                    support: np.ndarray, counts: np.ndarray, round_index: int,
+                    palette: _Palette, rng: np.random.Generator) -> _RowMoves:
+        move = cls._decide(state, rows, support, counts, round_index, palette)
         if move.src is not None:
             # which holders get rewritten is irrelevant in count space
-            return CountCorruption(src_values=[move.src], dst_values=[move.dst],
-                                   amounts=[move.amount])
-        pool = np.where(support == move.dst, 0, counts) if move.spare else counts
-        per_bin = _victims_per_bin(pool, move.amount, rng)
-        hit = np.flatnonzero(per_bin)
+            go = np.flatnonzero(move.amount > 0)
+            return _RowMoves(go, move.src[go], move.dst[go], move.amount[go])
+        pool = np.where(support == move.dst[:, None], 0, counts) if cls._spares_dst \
+            else counts
+        per_bin = np.zeros_like(counts)
+        draws = []
+        for j in np.flatnonzero(move.amount > 0):   # each run's draws, in run order
+            per_bin[j] = _victims_per_bin(pool[j], move.amount[j], rng)
+            hit = np.flatnonzero(per_bin[j]) if move.dst is None else ()
+            if len(hit):
+                # each victim independently picks a uniform admissible value,
+                # exactly as in the per-process proposal
+                cols = np.flatnonzero(palette.mask[j])
+                split = np.zeros((hit.shape[0], palette.values.shape[0]), dtype=np.int64)
+                split[:, cols] = rng.multinomial(per_bin[j, hit],
+                                                 np.full(cols.shape[0], 1.0 / cols.shape[0]))
+                draws.append((np.full(hit.shape[0], j), hit, split))
         if move.dst is not None:
-            return CountCorruption(src_values=support[hit],
-                                   dst_values=np.full(hit.shape[0], move.dst, dtype=np.int64),
-                                   amounts=per_bin[hit])
-        uniform = np.full(admissible_values.shape[0], 1.0 / admissible_values.shape[0])
-        src, dst, amounts = [], [], []
-        for i in hit:
-            # each victim from this bin independently picks a uniform
-            # admissible value, exactly as in the per-process proposal
-            split = rng.multinomial(int(per_bin[i]), uniform)
-            for j in np.flatnonzero(split):
-                src.append(int(support[i]))
-                dst.append(int(admissible_values[j]))
-                amounts.append(int(split[j]))
-        return CountCorruption(src_values=src, dst_values=dst, amounts=amounts)
+            j, b = np.nonzero(per_bin)
+            return _RowMoves(j, support[b], move.dst[j], per_bin[j, b])
+        if not draws:
+            return _RowMoves.concat([])
+        rows_of, bins, split = (np.concatenate(part) for part in zip(*draws))
+        i, v = np.nonzero(split)
+        return _RowMoves(rows_of[i], support[bins[i]], palette.values[v], split[i, v])
 
 
 class BalancingAdversary(_HistogramMixin, Adversary):
@@ -211,28 +249,43 @@ class BalancingAdversary(_HistogramMixin, Adversary):
         super().reset()
         self._last_runner_up = None
 
-    def _decide(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                admissible_values: np.ndarray) -> Optional[_Move]:
-        nz = np.flatnonzero(counts)
-        if nz.shape[0] == 0:
-            return None
-        order = nz[np.argsort(-counts[nz], kind="stable")]
-        leader = int(support[order[0]])
-        if order.shape[0] >= 2:
-            runner_up = int(support[order[1]])
-            self._last_runner_up = runner_up
-            amount = min(self.budget, (int(counts[order[0]]) - int(counts[order[1]]) + 1) // 2)
-        else:
-            # consensus reached: re-seed a different admissible value
-            others = admissible_values[admissible_values != leader]
-            if others.shape[0] == 0:
-                return None
-            if self._last_runner_up is not None and self._last_runner_up in others:
-                runner_up = self._last_runner_up
-            else:
-                runner_up = int(others[0])
-            amount = self.budget
-        return _Move(amount, runner_up, src=leader) if amount > 0 else None
+    @classmethod
+    def _state_of(cls, adversaries, support):
+        state = super()._state_of(adversaries, support)
+        state["runner_up"] = np.array(
+            [_NO_VALUE if adv._last_runner_up is None else adv._last_runner_up
+             for adv in adversaries], dtype=np.int64)
+        return state
+
+    def _restore(self, state, k, support):
+        runner_up = int(state["runner_up"][k])
+        self._last_runner_up = None if runner_up == _NO_VALUE else runner_up
+
+    @classmethod
+    def _decide(cls, state, rows, support, counts, round_index, palette):
+        L, m = counts.shape
+        j = np.arange(L)
+        order = np.argsort(-counts, axis=1, kind="stable")
+        lead, lead_load = order[:, 0], counts[j, order[:, 0]]
+        second = order[:, min(1, m - 1)]
+        second_load = counts[j, second] if m > 1 else np.zeros(L, dtype=np.int64)
+        leader, runner_up = support[lead], support[second]
+        budget = state["budget"][rows]
+        two = second_load > 0
+        amount = np.where(two, np.minimum(budget, (lead_load - second_load + 1) // 2), 0)
+        memory = state["runner_up"]
+        memory[rows[two]] = runner_up[two]
+        if not two.all() and palette.values.shape[0]:
+            # consensus reached: re-seed a different admissible value — the
+            # remembered runner-up while it still is one
+            consensus = (lead_load > 0) & ~two
+            others = palette.mask & (palette.values != leader[:, None])
+            recall = memory[rows]
+            reseed = np.where((recall != leader) & palette.holds(recall), recall,
+                              palette.values[others.argmax(axis=1)])
+            runner_up = np.where(consensus, reseed, runner_up)
+            amount = np.where(consensus & others.any(axis=1), budget, amount)
+        return _Moves(amount, runner_up, src=leader)
 
 
 class RevivingAdversary(_HistogramMixin, Adversary):
@@ -245,6 +298,8 @@ class RevivingAdversary(_HistogramMixin, Adversary):
     the whole system; against the median rule the write is absorbed.
     """
 
+    _spares_dst = True
+
     def __init__(self, budget: int, delay: int = 0, target_value: Optional[int] = None,
                  timing: AdversaryTiming = AdversaryTiming.BEFORE_SAMPLING) -> None:
         super().__init__(budget=budget, timing=timing)
@@ -253,13 +308,21 @@ class RevivingAdversary(_HistogramMixin, Adversary):
         self.delay = int(delay)
         self.target_value = target_value
 
-    def _decide(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                admissible_values: np.ndarray) -> Optional[_Move]:
-        if round_index < self.delay:
-            return None
-        target = int(admissible_values.min()) if self.target_value is None \
-            else int(self.target_value)
-        return _Move(self.budget, target, spare=True)
+    @classmethod
+    def _state_of(cls, adversaries, support):
+        state = super()._state_of(adversaries, support)
+        state["delay"] = np.array([adv.delay for adv in adversaries], dtype=np.int64)
+        state["target"] = np.array(
+            [_NO_VALUE if adv.target_value is None else adv.target_value
+             for adv in adversaries], dtype=np.int64)
+        return state
+
+    @classmethod
+    def _decide(cls, state, rows, support, counts, round_index, palette):
+        target = state["target"][rows]
+        target = np.where(target == _NO_VALUE, palette.lo(), target)
+        return _Moves(np.where(round_index < state["delay"][rows], 0, state["budget"][rows]),
+                      target)
 
 
 class SwitchingAdversary(_HistogramMixin, Adversary):
@@ -270,19 +333,18 @@ class SwitchingAdversary(_HistogramMixin, Adversary):
     victims are drawn every round.
     """
 
-    def _decide(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                admissible_values: np.ndarray) -> Optional[_Move]:
-        target = int(admissible_values.min()) if round_index % 2 == 0 \
-            else int(admissible_values.max())
-        return _Move(self.budget, target)
+    @classmethod
+    def _decide(cls, state, rows, support, counts, round_index, palette):
+        target = palette.lo() if round_index % 2 == 0 else palette.hi()
+        return _Moves(state["budget"][rows], target)
 
 
 class RandomCorruptionAdversary(_HistogramMixin, Adversary):
     """Rewrite T uniformly random processes to uniformly random admissible values."""
 
-    def _decide(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                admissible_values: np.ndarray) -> Optional[_Move]:
-        return _Move(self.budget, None)
+    @classmethod
+    def _decide(cls, state, rows, support, counts, round_index, palette):
+        return _Moves(state["budget"][rows], None)
 
 
 class TargetedMedianAdversary(_HistogramMixin, Adversary):
@@ -296,13 +358,23 @@ class TargetedMedianAdversary(_HistogramMixin, Adversary):
 
     _reads_histogram = True
 
-    def _decide(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                admissible_values: np.ndarray) -> Optional[_Move]:
-        median = histogram_median(support, counts)
-        lo, hi = int(admissible_values.min()), int(admissible_values.max())
-        target = hi if (hi - median) >= (median - lo) else lo
-        holders = int(counts[np.searchsorted(support, median)])
-        return _Move(min(self.budget, holders), target, src=median)
+    def _histogram(self, values: np.ndarray) -> Census:
+        # only the median's bin, from one sort
+        ranked = np.sort(values)
+        median = ranked[(ranked.shape[0] - 1) // 2]
+        holders = ranked.searchsorted(median, "right") - ranked.searchsorted(median, "left")
+        return np.array([median]), np.array([holders])
+
+    @classmethod
+    def _decide(cls, state, rows, support, counts, round_index, palette):
+        # the median ball's bin: the first whose cumulative load passes (n - 1) // 2
+        cum = np.cumsum(counts, axis=1)
+        at = (cum <= ((cum[:, -1] - 1) // 2)[:, None]).sum(axis=1)
+        median = support[at]
+        lo, hi = palette.lo(), palette.hi()
+        target = np.where(hi - median >= median - lo, hi, lo)
+        holders = counts[np.arange(at.shape[0]), at]
+        return _Moves(np.minimum(state["budget"][rows], holders), target, src=median)
 
 
 class StickyAdversary(Adversary):
@@ -323,23 +395,32 @@ class StickyAdversary(Adversary):
     scatter as everyone else's.  The occupancy engines realize that last step
     exactly by scattering the victim subpopulation separately
     (:func:`repro.engine.occupancy.occupancy_round_split`) and reporting the
-    victims' new occupancy back through :meth:`observe_victim_scatter` — so
-    the count-space form is equal in law to the vectorized one, not an
-    approximation.  Its state is a ``{value: victim count}`` mapping
-    (``None`` before the victims are chosen).
+    victims' new occupancy back — so the count-space form is equal in law to
+    the vectorized one, not an approximation.  Its state is the victims'
+    occupancy over a support (``None`` before the victims are chosen); the
+    count-space loop keeps every run's as one row of an ``(R, m)`` array.
     """
+
+    _tracks_victims = True
 
     def __init__(self, budget: int, pinned_value: Optional[int] = None,
                  timing: AdversaryTiming = AdversaryTiming.BEFORE_SAMPLING) -> None:
         super().__init__(budget=budget, timing=timing)
         self.pinned_value = pinned_value
         self._victims: Optional[np.ndarray] = None
-        self._victim_loads: Optional[Dict[int, int]] = None
+        self._victim_occupancy: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def reset(self) -> None:
         super().reset()
         self._victims = None
-        self._victim_loads = None
+        self._victim_occupancy = None
+
+    @property
+    def _victim_loads(self) -> Optional[Dict[int, int]]:
+        """The victims' occupancy as ``{value: count}`` (``None`` before they are chosen)."""
+        if self._victim_occupancy is None:
+            return None
+        return {int(v): int(c) for v, c in zip(*self._victim_occupancy) if c > 0}
 
     def _target(self, admissible_values: np.ndarray) -> int:
         return int(admissible_values.max()) if self.pinned_value is None \
@@ -354,51 +435,63 @@ class StickyAdversary(Adversary):
                           values=np.full(size, self._target(admissible_values),
                                          dtype=np.int64))
 
-    def propose_counts(self, support: np.ndarray, counts: np.ndarray, round_index: int,
-                       admissible_values: np.ndarray, rng: np.random.Generator
-                       ) -> CountCorruption:
-        target = self._target(admissible_values)
-        if self._victim_loads is None:
+    propose_counts = _HistogramMixin.propose_counts
+
+    @classmethod
+    def _state_of(cls, adversaries, support):
+        state = super()._state_of(adversaries, support)
+        state["pinned"] = np.array(
+            [_NO_VALUE if adv.pinned_value is None else adv.pinned_value
+             for adv in adversaries], dtype=np.int64)
+        state["chosen"] = np.array([adv._victim_occupancy is not None for adv in adversaries])
+        state["victims"] = np.zeros((len(adversaries), support.shape[0]), dtype=np.int64)
+        for k in np.flatnonzero(state["chosen"]):
+            state["victims"][k] = adversaries[k].victim_counts(support)
+        return state
+
+    def _restore(self, state, k, support):
+        self._victim_occupancy = (support, state["victims"][k].copy()) \
+            if state["chosen"][k] else None
+
+    @classmethod
+    def _count_rows(cls, state, rows, support, counts, round_index, palette, rng):
+        victims, chosen = state["victims"], state["chosen"]
+        for j in np.flatnonzero(~chosen[rows]):
             # victims are chosen once, uniformly among all processes — the
             # count-space twin of rng.choice(n, T, replace=False)
-            per_bin = _victims_per_bin(counts, self.budget, rng)
-            self._victim_loads = {int(v): int(c)
-                                  for v, c in zip(support, per_bin) if c > 0}
-        else:
-            per_bin = self.victim_counts(support)
-        if target not in admissible_values:
-            # the enforcement wrapper would drop every write (matching the
-            # vectorized path, where inadmissible values are filtered); the
-            # victims stay tracked but unpinned
-            return CountCorruption.empty()
-        total = int(per_bin.sum())
-        if total > 0:
-            self._victim_loads = {target: total}
-        mask = per_bin > 0
-        src = np.asarray(support, dtype=np.int64)[mask]
-        return CountCorruption(
-            src_values=src,
-            dst_values=np.full(src.shape[0], target, dtype=np.int64),
-            amounts=per_bin[mask])
+            victims[rows[j]] = _victims_per_bin(counts[j], state["budget"][rows[j]], rng)
+        chosen[rows] = True
+        pinned = state["pinned"][rows]
+        target = np.where(pinned == _NO_VALUE, palette.hi(), pinned)
+        at, there = _locate(support, target)
+        # an inadmissible target, or one without a bin, leaves the victims
+        # tracked but unpinned: the enforcement would drop every write (the
+        # vectorized path filters inadmissible values the same way)
+        pin = np.flatnonzero(palette.holds(target) & there)
+        block = victims[rows[pin]]
+        j, b = np.nonzero(block)
+        moves = _RowMoves(pin[j], support[b], target[pin[j]], block[j, b])
+        victims[rows[pin]] = 0
+        victims[rows[pin], at[pin]] = block.sum(axis=1)
+        return moves
 
     def victim_counts(self, support: np.ndarray) -> Optional[np.ndarray]:
-        if self._victim_loads is None:
+        if self._victim_occupancy is None:
             return None
+        values, loads = self._victim_occupancy
         support = np.asarray(support, dtype=np.int64)
         out = np.zeros(support.shape[0], dtype=np.int64)
-        for value, cnt in self._victim_loads.items():
-            i = int(np.searchsorted(support, value))
-            if i < support.shape[0] and support[i] == value:
-                out[i] = cnt
+        if support.shape[0]:
+            at, there = _locate(support, values)
+            out[at[there]] = loads[there]
         return out
 
     def observe_victim_scatter(self, support: np.ndarray,
                                victim_counts: np.ndarray) -> None:
-        if self._victim_loads is None:
+        if self._victim_occupancy is None:
             return  # victims not chosen yet (e.g. first round, AFTER_SAMPLING)
-        victim_counts = np.asarray(victim_counts, dtype=np.int64)
-        self._victim_loads = {int(v): int(c)
-                              for v, c in zip(support, victim_counts) if c > 0}
+        self._victim_occupancy = (np.array(support, dtype=np.int64),
+                                  np.array(victim_counts, dtype=np.int64))
 
 
 class HidingAdversary(StickyAdversary):

@@ -45,7 +45,10 @@ per round and therefore in where they are fast:
     Cost model: O(R·m²) time per round **independent of n** and
     O(R·m² · 8 bytes) peak memory (chunked over runs beyond ~134 MB), versus
     O(R·m²) time *plus O(R) interpreter round trips* for the looped
-    occupancy path — the fused engine wins by an order of magnitude once R is
+    occupancy path.  With an adversary the fused engine still makes one
+    adversary step per round and timing for all R runs; what it does per run
+    is the strategies' random victim draws and the run's ledger entry.  The
+    fused engine wins by an order of magnitude once R is
     in the hundreds (``tests/test_batch_fused_occupancy.py`` guards ≥ 2× at
     R = 96), and by far more at large n against the looped value-space
     engine.
@@ -68,7 +71,12 @@ per round and therefore in where they are fast:
                        form: the engine scatters the victim subpopulation
                        separately — one extra multinomial pass per round,
                        cost ~2× the no-adversary round, still independent
-                       of n).  Custom adversaries without a
+                       of n).  One adversary step per round and timing
+                       covers every run; only the victim draws of reviving,
+                       switching and random, and sticky's first-round victim
+                       choice, are made per run.  A custom strategy's
+                       ``propose_counts`` is called per run inside that
+                       step; custom adversaries without a
                        ``propose_counts`` override stay vectorized-only.
     =================  =========================================================
 

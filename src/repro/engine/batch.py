@@ -13,9 +13,11 @@ batching strategies are provided:
 * :func:`run_batch_fused_occupancy` — the multi-run analogue of the occupancy
   engine: state is one ``(R, m)`` count tensor, each round builds the stacked
   ``(R, m, m)`` outcome tensor and draws all ``R·m`` multinomials in a single
-  reshaped call.  O(R·m²) per round with **no dependence on n** and no
-  per-run Python loop, so convergence-round distributions at n = 10⁶–10⁹ cost
-  the same as at n = 10⁴.  Selected as ``run_batch(engine="occupancy-fused")``.
+  reshaped call, and the adversaries of all runs act in one step.  O(R·m²)
+  per round with **no dependence on n**, so convergence-round distributions
+  at n = 10⁶–10⁹ cost the same as at n = 10⁴.  The only work left per run is
+  the adversaries' own random victim draws and each run's budget-ledger
+  entry.  Selected as ``run_batch(engine="occupancy-fused")``.
 
 Both return a :class:`BatchResult` with convergence-round statistics.
 """
@@ -28,7 +30,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.adversary.base import Adversary, AdversaryTiming, NullAdversary
+from repro.adversary.base import Adversary, AdversaryTiming, NullAdversary, _CountBatch
 from repro.adversary.strategies import ADVERSARY_REGISTRY
 from repro.core.consensus import AlmostStableCriterion
 from repro.core.median_rule import MedianRule
@@ -331,6 +333,18 @@ def _occupancy_round_blocked(counts: np.ndarray,
     return np.concatenate([part[0] for part in parts]), new_victims
 
 
+def _corrupt_live(batch: _CountBatch, timing: np.ndarray, live: np.ndarray,
+                  support: np.ndarray, cur: np.ndarray, t: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The live runs' counts after the adversaries of this ``timing`` acted."""
+    step = timing[live]
+    if step.all():
+        return batch.corrupt_counts(support, cur, t, batch.select(live), rng)
+    if step.any():
+        cur[step] = batch.corrupt_counts(support, cur[step], t, batch.select(live[step]), rng)
+    return cur
+
+
 class _LoopOutcome(NamedTuple):
     """Where :func:`_occupancy_loop` left each run (arrays are per run)."""
 
@@ -368,7 +382,11 @@ def _occupancy_loop(
     of one population size over the shared fixed ``support``.  Run ``r`` has
     its own count-capable adversary ``adversaries[r]`` (reset here; its
     budget ledger is its own) and admissible palette ``admissibles[r]``.
-    Each round advances every running run as one fused program on ``rng``.
+    Each round advances every running run as one fused program on ``rng``:
+    one adversary step for the runs acting before sampling, one scatter, one
+    step for those acting after.  The step is a private batch of the runs'
+    adversaries (``repro.adversary.base._CountBatch``), which holds their
+    state while the loop runs and hands it back to each adversary at the end.
 
     A run's almost-stable criterion is ``criterion``, or by default the one
     for its own budget T: tolerance ``4·T`` over a 10-round window (1-round
@@ -400,6 +418,11 @@ def _occupancy_loop(
         tol = np.full(R, int(criterion.tolerance), dtype=np.int64)
         window = np.full(R, int(criterion.window), dtype=np.int64)
     any_adversary = bool(budgets.max() > 0)
+    # one adversary step per round and timing for every run it steps
+    batch = _CountBatch(adversaries, admissibles, support) if any_adversary else None
+    timing = [adv.timing for adv in adversaries]
+    before = (budgets > 0) & np.array([x is AdversaryTiming.BEFORE_SAMPLING for x in timing])
+    after = (budgets > 0) & np.array([x is AdversaryTiming.AFTER_SAMPLING for x in timing])
     stop_consensus = (budgets == 0) & (stop_at_consensus and not run_to_horizon)
     stop_stable = (budgets > 0) & (stop_when_stable and not run_to_horizon)
 
@@ -422,34 +445,19 @@ def _occupancy_loop(
         if live.size == 0:
             break
         rounds_executed = t
-        victims, tracked = None, []
-        if any_adversary:
-            for j, r in enumerate(live):
-                adv = adversaries[r]
-                if adv.budget > 0 and adv.timing is AdversaryTiming.BEFORE_SAMPLING:
-                    cur[j] = adv.corrupt_counts(support, cur[j], t,
-                                                admissibles[r], rng)
+        victims = None
+        if batch is not None:
+            cur = _corrupt_live(batch, before, live, support, cur, t, rng)
             # runs whose adversary tracks a victim occupancy (sticky, hiding)
             # get their victims scattered as a separate — exactly equivalent —
             # multinomial program, and learn the victims' new occupancy
-            for j, r in enumerate(live):
-                adv = adversaries[r]
-                vc = adv.victim_counts(support) if adv.budget > 0 else None
-                if vc is not None:
-                    if victims is None:
-                        victims = np.zeros_like(cur)
-                    victims[j] = vc
-                    tracked.append((j, r))
+            victims = batch.victim_rows(support, live)
         cur, new_victims = _occupancy_round_blocked(
             cur, victims, rule, rng, max_block_elems, support)
-        for j, r in tracked:
-            adversaries[r].observe_victim_scatter(support, new_victims[j])
-        if any_adversary:
-            for j, r in enumerate(live):
-                adv = adversaries[r]
-                if adv.budget > 0 and adv.timing is AdversaryTiming.AFTER_SAMPLING:
-                    cur[j] = adv.corrupt_counts(support, cur[j], t,
-                                                admissibles[r], rng)
+        if victims is not None:
+            batch.observe_victim_rows(support, live, new_victims)
+        if batch is not None:
+            cur = _corrupt_live(batch, after, live, support, cur, t, rng)
         if observe is not None:
             observe(t, support, cur)
 
@@ -485,6 +493,8 @@ def _occupancy_loop(
 
     counts[live] = cur
     end[live] = rounds_executed
+    if batch is not None:
+        batch.write_back(support)
     stable_round = np.where(end - last_bad >= window, last_bad + 1, -1)
     return _LoopOutcome(counts, support, consensus_round, consensus_value,
                         stable_round, tol, window, horizon, rounds_executed)
@@ -510,7 +520,10 @@ def run_batch_fused_occupancy(
     counts over a shared value support.  Each round draws every run's
     scatter in one seam call and detects convergence in count space
     (``n − counts.max(axis=1)``, O(m) per run).  Per-round cost is O(R·m²)
-    independent of n, with no Python loop over runs on the no-adversary path.
+    independent of n.  The adversaries of all runs act in one
+    :meth:`~repro.adversary.base.Adversary.corrupt_counts` call per round and
+    timing; only their random victim draws, and each run's ledger entry, are
+    made run by run.
 
     Semantics match ``run_batch(engine="occupancy")`` run for run, in
     distribution: per-run initial draws use the same spawned seed streams,

@@ -47,10 +47,12 @@ budget ledger as the vectorized engine.  Identity-tracking strategies
 (sticky, hiding) are expressed exactly by tracking their victims' *occupancy*
 instead of their identities: the engine splits each round's scatter into an
 independent civilian draw and victim draw (:func:`occupancy_round_split`) and
-reports the victims' new occupancy back to the adversary
-(:meth:`~repro.adversary.base.Adversary.observe_victim_scatter`) — scattering
-two disjoint subpopulations separately is distributionally identical to
-scattering their union, so the split is exact, not an approximation.
+keeps the victims' new occupancy for the adversary's next round (the
+strategy's state, returned through
+:meth:`~repro.adversary.base.Adversary.victim_counts` when the run ends) —
+scattering two disjoint subpopulations separately is distributionally
+identical to scattering their union, so the split is exact, not an
+approximation.
 """
 
 from __future__ import annotations
@@ -490,9 +492,10 @@ def simulate_occupancy(
       shipped strategy does — the identity-tracking ones (sticky, hiding)
       through an exact victim-*occupancy* form: the engine splits each
       round's scatter into independent civilian and victim draws
-      (:func:`occupancy_round_batch_split`) and reports the victims' new
-      occupancy back via
-      :meth:`~repro.adversary.base.Adversary.observe_victim_scatter`.
+      (:func:`occupancy_round_batch_split`) and keeps the victims' new
+      occupancy as the strategy's state (a custom victim tracker receives
+      it through
+      :meth:`~repro.adversary.base.Adversary.observe_victim_scatter`).
       Only custom adversaries without a count-space form are rejected.
     """
     from repro.engine.batch import _occupancy_loop

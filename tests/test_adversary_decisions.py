@@ -393,3 +393,19 @@ def test_pinning_strategy_matches_reference_hiding(cls, keyword, histogram):
                         reference.observe_victim_scatter(full, scattered)
                         assert np.array_equal(adversary.victim_counts(full),
                                               reference.victim_counts(full)), where
+
+
+def test_targeted_median_without_census_builds_no_histogram(monkeypatch):
+    # after sampling, or for a direct caller, the strategy needs only the
+    # median's bin: one sort, not np.unique over the whole value vector
+    _, _, present, loads = _histogram("many-bins")
+    values, palette = _values(present, loads), np.arange(8, dtype=np.int64)
+    want = targeted_median_propose(TargetedMedianAdversary(3), values, 1, palette,
+                                   np.random.default_rng(0))
+
+    def whole_histogram(*args, **kwargs):
+        raise AssertionError("np.unique called for a census-less targeted-median round")
+
+    monkeypatch.setattr(np, "unique", whole_histogram)
+    got = TargetedMedianAdversary(3).propose(values, 1, palette, np.random.default_rng(0))
+    assert _same_corruption(got, want)
