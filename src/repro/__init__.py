@@ -22,7 +22,7 @@ from repro._lazy import lazy_exports
 
 # public names resolve on first use, so ``import repro.cli`` (or a worker's
 # ``import repro.store.coordinator``) loads only the modules it runs
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.adversary": (
         "Adversary",
         "AdversaryTiming",
@@ -65,44 +65,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 })
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "__version__",
-    # state & rules
-    "Configuration",
-    "Rule",
-    "MedianRule",
-    "MedianRuleWithoutReplacement",
-    "BestOfKMedianRule",
-    "MajorityRule",
-    "MinimumRule",
-    "MaximumRule",
-    "VoterRule",
-    "MeanRule",
-    "TwoChoicesMajorityRule",
-    "TwoChoicesRule",
-    "get_rule",
-    "available_rules",
-    "is_consensus",
-    "AlmostStableCriterion",
-    # adversaries
-    "Adversary",
-    "AdversaryTiming",
-    "NullAdversary",
-    "BalancingAdversary",
-    "RevivingAdversary",
-    "HidingAdversary",
-    "SwitchingAdversary",
-    "RandomCorruptionAdversary",
-    "TargetedMedianAdversary",
-    "StickyAdversary",
-    "make_adversary",
-    # engines
-    "simulate",
-    "SimulationResult",
-    "BatchResult",
-    "run_batch",
-    "RecordLevel",
-    "NetworkSimulator",
-    "CompleteTopology",
-]
+__all__.insert(0, "__version__")

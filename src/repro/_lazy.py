@@ -1,10 +1,11 @@
 """Lazy re-exports for package ``__init__`` modules (PEP 562).
 
-A package whose public names live in submodules binds the pair returned by
-:func:`lazy_exports` as its module ``__getattr__`` and ``__dir__``.  Each
-name is then imported from its submodule on first access and cached in the
-package namespace, so ``import repro.store`` costs nothing until a name is
-used, and a process only loads the modules it runs.
+A package whose public names live in submodules binds the triple returned
+by :func:`lazy_exports` as its module ``__all__``, ``__getattr__`` and
+``__dir__``, so each public name is listed once.  Each name is then imported
+from its submodule on first access and cached in the package namespace, so
+``import repro.store`` costs nothing until a name is used, and a process
+only loads the modules it runs.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ __all__ = ["lazy_exports"]
 
 
 def lazy_exports(package: str, exports: Dict[str, Sequence[str]]
-                 ) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
-    """``(__getattr__, __dir__)`` for ``package``.
+                 ) -> Tuple[List[str], Callable[[str], Any], Callable[[], List[str]]]:
+    """``(__all__, __getattr__, __dir__)`` for ``package``.
 
     ``exports`` maps each submodule (absolute dotted name) to the public
     names it provides.  Those submodules are attributes of the package as
@@ -47,4 +48,4 @@ def lazy_exports(package: str, exports: Dict[str, Sequence[str]]
     def __dir__() -> List[str]:
         return sorted(set(namespace) | set(owner) | submodules)
 
-    return __getattr__, __dir__
+    return list(owner), __getattr__, __dir__

@@ -17,6 +17,15 @@ A simulation of finite length can only certify the second notion up to its
 horizon; :class:`AlmostStableCriterion` therefore checks the condition over a
 trailing *stability window* and reports the earliest round from which it held
 through the end of the observed trajectory.
+
+Every engine takes its run settings from here:
+
+* the horizon, :func:`default_max_rounds`;
+* the default criterion for an adversary of budget T,
+  :meth:`AlmostStableCriterion.for_budget`;
+* the stop rule: a run with T = 0 stops at exact consensus (checked before
+  round 1 as well), a run with T > 0 once its criterion has held for a full
+  window, and a run with ``run_to_horizon`` only at its horizon.
 """
 
 from __future__ import annotations
@@ -39,16 +48,21 @@ __all__ = [
 ]
 
 
-def default_max_rounds(n: int, factor: float = 40.0, floor: int = 200) -> int:
-    """A generous default horizon of ``max(floor, factor · log2 n)`` rounds.
+def default_max_rounds(n: int, max_rounds: Optional[int] = None) -> int:
+    """The horizon of a run over ``n`` processes: ``max_rounds``, or by
+    default ``max(200, 40 · log2 n)`` rounds.
 
     The paper's bounds are O(log n)–O(log m log log n + log n); a horizon of
     ~40·log2(n) rounds leaves ample slack while keeping worst-case sweeps
-    bounded.
+    bounded.  A negative ``max_rounds`` raises ``ValueError``.
     """
+    if max_rounds is not None:
+        if max_rounds < 0:
+            raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
+        return max_rounds
     if n <= 1:
-        return floor
-    return max(floor, int(np.ceil(factor * np.log2(n))))
+        return 200
+    return max(200, int(np.ceil(40.0 * np.log2(n))))
 
 
 def is_consensus(values: np.ndarray | Configuration) -> bool:
@@ -113,6 +127,18 @@ class AlmostStableCriterion:
             raise ValueError("tolerance must be non-negative")
         if self.window < 1:
             raise ValueError("window must be at least 1")
+
+    @classmethod
+    def for_budget(cls, budget: int) -> AlmostStableCriterion:
+        """The default criterion against a T-bounded adversary.
+
+        Tolerance ``4·T`` (a concrete stand-in for the paper's ``O(T)``) over
+        a 10-round window; without an adversary (T = 0), exact consensus over
+        one round.
+        """
+        if budget > 0:
+            return cls(tolerance=4 * budget, window=10)
+        return cls()
 
     def holds(self, values: np.ndarray | Configuration, value: int) -> bool:
         """Does the configuration have ≤ tolerance processes not holding ``value``?"""

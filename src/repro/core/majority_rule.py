@@ -27,6 +27,9 @@ from repro.core.rules import Rule, register_rule
 
 __all__ = ["MajorityRule", "exact_two_bin_transition", "two_bin_step_distribution"]
 
+_NOT_BINARY = ("MajorityRule applied to a configuration with more than two "
+               "distinct values; use MedianRule instead")
+
 
 @register_rule
 class MajorityRule(Rule):
@@ -47,10 +50,7 @@ class MajorityRule(Rule):
 
     def _check_binary(self, values: np.ndarray) -> None:
         if self.strict and np.unique(values).shape[0] > 2:
-            raise ValueError(
-                "MajorityRule applied to a configuration with more than two "
-                "distinct values; use MedianRule instead"
-            )
+            raise ValueError(_NOT_BINARY)
 
     def apply_vectorized(
         self, values: np.ndarray, samples: np.ndarray, rng: np.random.Generator
@@ -77,8 +77,10 @@ class MajorityRule(Rule):
             return a
         if b == c:
             return b
-        # Three distinct values: fall back to the median (only reachable when
-        # strict=False and the caller feeds a non-binary configuration).
+        if self.strict:
+            raise ValueError(_NOT_BINARY)
+        # three distinct values under strict=False: the median, as in
+        # apply_vectorized
         return sorted((a, b, c))[1]
 
 

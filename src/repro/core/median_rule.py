@@ -160,6 +160,8 @@ class BestOfKMedianRule(Rule):
     def apply_single(
         self, own_value: int, sampled_values: Sequence[int], rng: np.random.Generator
     ) -> int:
+        if len(sampled_values) != self.k:
+            raise ValueError(f"median-k rule needs exactly {self.k} sampled values")
         pool = sorted([int(own_value)] + [int(v) for v in sampled_values])
         return pool[(len(pool) - 1) // 2]
 

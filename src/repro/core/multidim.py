@@ -181,15 +181,15 @@ def simulate_vector(
 ) -> VectorSimulationResult:
     """Run a d-dimensional median-rule variant to consensus or the horizon.
 
-    The default horizon is :func:`~repro.core.consensus.default_max_rounds`;
-    a run that starts at consensus executes no round.  An empty population
-    raises ``ValueError``.
+    The horizon is :func:`~repro.core.consensus.default_max_rounds`'s; a run
+    that starts at consensus executes no round.  An empty population or a
+    negative horizon raises ``ValueError``.
     """
     if initial.n == 0:
         raise ValueError("cannot simulate an empty population")
     rule = rule or CoordinatewiseMedianRule()
     rng = np.random.default_rng(seed)
-    horizon = max_rounds if max_rounds is not None else default_max_rounds(initial.n)
+    horizon = default_max_rounds(initial.n, max_rounds)
 
     values = initial.copy_values()
     consensus_round: Optional[int] = 0 if initial.is_consensus else None

@@ -30,7 +30,8 @@ from typing import Callable, Dict, Sequence, Type
 
 import numpy as np
 
-__all__ = ["Rule", "RULE_REGISTRY", "register_rule", "get_rule", "available_rules"]
+__all__ = ["Rule", "RULE_REGISTRY", "register_rule", "get_rule", "available_rules",
+           "require_uniform_contacts"]
 
 
 class Rule(abc.ABC):
@@ -128,6 +129,21 @@ class Rule(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}()"
+
+
+def require_uniform_contacts(rule: Rule, engine: str) -> None:
+    """Raise ``ValueError`` if ``rule`` draws its contacts by its own law.
+
+    The per-process engines (the network simulator, the asynchronous model)
+    draw each process's ``k`` contacts uniformly with replacement, the law of
+    :meth:`Rule.sample_contacts`; they cannot honour a rule that overrides it.
+    """
+    if type(rule).sample_contacts is not Rule.sample_contacts:
+        raise ValueError(
+            f"{engine} draws k uniform contacts per process and cannot honour "
+            f"the {rule.name} rule's own contact law; run it with simulate or "
+            f"simulate_occupancy"
+        )
 
 
 def _indices_out_of_range(samples: np.ndarray, n: int) -> bool:

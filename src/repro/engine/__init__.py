@@ -81,9 +81,9 @@ per round and therefore in where they are fast:
     =================  =========================================================
 
     ``run_batch(engine="occupancy-fused")`` checks the pair up front and
-    falls back to the looped occupancy path when records/results are
-    requested; sweep builders resolve unsupported cells to ``"vectorized"``
-    before any work is spent (:data:`repro.engine.batch.COUNT_ADVERSARIES`,
+    runs the fused engine whenever it is supported; sweep builders resolve
+    unsupported cells to ``"vectorized"`` before any work is spent
+    (:data:`repro.engine.batch.COUNT_ADVERSARIES`,
     :func:`repro.engine.batch.fused_occupancy_cell_supported`).
 
 ``network`` (:class:`repro.network.simulator.NetworkSimulator`)

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.consensus import ConsensusStatus, default_max_rounds, is_consensus
 from repro.core.median_rule import MedianRule
-from repro.core.rules import Rule
+from repro.core.rules import Rule, require_uniform_contacts
 from repro.core.state import Configuration
 from repro.engine.rng import make_rng
 
@@ -102,22 +102,23 @@ def simulate_asynchronous(
     order:
         Activation schedule per sweep (see :data:`ACTIVATION_ORDERS`).
     max_sweeps:
-        Horizon in sweeps; default
-        :func:`~repro.core.consensus.default_max_rounds`.  A run stops at
-        consensus, so one that starts there executes no sweep.
+        Horizon in sweeps (:func:`~repro.core.consensus.default_max_rounds`).
+        A run stops at consensus, so one that starts there executes no sweep.
 
     Raises
     ------
     ValueError
-        For an empty population.
+        For an empty population, a negative horizon, or a rule with its own
+        contact law (see :func:`~repro.core.rules.require_uniform_contacts`).
     """
     cfg = initial if isinstance(initial, Configuration) else Configuration.from_values(initial)
     if cfg.n == 0:
         raise ValueError("cannot simulate an empty population")
     rule = rule or MedianRule()
+    require_uniform_contacts(rule, "simulate_asynchronous")
     rng = make_rng(seed)
     n = cfg.n
-    horizon = max_sweeps if max_sweeps is not None else default_max_rounds(n)
+    horizon = default_max_rounds(n, max_sweeps)
 
     values = cfg.copy_values()
     consensus = ConsensusStatus(reached=False, round=None, value=None)

@@ -6,9 +6,9 @@ batching strategies are provided:
 * :func:`run_batch` — repeat a single-run engine
   (:func:`repro.engine.vectorized.simulate` or
   :func:`repro.engine.occupancy.simulate_occupancy`) over independent seeds.
-  Flexible (any rule, any adversary, full result records) but pays the
-  per-run Python overhead — which *dominates* for the occupancy engine, whose
-  O(m²) kernel is far cheaper than one interpreter round trip.
+  Flexible (any rule, any adversary) but pays the per-run Python overhead —
+  which *dominates* for the occupancy engine, whose O(m²) kernel is far
+  cheaper than one interpreter round trip.
 
 * :func:`run_batch_fused_occupancy` — the multi-run analogue of the occupancy
   engine: state is one ``(R, m)`` count tensor, each round builds the stacked
@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.adversary.base import Adversary, AdversaryTiming, NullAdversary, _CountBatch
 from repro.adversary.strategies import ADVERSARY_REGISTRY
-from repro.core.consensus import AlmostStableCriterion
+from repro.core.consensus import AlmostStableCriterion, default_max_rounds
 from repro.core.median_rule import MedianRule
 from repro.core.occupancy_state import OccupancyState
 from repro.core.rules import Rule
@@ -47,9 +47,8 @@ from repro.engine.occupancy import (
     simulate_occupancy,
 )
 from repro.engine.rng import spawn_rngs
-from repro.engine.run import SimulationResult
 from repro.engine.trajectory import RecordLevel
-from repro.engine.vectorized import default_max_rounds, simulate
+from repro.engine.vectorized import simulate
 
 __all__ = [
     "BatchResult",
@@ -126,7 +125,6 @@ class BatchResult:
     num_runs: int
     rounds: np.ndarray
     converged: np.ndarray
-    results: List[SimulationResult] = field(default_factory=list)
     meta: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -177,11 +175,16 @@ def run_batch(
     seed: Optional[int] = None,
     max_rounds: Optional[int] = None,
     criterion: Optional[AlmostStableCriterion] = None,
-    record: RecordLevel = RecordLevel.NONE,
-    keep_results: bool = False,
     engine: str = "vectorized",
 ) -> BatchResult:
     """Run ``num_runs`` independent simulations and aggregate their outcomes.
+
+    Each run has the horizon (:func:`~repro.core.consensus.default_max_rounds`),
+    default criterion (:meth:`AlmostStableCriterion.for_budget`) and stop
+    rule of :mod:`repro.core.consensus`, and records nothing per round.  For per-run
+    :class:`~repro.engine.run.SimulationResult` records, call
+    ``ENGINES[engine]`` on each child stream of ``spawn_rngs(seed, num_runs)``,
+    as the looped batch does.
 
     Parameters
     ----------
@@ -192,21 +195,15 @@ def run_batch(
     adversary_factory:
         Zero-argument callable building a fresh adversary per run (adversaries
         carry per-run state such as victim sets); ``None`` means no adversary.
-    keep_results:
-        Keep the individual :class:`SimulationResult` objects (memory-heavy
-        for large batches; off by default).
     engine:
         Which engine executes the batch: ``"vectorized"`` (O(n) per round per
         run) or ``"occupancy"`` (O(m²) per round, independent of n) loop the
         runs in Python; ``"occupancy-fused"`` routes the whole batch through
         :func:`run_batch_fused_occupancy` (one (R, m) count tensor, no
-        per-run loop) whenever the rule/adversary pair supports it.  When it
-        does not, the batch falls back to the looped occupancy path if only
-        per-run records (``keep_results`` / ``record``) forced the loop, and
-        to the vectorized path when the rule/adversary pair has no
-        count-space form at all (a value-form initial is then required —
-        occupancy states cannot be expanded implicitly).
-        All are statistically equivalent.
+        per-run loop) whenever the rule/adversary pair supports it, and
+        through the vectorized loop when the pair has no count-space form
+        (a value-form initial is then required — occupancy states cannot be
+        expanded implicitly).  All are statistically equivalent.
     """
     if num_runs <= 0:
         raise ValueError("num_runs must be positive")
@@ -223,11 +220,7 @@ def run_batch(
             def adversary_factory() -> Adversary:
                 return pending.pop() if pending else original_factory()
 
-        if not _fused_occupancy_supported(rule, probe):
-            # neither occupancy substrate can run this pair — only the
-            # vectorized loop can
-            engine = "vectorized"
-        elif record is RecordLevel.NONE and not keep_results:
+        if _fused_occupancy_supported(rule, probe):
             return run_batch_fused_occupancy(
                 initial_factory,
                 num_runs,
@@ -237,14 +230,14 @@ def run_batch(
                 max_rounds=max_rounds,
                 criterion=criterion,
             )
-        else:
-            engine = "occupancy"  # exact looped fallback, same workload form
+        # neither occupancy substrate can run this pair — only the
+        # vectorized loop can
+        engine = "vectorized"
     simulate_fn = ENGINES[engine]
     rngs = spawn_rngs(seed, num_runs)
 
     rounds = np.full(num_runs, np.nan)
     converged = np.zeros(num_runs, dtype=bool)
-    results: List[SimulationResult] = []
     n_ref: Optional[int] = None
 
     for i, rng in enumerate(rngs):
@@ -266,21 +259,18 @@ def run_batch(
             seed=rng,
             max_rounds=max_rounds,
             criterion=criterion,
-            record=record,
+            record=RecordLevel.NONE,
         )
         r = res.convergence_round()
         if r is not None:
             rounds[i] = r
             converged[i] = True
-        if keep_results:
-            results.append(res)
 
     return BatchResult(
         n=int(n_ref or 0),
         num_runs=num_runs,
         rounds=rounds,
         converged=converged,
-        results=results,
         meta={"rule": rule.name, "engine": engine},
     )
 
@@ -290,7 +280,8 @@ def run_batch(
 # ---------------------------------------------------------------------- #
 #: Per-round working-set cap for the fused occupancy engine, in float64
 #: elements of the (block, m, m) outcome tensor (2**24 ≈ 134 MB).  Rounds over
-#: batches wider than this are processed in run blocks of that size.
+#: batches wider than this are processed in run blocks of that size.  Read at
+#: every round, so a test can lower it to force the blocked path.
 FUSED_OCCUPANCY_BLOCK_ELEMS = 2 ** 24
 
 
@@ -305,8 +296,7 @@ def _fused_occupancy_supported(rule: Rule, adversary: Optional[Adversary]) -> bo
 
 def _occupancy_round_blocked(counts: np.ndarray,
                              victims: Optional[np.ndarray], rule: Rule,
-                             rng: np.random.Generator, max_block_elems: int,
-                             support: np.ndarray
+                             rng: np.random.Generator, support: np.ndarray
                              ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """One fused round, chunked over runs so peak memory stays bounded.
 
@@ -316,7 +306,7 @@ def _occupancy_round_blocked(counts: np.ndarray,
     victim rows come back second; without, the second item is ``None``.
     """
     R, m = counts.shape
-    block = max(1, int(max_block_elems) // max(m * m, 1))
+    block = max(1, FUSED_OCCUPANCY_BLOCK_ELEMS // max(m * m, 1))
     parts = []
     for s in range(0, R, block):
         if victims is None:
@@ -370,11 +360,8 @@ def _occupancy_loop(
     max_rounds: Optional[int],
     *,
     criterion: Optional[AlmostStableCriterion] = None,
-    stop_at_consensus: bool = True,
-    stop_when_stable: bool = True,
     run_to_horizon: bool = False,
     observe: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
-    max_block_elems: int = FUSED_OCCUPANCY_BLOCK_ELEMS,
 ) -> _LoopOutcome:
     """The count-space round loop of every occupancy engine.
 
@@ -388,12 +375,10 @@ def _occupancy_loop(
     adversaries (``repro.adversary.base._CountBatch``), which holds their
     state while the loop runs and hands it back to each adversary at the end.
 
-    A run's almost-stable criterion is ``criterion``, or by default the one
-    for its own budget T: tolerance ``4·T`` over a 10-round window (1-round
-    without an adversary).  Stop rules, as in the single-run engines: unless
-    ``run_to_horizon``, an adversary-free run stops at exact consensus
-    (``stop_at_consensus``, also before round 1) and an adversarial run once
-    its trailing window satisfies its tolerance (``stop_when_stable``).
+    A run's almost-stable criterion is ``criterion``, or by default
+    :meth:`AlmostStableCriterion.for_budget` of its own budget; its horizon
+    (:func:`~repro.core.consensus.default_max_rounds`) and stop rule are
+    :mod:`repro.core.consensus`'s, as in the single-run engines.
     ``observe(t, support, counts)`` is handed the running runs' counts after
     each round ``t`` and the initial counts as ``t = 0``.
     """
@@ -408,23 +393,19 @@ def _occupancy_loop(
                 "drive the occupancy engine; use the vectorized engine instead"
             )
         adv.reset()
-    horizon = max_rounds if max_rounds is not None else default_max_rounds(n)
-    if horizon < 0:
-        raise ValueError("max_rounds must be non-negative")
-    if criterion is None:
-        tol = np.where(budgets > 0, 4 * budgets, 0)
-        window = np.where(budgets > 0, 10, 1)
-    else:
-        tol = np.full(R, int(criterion.tolerance), dtype=np.int64)
-        window = np.full(R, int(criterion.window), dtype=np.int64)
+    horizon = default_max_rounds(n, max_rounds)
+    criteria = [criterion or AlmostStableCriterion.for_budget(adv.budget)
+                for adv in adversaries]
+    tol = np.array([c.tolerance for c in criteria], dtype=np.int64)
+    window = np.array([c.window for c in criteria], dtype=np.int64)
     any_adversary = bool(budgets.max() > 0)
     # one adversary step per round and timing for every run it steps
     batch = _CountBatch(adversaries, admissibles, support) if any_adversary else None
     timing = [adv.timing for adv in adversaries]
     before = (budgets > 0) & np.array([x is AdversaryTiming.BEFORE_SAMPLING for x in timing])
     after = (budgets > 0) & np.array([x is AdversaryTiming.AFTER_SAMPLING for x in timing])
-    stop_consensus = (budgets == 0) & (stop_at_consensus and not run_to_horizon)
-    stop_stable = (budgets > 0) & (stop_when_stable and not run_to_horizon)
+    stop_consensus = (budgets == 0) & (not run_to_horizon)
+    stop_stable = (budgets > 0) & (not run_to_horizon)
 
     minority = n - counts.max(axis=1)
     consensus_round = np.where(minority == 0, 0, -1)
@@ -452,8 +433,7 @@ def _occupancy_loop(
             # get their victims scattered as a separate — exactly equivalent —
             # multinomial program, and learn the victims' new occupancy
             victims = batch.victim_rows(support, live)
-        cur, new_victims = _occupancy_round_blocked(
-            cur, victims, rule, rng, max_block_elems, support)
+        cur, new_victims = _occupancy_round_blocked(cur, victims, rule, rng, support)
         if victims is not None:
             batch.observe_victim_rows(support, live, new_victims)
         if batch is not None:
@@ -511,7 +491,6 @@ def run_batch_fused_occupancy(
     seed: Optional[int] = None,
     max_rounds: Optional[int] = None,
     criterion: Optional[AlmostStableCriterion] = None,
-    max_block_elems: int = FUSED_OCCUPANCY_BLOCK_ELEMS,
 ) -> BatchResult:
     """Simulate ``num_runs`` independent runs as one count-tensor program.
 
@@ -552,20 +531,13 @@ def run_batch_fused_occupancy(
         program each round (still one fused pass over the batch).  Custom
         adversaries without a count-space form are rejected.
     criterion:
-        Almost-stable criterion; defaults to tolerance ``4·T`` with a
-        10-round window (1-round window without an adversary).  Without an
-        adversary runs still stop only at exact consensus, but a
+        Almost-stable criterion; ``None`` selects
+        :meth:`AlmostStableCriterion.for_budget` of each run's budget.
+        Without an adversary runs still stop only at exact consensus, but a
         caller-supplied criterion is honored at the horizon: runs whose
         trailing streak satisfies it report the streak's first round.
-    max_block_elems:
-        Cap on the per-round outcome-tensor working set (float64 elements);
-        wide batches are processed in run blocks of at most this size.
 
-    Returns
-    -------
-    BatchResult
-        With ``results=[]`` (no per-run records — use :func:`run_batch` with
-        ``keep_results=True`` when individual runs are needed).
+    Per-round working memory is capped by :data:`FUSED_OCCUPANCY_BLOCK_ELEMS`.
     """
     if num_runs <= 0:
         raise ValueError("num_runs must be positive")
@@ -607,8 +579,7 @@ def run_batch_fused_occupancy(
         counts = np.stack([s.with_support(support).counts for s in states])
 
     out = _occupancy_loop(counts, support, rule, adversaries, admissibles, rng,
-                          max_rounds, criterion=criterion,
-                          max_block_elems=max_block_elems)
+                          max_rounds, criterion=criterion)
     rounds = np.where(out.consensus_round >= 0, out.consensus_round,
                       out.stable_round).astype(np.float64)
     converged = rounds >= 0
@@ -619,7 +590,6 @@ def run_batch_fused_occupancy(
         num_runs=num_runs,
         rounds=rounds,
         converged=converged,
-        results=[],
         meta={
             "rule": rule.name,
             "engine": "occupancy-fused",

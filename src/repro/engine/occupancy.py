@@ -455,38 +455,34 @@ def simulate_occupancy(
     max_rounds: Optional[int] = None,
     criterion: Optional[AlmostStableCriterion] = None,
     record: RecordLevel = RecordLevel.METRICS,
-    stop_at_consensus: bool = True,
-    stop_when_stable: bool = True,
     run_to_horizon: bool = False,
     admissible_values: Optional[np.ndarray] = None,
-    materialize: Optional[bool] = None,
 ) -> SimulationResult:
     """Simulate one run entirely in occupancy space.
 
     Drop-in companion to :func:`repro.engine.vectorized.simulate`: same
-    parameters, same stop rules, same :class:`SimulationResult` shape, but
-    per-round cost O(m²) independent of n.  The produced run is *equal in
-    distribution* to a vectorized run (not sample-path identical for a shared
-    seed).  The rounds run through the same count-space loop as
+    parameters, the same horizon
+    (:func:`~repro.core.consensus.default_max_rounds`), default criterion
+    (:meth:`~repro.core.consensus.AlmostStableCriterion.for_budget`) and
+    stop rule, and the same :class:`SimulationResult` shape, but per-round
+    cost O(m²) independent of n.  The produced run is
+    *equal in distribution* to a vectorized run (not sample-path identical
+    for a shared seed).  The rounds run through the same count-space loop as
     :func:`repro.engine.batch.run_batch_fused_occupancy`, at ``R = 1`` on
     this run's own generator.
 
-    Parameters beyond the vectorized engine's
-    ----------------------------------------
-    materialize:
-        Whether ``result.initial`` / ``result.final`` are expanded to real
-        :class:`Configuration` objects.  ``None`` (default) expands only when
-        ``n <= 1_000_000``; otherwise the result carries
-        :class:`OccupancyState` objects, which duck-type every query the
-        analysis layer uses (``n``, ``num_values``, ``support``, ``loads``,
-        ``agreement_fraction()``, ...).
-
     Notes
     -----
+    * ``result.initial`` / ``result.final`` are expanded to real
+      :class:`Configuration` objects iff ``n <= 1_000_000``
+      (``MATERIALIZE_LIMIT_DEFAULT``); above, they are
+      :class:`OccupancyState` objects, which duck-type every query the
+      analysis layer uses (``n``, ``num_values``, ``support``, ``loads``,
+      ``agreement_fraction()``, ...).  Convert either way with
+      :meth:`OccupancyState.from_configuration` or
+      :meth:`OccupancyState.to_configuration`.
     * ``record=RecordLevel.FULL`` stores expanded configurations and is
       refused for n > 100_000.
-    * Without an adversary, a run that starts at exact consensus executes
-      no round.
     * The adversary must support count edits
       (:attr:`~repro.adversary.base.Adversary.supports_counts`).  Every
       shipped strategy does — the identity-tracking ones (sticky, hiding)
@@ -506,6 +502,8 @@ def simulate_occupancy(
         raise ValueError("cannot simulate an empty population")
     rule = rule or MedianRule()
     adversary = adversary or NullAdversary()
+    if criterion is None:
+        criterion = AlmostStableCriterion.for_budget(adversary.budget)
     rng = make_rng(seed)
     if record is RecordLevel.FULL and n > _FULL_RECORD_LIMIT:
         raise ValueError(
@@ -530,9 +528,7 @@ def simulate_occupancy(
 
     out = _occupancy_loop(
         state.counts[None, :], state.support, rule, [adversary], [admissible],
-        rng, max_rounds, criterion=criterion,
-        stop_at_consensus=stop_at_consensus, stop_when_stable=stop_when_stable,
-        run_to_horizon=run_to_horizon,
+        rng, max_rounds, criterion=criterion, run_to_horizon=run_to_horizon,
         observe=None if record is RecordLevel.NONE else _record)
 
     final_state = OccupancyState(support=out.support, counts=out.counts[0])
@@ -547,8 +543,7 @@ def simulate_occupancy(
                                         round=int(out.stable_round[0]),
                                         value=final_state.majority_value())
 
-    expand = (n <= MATERIALIZE_LIMIT_DEFAULT) if materialize is None else materialize
-    if expand:
+    if n <= MATERIALIZE_LIMIT_DEFAULT:
         if isinstance(initial, Configuration):
             result_initial = initial  # keep the caller's ball order
         else:
@@ -567,8 +562,7 @@ def simulate_occupancy(
         trajectory=recorder.finish(),
         rule_name=rule.name,
         adversary_name=type(adversary).__name__,
-        criterion=criterion or AlmostStableCriterion(
-            tolerance=int(out.tol[0]), window=int(out.window[0])),
+        criterion=criterion,
         meta={
             "engine": "occupancy",
             "num_bins": int(state.support.shape[0]),

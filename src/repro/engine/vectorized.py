@@ -7,17 +7,13 @@ adversary's writes).  No Python-level loop over processes exists anywhere in
 this module — following the performance guides, the only loop is over rounds.
 
 The entry point is :func:`simulate`, which produces a
-:class:`~repro.engine.run.SimulationResult` with configurable stopping rules:
+:class:`~repro.engine.run.SimulationResult`.  Its horizon, default criterion
+and stop rule are :mod:`repro.core.consensus`'s; ``run_to_horizon=True``
+always runs the full horizon, which experiments use when they need complete
+trajectories.
 
-* stop at exact consensus (useful without an adversary — consensus is a
-  fixed point of every value-preserving rule);
-* stop once the almost-stable criterion has held for a trailing window of
-  rounds (useful with an adversary, where exact consensus may never happen);
-* or always run the full ``max_rounds`` horizon (``run_to_horizon=True``),
-  which experiments use when they need complete trajectories.
-
-The horizon, the stop rules, the consensus and almost-stable bookkeeping and
-the result are owned by one private round loop, which
+The stop rule, the consensus and almost-stable bookkeeping and the result
+are owned by one private round loop, which
 :class:`~repro.network.simulator.NetworkSimulator` drives with its
 message-passing round in place of the vectorized one.  That loop takes one
 *census* of the values per round — their histogram, a bounded
@@ -57,8 +53,6 @@ def simulate(
     max_rounds: Optional[int] = None,
     criterion: Optional[AlmostStableCriterion] = None,
     record: RecordLevel = RecordLevel.METRICS,
-    stop_at_consensus: bool = True,
-    stop_when_stable: bool = True,
     run_to_horizon: bool = False,
     admissible_values: Optional[np.ndarray] = None,
 ) -> SimulationResult:
@@ -75,22 +69,15 @@ def simulate(
     seed:
         Integer seed or an existing ``numpy.random.Generator``.
     max_rounds:
-        Round horizon; ``None`` selects :func:`default_max_rounds`.
+        Round horizon (:func:`~repro.core.consensus.default_max_rounds`).
     criterion:
-        Almost-stable criterion.  If ``None`` one is derived from the
-        adversary: tolerance ``4·T`` (a concrete stand-in for the paper's
-        ``O(T)``) and a stability window of 10 rounds; for a null adversary
-        the criterion degenerates to exact consensus.
+        Almost-stable criterion; ``None`` selects
+        :meth:`AlmostStableCriterion.for_budget` of the adversary's budget.
     record:
         Trajectory record level.
-    stop_at_consensus:
-        Stop as soon as all values are equal (only without an adversary); a
-        run that starts there executes no round.
-    stop_when_stable:
-        Stop once the almost-stable criterion has held for
-        ``criterion.window`` consecutive rounds (only with an adversary).
     run_to_horizon:
-        Ignore both stop rules and always execute ``max_rounds`` rounds.
+        Ignore the stop rule (:mod:`repro.core.consensus`) and always
+        execute the full horizon.
     admissible_values:
         The set of initial values the adversary may write.  Defaults to the
         support of ``initial`` (the paper's ``{v_1, ..., v_n}``).
@@ -102,7 +89,7 @@ def simulate(
     Raises
     ------
     ValueError
-        For an empty population.
+        For an empty population or a negative horizon.
     """
     cfg = initial if isinstance(initial, Configuration) else Configuration.from_values(initial)
     if cfg.n == 0:
@@ -128,7 +115,6 @@ def simulate(
     return _value_loop(
         cfg, cfg.copy_values(), step, adversary, rule, admissible,
         max_rounds=max_rounds, criterion=criterion, record=record,
-        stop_at_consensus=stop_at_consensus, stop_when_stable=stop_when_stable,
         run_to_horizon=run_to_horizon,
     )
 
@@ -181,8 +167,6 @@ def _value_loop(
     max_rounds: Optional[int],
     criterion: Optional[AlmostStableCriterion],
     record: RecordLevel,
-    stop_at_consensus: bool,
-    stop_when_stable: bool,
     run_to_horizon: bool,
 ) -> SimulationResult:
     """The value-space round loop of :func:`simulate` and the network simulator.
@@ -192,17 +176,14 @@ def _value_loop(
     plus the protocol round — returning the new values; ``census`` is the
     histogram of the ``values`` it is handed, for a before-sampling
     adversary.  ``palette`` is the adversary's sorted admissible values.
-    Everything else is here once: the horizon, the default criterion,
-    trajectory recording, the census, the consensus latch, the almost-stable
-    streak, the stop rules and the result.
+    Everything else is here once: trajectory recording, the census, the
+    consensus latch, the almost-stable streak, the stop rule and the result;
+    the horizon and the default criterion come from
+    :mod:`repro.core.consensus`.
     """
-    horizon = max_rounds if max_rounds is not None else default_max_rounds(initial.n)
-    if horizon < 0:
-        raise ValueError("max_rounds must be non-negative")
+    horizon = default_max_rounds(initial.n, max_rounds)
     if criterion is None:
-        tolerance = 4 * adversary.budget
-        window = 10 if adversary.budget > 0 else 1
-        criterion = AlmostStableCriterion(tolerance=tolerance, window=window)
+        criterion = AlmostStableCriterion.for_budget(adversary.budget)
 
     adversary.reset()
     recorder = TrajectoryRecorder(level=record)
@@ -220,11 +201,11 @@ def _value_loop(
     streak = 1 if n - int(counts.max()) <= criterion.tolerance else 0
     first_stable: Optional[int] = 0 if streak else None
 
-    # stop rules, both off with run_to_horizon: exact consensus without an
+    # the stop rule, off with run_to_horizon: exact consensus without an
     # adversary (a fixed point, so checked before round 1 too), and a full
     # almost-stable window with one
-    stop_consensus = stop_at_consensus and not run_to_horizon and adversary.budget == 0
-    stop_stable = stop_when_stable and not run_to_horizon and adversary.budget > 0
+    stop_consensus = not run_to_horizon and adversary.budget == 0
+    stop_stable = not run_to_horizon and adversary.budget > 0
     rounds_executed = 0
     for t in range(1, horizon + 1):
         if stop_consensus and consensus.reached:

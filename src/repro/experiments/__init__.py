@@ -2,7 +2,7 @@
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.experiments.config": ("ExperimentConfig", "SweepConfig"),
     "repro.experiments.figures": (
         "FigureResult",
@@ -36,36 +36,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.experiments.workloads": ("WORKLOAD_REGISTRY", "make_workload"),
 })
-
-__all__ = [
-    "ExperimentConfig",
-    "SweepConfig",
-    "CellResult",
-    "ExperimentReport",
-    "run_cell",
-    "run_sweep",
-    "make_workload",
-    "WORKLOAD_REGISTRY",
-    "format_table",
-    "format_report",
-    "format_figure1_table",
-    "FigureResult",
-    "reproduce_figure1",
-    "reproduce_theorem1",
-    "reproduce_theorem2",
-    "reproduce_theorem3",
-    "reproduce_theorem4",
-    "reproduce_theorem10",
-    "reproduce_minimum_rule_attack",
-    "reproduce_adversary_threshold",
-    "reproduce_rule_comparison",
-    "theorem1_sweep",
-    "theorem2_sweep",
-    "theorem3_sweep",
-    "theorem4_sweep",
-    "theorem10_sweep",
-    "figure1_sweep",
-    "minimum_rule_attack_sweep",
-    "adversary_threshold_sweep",
-    "rule_comparison_sweep",
-]

@@ -11,7 +11,7 @@ to validate protocol mechanics (anonymity, message budgets, drops, adversary
 placement) and to cross-check the vectorized engine.  Only the round itself
 (:meth:`NetworkSimulator.step`) is its own: :meth:`NetworkSimulator.run`
 drives it through the round loop of :func:`repro.engine.vectorized.simulate`,
-so horizon, stop rules, criterion and result are shared.  With a request cap
+so horizon, stop rule, criterion and result are shared.  With a request cap
 of ``n·k`` (nothing is ever dropped) the two simulators are equal in law,
 which ``tests/test_engine_differential.py`` certifies.
 
@@ -27,7 +27,7 @@ import numpy as np
 from repro.adversary.base import Adversary, AdversaryTiming, Census, NullAdversary
 from repro.core.consensus import AlmostStableCriterion
 from repro.core.median_rule import MedianRule
-from repro.core.rules import Rule
+from repro.core.rules import Rule, require_uniform_contacts
 from repro.core.state import Configuration
 from repro.engine.rng import make_rng
 from repro.engine.run import SimulationResult
@@ -49,7 +49,9 @@ class NetworkSimulator:
     initial:
         Initial configuration (one value per process).
     rule:
-        Update rule applied by every process (default: median rule).
+        Update rule applied by every process (default: median rule).  A rule
+        with its own contact law is refused
+        (:func:`~repro.core.rules.require_uniform_contacts`).
     adversary:
         T-bounded adversary (default: none).
     topology:
@@ -73,6 +75,7 @@ class NetworkSimulator:
         cfg = initial if isinstance(initial, Configuration) else Configuration.from_values(initial)
         self.initial = cfg
         self.rule = rule or MedianRule()
+        require_uniform_contacts(self.rule, "NetworkSimulator")
         self.adversary = adversary or NullAdversary()
         self.topology = topology or CompleteTopology(cfg.n)
         if self.topology.n != cfg.n:
@@ -160,20 +163,20 @@ class NetworkSimulator:
         max_rounds: Optional[int] = None,
         criterion: Optional[AlmostStableCriterion] = None,
         record: RecordLevel = RecordLevel.METRICS,
-        stop_at_consensus: bool = True,
     ) -> SimulationResult:
         """Run until consensus / stability / the horizon, through ``simulate``'s loop.
 
-        The run starts from the processes' current values; the stop rules,
-        default criterion and result are those of
-        :func:`repro.engine.vectorized.simulate` with ``stop_when_stable``
-        on.  ``meta`` adds the message counts and ``"simulator": "network"``.
+        The run starts from the processes' current values.  Its horizon,
+        default criterion and stop rule are :mod:`repro.core.consensus`'s
+        (:func:`~repro.core.consensus.default_max_rounds`,
+        :meth:`~repro.core.consensus.AlmostStableCriterion.for_budget`), and
+        its result is that of :func:`repro.engine.vectorized.simulate`.
+        ``meta`` adds the message counts and ``"simulator": "network"``.
         """
         result = _value_loop(
             self.initial, self.values(), lambda values, t, census: self._round(census),
             self.adversary, self.rule, self._admissible,
             max_rounds=max_rounds, criterion=criterion, record=record,
-            stop_at_consensus=stop_at_consensus, stop_when_stable=True,
             run_to_horizon=False,
         )
         result.meta.update(messages=self.message_stats.as_dict(), simulator="network")

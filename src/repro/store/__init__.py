@@ -27,7 +27,7 @@ and ``repro-consensus store {ls,info,gc}``.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.store.artifacts": (
         "ArtifactRegistry",
         "build_provenance",
@@ -69,36 +69,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "StoreRecord",
     ),
 })
-
-__all__ = [
-    "cell_key",
-    "short_key",
-    "canonical_cell_dict",
-    "ResultStore",
-    "StoreRecord",
-    "STORE_SCHEMA_VERSION",
-    "CachedSweepRunner",
-    "CacheStats",
-    "StoreMissError",
-    "run_sweep_cached",
-    "ExecutionBackend",
-    "SerialBackend",
-    "PoolBackend",
-    "ShardBackend",
-    "ShardWorker",
-    "LeaseManager",
-    "failed_markers",
-    "read_execution_log",
-    "run_sweep_sharded",
-    "CoordinatorServer",
-    "CoordinatorClient",
-    "CoordinatorError",
-    "CoordinatorStore",
-    "HttpLeaseClient",
-    "HttpBackend",
-    "resolve_backend",
-    "BACKEND_NAMES",
-    "ArtifactRegistry",
-    "build_provenance",
-    "git_sha",
-]

@@ -306,11 +306,13 @@ class TestRunBatchFusedOccupancy:
         assert batch.meta["tolerance"] == 8
         assert batch.meta["window"] == 10
 
-    def test_blocked_rounds_match_unblocked_statistics(self):
+    def test_blocked_rounds_match_unblocked_statistics(self, monkeypatch):
         # force run-chunking with a tiny working-set cap; the chunked path
         # must stay the same program, just sliced
         init = blocks_workload(512, 16)
-        small = run_batch_fused_occupancy(init, 24, seed=12, max_block_elems=16 * 16)
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.engine.batch.FUSED_OCCUPANCY_BLOCK_ELEMS", 16 * 16)
+            small = run_batch_fused_occupancy(init, 24, seed=12)
         big = run_batch_fused_occupancy(init, 24, seed=12)
         assert small.convergence_fraction == 1.0
         assert big.convergence_fraction == 1.0
@@ -350,12 +352,6 @@ class TestEngineDispatch:
                           engine="occupancy-fused")
         assert batch.meta["engine"] == "occupancy-fused"
         assert batch.convergence_fraction == 1.0
-
-    def test_run_batch_falls_back_when_results_requested(self):
-        batch = run_batch(blocks_workload(256, 4), num_runs=3, seed=14,
-                          engine="occupancy-fused", keep_results=True)
-        assert batch.meta["engine"] == "occupancy"
-        assert len(batch.results) == 3
 
     def test_experiment_config_accepts_fused_engine(self):
         cfg = ExperimentConfig(name="c", workload="blocks",

@@ -15,6 +15,7 @@ from repro.core.consensus import (
 from repro.core.multidim import VectorConfiguration, simulate_vector
 from repro.core.state import Configuration
 from repro.engine.asynchronous import simulate_asynchronous
+from repro.engine.batch import run_batch_fused_occupancy
 from repro.engine.occupancy import simulate_occupancy
 from repro.engine.vectorized import simulate
 from repro.network.simulator import NetworkSimulator
@@ -162,3 +163,26 @@ def test_run_starting_at_consensus_executes_no_round(run):
     # without an adversary consensus is a fixed point, so every simulator
     # stops before its first round
     assert run(AGREED) == (0, 0)
+
+
+SPLIT = Configuration.two_bins(40, minority=20)
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda c: simulate(c, seed=0, max_rounds=-3), id="simulate"),
+    pytest.param(lambda c: simulate_occupancy(c, seed=0, max_rounds=-3),
+                 id="simulate_occupancy"),
+    pytest.param(lambda c: NetworkSimulator(c, seed=0).run(max_rounds=-3),
+                 id="NetworkSimulator.run"),
+    pytest.param(lambda c: run_batch_fused_occupancy(c, 2, seed=0, max_rounds=-3),
+                 id="run_batch_fused_occupancy"),
+    pytest.param(lambda c: simulate_asynchronous(c, seed=0, max_sweeps=-3),
+                 id="simulate_asynchronous"),
+    pytest.param(lambda c: simulate_vector(VectorConfiguration(np.column_stack([c.values] * 2)),
+                                           seed=0, max_rounds=-3),
+                 id="simulate_vector"),
+])
+def test_negative_horizon_is_rejected(run):
+    # every simulator resolves its horizon through default_max_rounds
+    with pytest.raises(ValueError, match="non-negative"):
+        run(SPLIT)

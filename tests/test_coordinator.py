@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,8 @@ from repro.store import (
     read_execution_log,
 )
 from repro.robustness.retry import RetryPolicy, classify_error
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 _FAST = RetryPolicy(max_attempts=2, base_delay_s=0.01, max_delay_s=0.02)
 
@@ -168,8 +171,8 @@ class TestHttpFleet:
             cmd = [sys.executable, "-m", "repro", "sweep", "theorem1",
                    "--scale", "0.1", "--runs", "2",
                    "--worker", "--coordinator", server.url]
-            procs = [subprocess.Popen(cmd, cwd="/root/repo",
-                                      env={"PYTHONPATH": "src",
+            procs = [subprocess.Popen(cmd, cwd=str(REPO_ROOT),
+                                      env={"PYTHONPATH": str(REPO_ROOT / "src"),
                                            "PATH": "/usr/bin:/bin"},
                                       stdout=subprocess.PIPE,
                                       stderr=subprocess.STDOUT, text=True)

@@ -49,12 +49,6 @@ class TestRunBatch:
         )
         assert batch.convergence_fraction == 1.0
 
-    def test_keep_results(self):
-        batch = run_batch(Configuration.all_distinct(32), num_runs=3, seed=6,
-                          keep_results=True)
-        assert len(batch.results) == 3
-        assert all(r.reached_consensus for r in batch.results)
-
     def test_nonconvergent_runs_are_nan(self):
         # 2 rounds is not enough to reach consensus from all-distinct at n=128
         batch = run_batch(Configuration.all_distinct(128), num_runs=3, seed=7,

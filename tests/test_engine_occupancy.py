@@ -331,11 +331,6 @@ class TestSimulateOccupancy:
         assert summary["consensus_reached"] is True
         assert summary["final_agreement_fraction"] == 1.0
 
-    def test_materialize_override(self):
-        st = OccupancyState.from_loads({0: 40, 1: 60})
-        res = simulate_occupancy(st, seed=5, materialize=False)
-        assert isinstance(res.final, OccupancyState)
-
     def test_best_of_k_rule(self):
         res = simulate_occupancy(Configuration.two_bins(2000, minority=900),
                                  rule=BestOfKMedianRule(k=4), seed=6)

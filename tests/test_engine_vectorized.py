@@ -255,7 +255,7 @@ class TestStopRules:
         # adversary can (and does) perturb the agreed state
         adv = BalancingAdversary(budget=4)
         res = self.engine(Configuration.from_values([1] * 128), adversary=adv,
-                          seed=7, max_rounds=40, stop_when_stable=False,
+                          seed=7, max_rounds=40, run_to_horizon=True,
                           admissible_values=np.array([0, 1]))
         assert res.consensus_round == 0
         assert res.rounds_executed == 40
@@ -263,7 +263,7 @@ class TestStopRules:
 
     def test_stop_at_consensus_disabled_runs_to_horizon(self):
         res = self.engine(Configuration.all_distinct(32), seed=8, max_rounds=80,
-                          stop_at_consensus=False)
+                          run_to_horizon=True)
         assert res.reached_consensus
         assert res.rounds_executed == 80
 

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.core.median_rule import MedianRule, MedianRuleWithoutReplacement
 from repro.core.rules import RULE_REGISTRY, Rule, available_rules, get_rule, register_rule
+from repro.core.state import Configuration
+from repro.engine.asynchronous import simulate_asynchronous
+from repro.network.simulator import NetworkSimulator
 
 
 class TestRegistry:
@@ -122,3 +128,68 @@ class TestRuleBaseClass:
             counts += np.bincount(rule.sample_contacts(n, rng).ravel(), minlength=n)
         # every process expected 2*500 = 1000 selections; allow 10% deviation
         assert np.all(np.abs(counts - 1000) < 120)
+
+
+#: Constructor arguments per registry rule: median-k at k = 3, majority with
+#: ``strict`` on and off, every other rule at its defaults.
+_RULE_FORMS = {"median-k": ({"k": 3},),
+               "majority": ({"strict": True}, {"strict": False})}
+
+
+def _rule_forms():
+    for name in sorted(available_rules()):
+        for kwargs in _RULE_FORMS.get(name, ({},)):
+            label = name + "".join(f"-{k}={v}" for k, v in kwargs.items())
+            yield pytest.param(name, kwargs, id=label)
+
+
+def _single(rule, own, samples, rng):
+    return rule.apply_single(own, list(samples), rng)
+
+
+def _vectorized_row0(rule, own, samples, rng):
+    # process 0 samples processes 1..k; every other process samples itself
+    values = np.array([own, *samples], dtype=np.int64)
+    contacts = np.repeat(np.arange(values.shape[0])[:, None], len(samples), axis=1)
+    contacts[0] = np.arange(1, len(samples) + 1)
+    return int(rule.apply_vectorized(values, contacts, rng)[0])
+
+
+def _outcome(form, rule, own, samples):
+    """(value or ValueError, generator state after the call)."""
+    rng = np.random.default_rng(2011)
+    try:
+        value = form(rule, own, samples, rng)
+    except ValueError:
+        value = ValueError
+    return value, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name,kwargs", list(_rule_forms()))
+def test_per_process_form_matches_vectorized_form(name, kwargs):
+    rule = get_rule(name, **kwargs)
+    k = rule.num_choices
+    for own in range(4):
+        for samples in itertools.product(range(4), repeat=k):
+            single = _outcome(_single, rule, own, samples)
+            vectorized = _outcome(_vectorized_row0, rule, own, samples)
+            assert single == vectorized, (own, samples)
+    for wrong in (k - 1, k + 1):
+        samples = tuple(range(1, wrong + 1))
+        assert _outcome(_single, rule, 0, samples)[0] is ValueError, wrong
+        assert _outcome(_vectorized_row0, rule, 0, samples)[0] is ValueError, wrong
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda cfg, rule: NetworkSimulator(cfg, rule=rule, seed=0).run(),
+                 id="NetworkSimulator"),
+    pytest.param(lambda cfg, rule: simulate_asynchronous(cfg, rule=rule, seed=0),
+                 id="simulate_asynchronous"),
+])
+def test_per_process_engines_refuse_a_rule_with_its_own_contact_law(run):
+    # both draw k uniform contacts per process, self included; the
+    # without-replacement rule's law never contacts self
+    cfg = Configuration.all_distinct(8)
+    with pytest.raises(ValueError, match="simulate_occupancy"):
+        run(cfg, MedianRuleWithoutReplacement())
+    assert run(cfg, MedianRule()).reached_consensus
