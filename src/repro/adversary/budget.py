@@ -33,7 +33,7 @@ class BudgetLedger:
             clipped before recording).
         """
         if count < 0:
-            raise ValueError("corruption count cannot be negative")
+            raise ValueError(f"round {round_index}: corruption count {count} cannot be negative")
         if count > self.budget:
             raise ValueError(
                 f"round {round_index}: recorded {count} corruptions exceeding budget {self.budget}"

@@ -24,8 +24,20 @@ Selection: explicit ``backend=`` argument > :func:`set_multinomial_backend`
 ``auto`` (compiled when available, else numpy), ``compiled``, ``numpy``, and
 the provider pin ``cc``.  Feature detection runs at *first sampling call*,
 never at import, and catches any exception — a missing, broken, or
-ABI-mismatched provider degrades to NumPy with a single structured
-:class:`MultinomialKernelWarning` per process.
+ABI-mismatched provider degrades to NumPy with one structured
+:class:`MultinomialKernelWarning` per requested mode per process (``auto``
+included: ``auto`` and then ``compiled`` warn twice, a repeated ``auto``
+not again).
+
+A direct call of a sampler resolves the backend on every call.  A
+count-space loop (``repro.engine.batch._occupancy_loop``) resolves it once,
+before its first round, into a :class:`_BoundKernel` that every round then
+samples through: the provider's C entry points are bound to raw addresses
+(``c_void_p`` / ``c_int64`` argtypes) when the provider is detected, and the
+loop owns the kernel's seed-state scratch.  The raw-address call keeps what
+``ndpointer`` argtypes guaranteed: every array handed to C was allocated here
+with the right dtype, layout and shape, or is checked for dtype,
+``C_CONTIGUOUS`` and shape first, and a wrong one is refused before C runs.
 
 Reproducibility contract: seed-exact **within** a backend.  The compiled
 provider bridges the caller's ``numpy.random.Generator`` by drawing one
@@ -63,7 +75,6 @@ __all__ = [
     "multinomial_kernel_id",
     "resolve_multinomial_backend",
     "set_multinomial_backend",
-    "use_compiled",
     "sample_flows",
     "sample_flows_batch",
     "scatter_column_sums",
@@ -110,9 +121,40 @@ class KernelInfo:
 # ---------------------------------------------------------------------- #
 _SRC = Path(__file__).with_name("_mnk.c")
 
-_u64p = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
-_i64p = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-_f64p = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+#: argtypes of the raw-address binding: array arguments are data addresses
+_ADDR = ctypes.c_void_p
+_SIZE = ctypes.c_int64
+_I64 = np.dtype(np.int64)
+_F64 = np.dtype(np.float64)
+
+
+def _address(a: np.ndarray, dtype: np.dtype, shape: tuple) -> int:
+    """Where ``a``'s data starts, once ``a`` is checked to be what C reads.
+
+    The check ``ndpointer`` argtypes made per call: a ``dtype`` array,
+    C-contiguous, of ``shape``.  Anything else is refused here, never
+    passed to C.
+    """
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype
+            and a.flags.c_contiguous and a.shape == shape):
+        raise ValueError(
+            f"kernel argument must be a C-contiguous {dtype} array of shape "
+            f"{shape}, got {getattr(a, 'dtype', type(a).__name__)} "
+            f"{getattr(a, 'shape', '')}")
+    try:   # about three times cheaper than a.ctypes.data
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):   # a read-only or an empty array
+        return a.ctypes.data
+
+
+class _SeedState:
+    """The kernel's four-word xoshiro state, allocated here, and its address."""
+
+    __slots__ = ("words", "at")
+
+    def __init__(self) -> None:
+        self.words = np.empty(4, dtype=np.uint64)
+        self.at = self.words.ctypes.data
 
 
 class _CcKernel:
@@ -133,18 +175,21 @@ class _CcKernel:
             raise RuntimeError(
                 f"_mnk ABI mismatch: shared object reports {abi}, "
                 f"seam expects {_ABI_VERSION}")
-        lib.mnk_seed_state.restype = None
-        lib.mnk_seed_state.argtypes = [ctypes.c_uint64, _u64p]
-        lib.mnk_sample_flows.restype = None
-        lib.mnk_sample_flows.argtypes = [
-            _i64p, _f64p, ctypes.c_int64, ctypes.c_int64, _u64p, _u64p, _i64p]
-        lib.mnk_scatter_sums.restype = None
-        lib.mnk_scatter_sums.argtypes = [
-            _i64p, _f64p, ctypes.c_int64, ctypes.c_int64, _u64p, _u64p, _i64p]
-        lib.mnk_sample_banded.restype = None
-        lib.mnk_sample_banded.argtypes = [
-            _i64p, _f64p, _f64p, _f64p, ctypes.c_int64, ctypes.c_int64,
-            _u64p, _u64p, _i64p]
+        # bound once, here: a call passes addresses (see _address), so no
+        # argument is converted per array and call
+        self._seed = lib.mnk_seed_state
+        self._seed.restype = None
+        self._seed.argtypes = [ctypes.c_uint64, _ADDR]
+        self._flows = lib.mnk_sample_flows
+        self._flows.restype = None
+        self._flows.argtypes = [_ADDR, _ADDR, _SIZE, _SIZE, _ADDR, _ADDR, _ADDR]
+        self._sums = lib.mnk_scatter_sums
+        self._sums.restype = None
+        self._sums.argtypes = [_ADDR, _ADDR, _SIZE, _SIZE, _ADDR, _ADDR, _ADDR]
+        self._banded = lib.mnk_sample_banded
+        self._banded.restype = None
+        self._banded.argtypes = [_ADDR, _ADDR, _ADDR, _ADDR, _SIZE, _SIZE,
+                                 _ADDR, _ADDR, _ADDR]
         self._lib = lib
         self._smoke_test()
 
@@ -188,31 +233,44 @@ class _CcKernel:
         return so_path
 
     # -- draws ---------------------------------------------------------- #
+    # Each draw checks every caller array before any C call, seeds the
+    # kernel's state from ``seed`` (in ``state``, or a fresh one it holds
+    # until C returns), and writes into an ``out`` it allocates.
+    def _seeded(self, seed: int, state: Optional[_SeedState]) -> _SeedState:
+        state = state or _SeedState()
+        self._seed(int(seed) & (2**64 - 1), state.at)
+        return state
+
     def sample_flows(self, counts: np.ndarray, probs: np.ndarray,
-                     seed: int) -> np.ndarray:
+                     seed: int, state: Optional[_SeedState] = None
+                     ) -> np.ndarray:
         rows, m = probs.shape
+        args = (_address(counts, _I64, (rows,)),
+                _address(probs, _F64, (rows, m)))
         out = np.empty((rows, m), dtype=np.int64)
-        st = np.empty(4, dtype=np.uint64)
-        self._lib.mnk_seed_state(ctypes.c_uint64(int(seed) & (2**64 - 1)), st)
-        self._lib.mnk_sample_flows(counts, probs, rows, m, st, st, out)
+        state = self._seeded(seed, state)
+        self._flows(*args, rows, m, state.at, state.at, _address(out, _I64, (rows, m)))
         return out
 
     def scatter_sums(self, counts: np.ndarray, probs: np.ndarray,
-                     R: int, m: int, seed: int) -> np.ndarray:
+                     R: int, m: int, seed: int,
+                     state: Optional[_SeedState] = None) -> np.ndarray:
+        args = (_address(counts, _I64, (R * m,)),
+                _address(probs, _F64, (R * m, m)))
         out = np.empty((R, m), dtype=np.int64)
-        st = np.empty(4, dtype=np.uint64)
-        self._lib.mnk_seed_state(ctypes.c_uint64(int(seed) & (2**64 - 1)), st)
-        self._lib.mnk_scatter_sums(counts, probs, R, m, st, st, out)
+        state = self._seeded(seed, state)
+        self._sums(*args, R, m, state.at, state.at, _address(out, _I64, (R, m)))
         return out
 
     def sample_banded(self, counts: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray, diag: np.ndarray,
-                      seed: int) -> np.ndarray:
-        R, m = counts.shape
-        out = np.empty((R, m), dtype=np.int64)
-        st = np.empty(4, dtype=np.uint64)
-        self._lib.mnk_seed_state(ctypes.c_uint64(int(seed) & (2**64 - 1)), st)
-        self._lib.mnk_sample_banded(counts, lo, hi, diag, R, m, st, st, out)
+                      hi: np.ndarray, diag: np.ndarray, seed: int,
+                      state: Optional[_SeedState] = None) -> np.ndarray:
+        R, m = shape = counts.shape
+        args = (_address(counts, _I64, shape), _address(lo, _F64, shape),
+                _address(hi, _F64, shape), _address(diag, _F64, shape))
+        out = np.empty(shape, dtype=np.int64)
+        state = self._seeded(seed, state)
+        self._banded(*args, R, m, state.at, state.at, _address(out, _I64, shape))
         return out
 
     # -- detection smoke test ------------------------------------------- #
@@ -339,9 +397,23 @@ def multinomial_kernel_id(backend: Optional[str] = None) -> str:
     return resolve_multinomial_backend(backend).kernel_id
 
 
-def use_compiled(backend: Optional[str] = None) -> bool:
-    """True iff the resolved backend is a compiled provider."""
-    return resolve_multinomial_backend(backend).resolved == "compiled"
+class _BoundKernel:
+    """A backend resolved once, for every draw of one count-space loop.
+
+    ``info`` is the resolution, ``provider`` the detected compiled provider
+    with its bound entry points (``None`` on numpy), and ``state`` the
+    kernel's seed-state scratch.  A loop builds one before its first round
+    and drops it with the loop, so two loops in two threads never share a
+    scratch; a direct sampler call builds its own.
+    """
+
+    __slots__ = ("info", "provider", "state")
+
+    def __init__(self, backend: Optional[str] = None) -> None:
+        self.info = resolve_multinomial_backend(backend)
+        self.provider = (_providers[self.info.provider]
+                         if self.info.resolved == "compiled" else None)
+        self.state = None if self.provider is None else _SeedState()
 
 
 def _reset_for_testing() -> None:
@@ -384,12 +456,11 @@ def sample_flows(counts: np.ndarray, pvals: np.ndarray,
     """
     DRAW_STATS["calls"] += 1
     DRAW_STATS["rows"] += int(np.asarray(pvals).shape[0])
-    info = resolve_multinomial_backend(backend)
-    if info.resolved == "numpy":
+    kernel = _BoundKernel(backend)
+    if kernel.provider is None:
         return rng.multinomial(counts, pvals).astype(np.int64, copy=False)
-    provider = _providers[info.provider]
-    return provider.sample_flows(_prep(counts), _prep(pvals, np.float64),
-                                 _draw_seed(rng))
+    return kernel.provider.sample_flows(_prep(counts), _prep(pvals, np.float64),
+                                        _draw_seed(rng), kernel.state)
 
 
 def sample_flows_batch(counts: np.ndarray, Q: np.ndarray,
@@ -421,18 +492,21 @@ def scatter_column_sums(counts: np.ndarray, Q: np.ndarray,
 
 def scatter_column_sums_batch(counts: np.ndarray, Q: np.ndarray,
                               rng: np.random.Generator,
-                              backend: Optional[str] = None) -> np.ndarray:
+                              backend: Optional[str] = None, *,
+                              _kernel: Optional[_BoundKernel] = None
+                              ) -> np.ndarray:
     """Batched scatter column sums: ``(R, m)`` counts through ``(R, m, m)``.
 
     The numpy path draws only the occupied (run, bin) pairs, so seeded
     numpy results match the pre-seam engines bit for bit.  The compiled
-    path skips zero rows inline in C.
+    path skips zero rows inline in C.  ``_kernel`` is a count-space loop's
+    backend, resolved once for all its rounds.
     """
     DRAW_STATS["calls"] += 1
     DRAW_STATS["rows"] += int(np.asarray(counts).size)
-    info = resolve_multinomial_backend(backend)
+    kernel = _kernel or _BoundKernel(backend)
     R, m = counts.shape
-    if info.resolved == "numpy":
+    if kernel.provider is None:
         nz_run, nz_bin = np.nonzero(counts > 0)
         if nz_run.shape[0] >= R * m:
             flows = rng.multinomial(counts.reshape(R * m), Q.reshape(R * m, m))
@@ -447,15 +521,25 @@ def scatter_column_sums_batch(counts: np.ndarray, Q: np.ndarray,
         starts = np.flatnonzero(np.r_[True, np.diff(nz_run) > 0])
         out[nz_run[starts]] = np.add.reduceat(flows, starts, axis=0)
         return out
-    provider = _providers[info.provider]
     flat_counts = _prep(counts).reshape(R * m)
     flat_Q = _prep(Q, np.float64).reshape(R * m, m)
-    return provider.scatter_sums(flat_counts, flat_Q, R, m, _draw_seed(rng))
+    return kernel.provider.scatter_sums(flat_counts, flat_Q, R, m,
+                                        _draw_seed(rng), kernel.state)
+
+
+def _profile(p: np.ndarray, R: int, m: int) -> np.ndarray:
+    """A band profile as the ``(R, m)`` C-contiguous float64 array C reads;
+    one that already is one is used as is."""
+    if (isinstance(p, np.ndarray) and p.shape == (R, m) and p.dtype == _F64
+            and p.flags.c_contiguous):
+        return p
+    return np.ascontiguousarray(np.broadcast_to(p, (R, m)), dtype=np.float64)
 
 
 def sample_scatter_banded(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                           diag: np.ndarray, rng: np.random.Generator,
-                          backend: Optional[str] = None) -> np.ndarray:
+                          backend: Optional[str] = None, *,
+                          _kernel: Optional[_BoundKernel] = None) -> np.ndarray:
     """Scatter through a banded outcome matrix with O(m) draws per run.
 
     ``counts`` is ``(R, m)``; ``lo``/``hi``/``diag`` are the band profiles
@@ -463,20 +547,19 @@ def sample_scatter_banded(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     diagonal, ``hi[b]`` above and ``diag[a]`` on it, up to per-row
     normalization (which cancels out of every sampled ratio).  Returns the
     new ``(R, m)`` occupancy — the flow tensor is never formed.  Exact in
-    law; see ``_mnk.c`` for the pooled-hazard-walk argument.
+    law; see ``_mnk.c`` for the pooled-hazard-walk argument.  ``_kernel`` is
+    a count-space loop's backend, resolved once for all its rounds.
     """
     counts = np.asarray(counts, dtype=np.int64)
     R, m = counts.shape
     DRAW_STATS["calls"] += 1
     DRAW_STATS["rows"] += int(counts.size)
-    lo = np.ascontiguousarray(np.broadcast_to(lo, (R, m)), dtype=np.float64)
-    hi = np.ascontiguousarray(np.broadcast_to(hi, (R, m)), dtype=np.float64)
-    diag = np.ascontiguousarray(np.broadcast_to(diag, (R, m)), dtype=np.float64)
-    info = resolve_multinomial_backend(backend)
-    if info.resolved == "numpy":
+    lo, hi, diag = _profile(lo, R, m), _profile(hi, R, m), _profile(diag, R, m)
+    kernel = _kernel or _BoundKernel(backend)
+    if kernel.provider is None:
         return _banded_numpy(counts, lo, hi, diag, rng)
-    provider = _providers[info.provider]
-    return provider.sample_banded(_prep(counts), lo, hi, diag, _draw_seed(rng))
+    return kernel.provider.sample_banded(_prep(counts), lo, hi, diag,
+                                         _draw_seed(rng), kernel.state)
 
 
 def _banded_numpy(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray,

@@ -42,6 +42,7 @@ from repro.engine.occupancy import (
     OCCUPANCY_KERNEL_RULE_TYPES,
     OCCUPANCY_RULES,
     _as_occupancy,
+    _RoundProgram,
     occupancy_round_batch,
     occupancy_round_batch_split,
     simulate_occupancy,
@@ -296,7 +297,8 @@ def _fused_occupancy_supported(rule: Rule, adversary: Optional[Adversary]) -> bo
 
 def _occupancy_round_blocked(counts: np.ndarray,
                              victims: Optional[np.ndarray], rule: Rule,
-                             rng: np.random.Generator, support: np.ndarray
+                             rng: np.random.Generator, support: np.ndarray,
+                             program: _RoundProgram
                              ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """One fused round, chunked over runs so peak memory stays bounded.
 
@@ -304,6 +306,7 @@ def _occupancy_round_blocked(counts: np.ndarray,
     track none) each block's round is split
     (:func:`~repro.engine.occupancy.occupancy_round_batch_split`) and the new
     victim rows come back second; without, the second item is ``None``.
+    Every block runs on the loop's round ``program``.
     """
     R, m = counts.shape
     block = max(1, FUSED_OCCUPANCY_BLOCK_ELEMS // max(m * m, 1))
@@ -311,11 +314,12 @@ def _occupancy_round_blocked(counts: np.ndarray,
     for s in range(0, R, block):
         if victims is None:
             parts.append((occupancy_round_batch(counts[s:s + block], rule, rng,
-                                                support=support), None))
+                                                support=support, _program=program),
+                          None))
         else:
             parts.append(occupancy_round_batch_split(
                 counts[s:s + block], victims[s:s + block], rule, rng,
-                support=support))
+                support=support, _program=program))
     if len(parts) == 1:
         return parts[0]
     new_victims = None if victims is None else np.concatenate(
@@ -374,6 +378,9 @@ def _occupancy_loop(
     step for those acting after.  The step is a private batch of the runs'
     adversaries (``repro.adversary.base._CountBatch``), which holds their
     state while the loop runs and hands it back to each adversary at the end.
+    A round's fixed cost is paid once, before round 1: the multinomial
+    backend is resolved and the rule's outcome recipe and ``(R, m)``
+    profile buffers are set up (``repro.engine.occupancy._RoundProgram``).
 
     A run's almost-stable criterion is ``criterion``, or by default
     :meth:`AlmostStableCriterion.for_budget` of its own budget; its horizon
@@ -421,6 +428,7 @@ def _occupancy_loop(
     cur = counts[live]                       # ... their counts
     need_live = n - tol[live]                # ... and the agreement each needs
 
+    program = _RoundProgram(rule, R) if live.size and horizon else None
     rounds_executed = 0
     for t in range(1, horizon + 1):
         if live.size == 0:
@@ -433,7 +441,8 @@ def _occupancy_loop(
             # get their victims scattered as a separate — exactly equivalent —
             # multinomial program, and learn the victims' new occupancy
             victims = batch.victim_rows(support, live)
-        cur, new_victims = _occupancy_round_blocked(cur, victims, rule, rng, support)
+        cur, new_victims = _occupancy_round_blocked(cur, victims, rule, rng, support,
+                                                    program)
         if victims is not None:
             batch.observe_victim_rows(support, live, new_victims)
         if batch is not None:

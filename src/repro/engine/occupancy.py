@@ -58,7 +58,7 @@ approximation.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -106,12 +106,19 @@ _FULL_RECORD_LIMIT = 100_000
 #: better substrate anyway (occupancy wins only when m ≪ n).
 MAX_SUPPORT_DEFAULT = 10_000
 
+#: The built-in families whose outcome law is a function of the load pmf
+#: alone, by rule class (the median family, :class:`MedianRule` and
+#: :class:`BestOfKMedianRule`, is the other one).
+_PMF_FAMILIES = ((VoterRule, "voter"), (MinimumRule, "minimum"),
+                 (MaximumRule, "maximum"),
+                 (TwoChoicesMajorityRule, "three-majority"),
+                 (TwoChoicesRule, "two-choices"))
+
 #: Rule classes :func:`occupancy_transition_matrix` can dispatch on (plus any
 #: rule providing its own ``occupancy_kernel``).  Shared with the batch
 #: layer's support checks so the two cannot drift.
-OCCUPANCY_KERNEL_RULE_TYPES = (MedianRule, BestOfKMedianRule, VoterRule,
-                               MinimumRule, MaximumRule,
-                               TwoChoicesMajorityRule, TwoChoicesRule)
+OCCUPANCY_KERNEL_RULE_TYPES = (MedianRule, BestOfKMedianRule) + tuple(
+    cls for cls, _ in _PMF_FAMILIES)
 
 #: Registry names of the rules with an occupancy-space kernel, so sweeps can
 #: be filtered *before* work is spent.
@@ -132,14 +139,36 @@ def binomial_sf(k: int, r: int, x: np.ndarray) -> np.ndarray:
     functions are needed).
     """
     x = np.asarray(x, dtype=np.float64)
+    return _binomial_sf_into(k, r, x, 1.0 - x, np.empty_like(x), np.empty_like(x),
+                             [math.comb(k, j) for j in range(k + 1)])
+
+
+def _binomial_sf_into(k: int, r: int, x: np.ndarray, omx: np.ndarray,
+                      out: np.ndarray, scratch: np.ndarray,
+                      coefs: Sequence[int]) -> np.ndarray:
+    """:func:`binomial_sf` written into ``out``; ``omx`` is ``1 - x`` and
+    ``coefs[j]`` is ``comb(k, j)``.
+
+    The terms ``coefs[j] · x^j · omx^(k−j)`` are added to a zero sum for
+    j = r..k in that order, and the sum is clipped to [0, 1].
+    """
     if r <= 0:
-        return np.ones_like(x)
-    if r > k:
-        return np.zeros_like(x)
-    out = np.zeros_like(x)
+        out.fill(1.0)
+        return out
+    out.fill(0.0)
     for j in range(r, k + 1):
-        out += math.comb(k, j) * np.power(x, j) * np.power(1.0 - x, k - j)
-    return np.clip(out, 0.0, 1.0)
+        np.power(x, j, out=scratch)
+        scratch *= coefs[j]
+        scratch *= np.power(omx, k - j)
+        out += scratch
+    return out.clip(0.0, 1.0, out=out)
+
+
+def _diff(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.diff(a, prepend=0.0, axis=-1)`` into ``out`` (``a − 0.0`` is ``a``)."""
+    out[..., :1] = a[..., :1]
+    np.subtract(a[..., 1:], a[..., :-1], out=out[..., 1:])
+    return out
 
 
 def _normalize_rows(Q: np.ndarray) -> np.ndarray:
@@ -150,9 +179,10 @@ def _normalize_rows(Q: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _check_counts(counts: np.ndarray) -> np.ndarray:
+def _check_counts(counts: np.ndarray, cum: Optional[np.ndarray] = None) -> np.ndarray:
     """Refuse a support too wide for m² memory or an empty population;
-    return the population size of each row."""
+    return the population size of each row (the last column of ``cum``,
+    the counts' cumulative sum, when given)."""
     m = counts.shape[-1]
     if m > MAX_SUPPORT_DEFAULT:
         raise ValueError(
@@ -160,14 +190,72 @@ def _check_counts(counts: np.ndarray) -> np.ndarray:
             f"({m * m * 8 / 1e9:.1f} GB); the occupancy engine targets m ≪ n — "
             "use the vectorized engine for wide supports"
         )
-    n_per_row = counts.sum(axis=-1)
-    if np.any(n_per_row == 0):
+    n_per_row = cum[..., -1] if cum is not None and m else counts.sum(axis=-1)
+    if not n_per_row.all():
         raise ValueError("cannot build a transition for an empty population")
     return n_per_row
 
 
+class _Recipe(NamedTuple):
+    """A built-in rule's outcome law as resolved from the rule: its family
+    and, for the median family, k, r = ⌊k/2⌋ and ``coefs[j] = comb(k, j)``."""
+
+    family: str
+    k: int = 0
+    r: int = 0
+    coefs: Tuple[int, ...] = ()
+
+
+def _recipe_of(rule: Rule) -> Optional[_Recipe]:
+    """The recipe of a built-in rule; ``None`` for a rule outside the
+    built-in families or providing its own ``occupancy_kernel``."""
+    if callable(getattr(rule, "occupancy_kernel", None)):
+        return None
+    if isinstance(rule, (MedianRule, BestOfKMedianRule)):
+        k = rule.k if isinstance(rule, BestOfKMedianRule) else 2
+        family = ("median-noreplace" if isinstance(rule, MedianRuleWithoutReplacement)
+                  else "median")
+        return _Recipe(family, k, k // 2, tuple(math.comb(k, j) for j in range(k + 1)))
+    for cls, family in _PMF_FAMILIES:
+        if isinstance(rule, cls):
+            return _Recipe(family)
+    return None
+
+
+#: The arrays one profile computation writes, by name, and their dtypes.
+_PROFILE_ARRAYS = {"cum": np.int64, **dict.fromkeys(
+    ("cdf", "omx", "p", "s_hi", "s_lo", "term", "lo", "hi", "diag"), np.float64)}
+
+
+def _fresh_arrays(shape: Tuple[int, ...]) -> Dict[str, np.ndarray]:
+    return {name: np.empty(shape, dtype=dtype) for name, dtype in _PROFILE_ARRAYS.items()}
+
+
+class _ProfileBuffers:
+    """One count-space loop's profile arrays, kept for all its rounds.
+
+    Each array is ``(R, m)``; a round gets its first ``L`` rows (the live
+    runs).  The arrays are re-made when the bins compact (m changes).
+    """
+
+    def __init__(self, rows: int) -> None:
+        self._rows = rows
+        self._full: Dict[str, np.ndarray] = {}
+        self._shape: Tuple[int, ...] = ()
+        self._views: Dict[str, np.ndarray] = {}
+
+    def fit(self, shape: Tuple[int, ...]) -> Dict[str, np.ndarray]:
+        """The arrays, by name, cut to ``shape``."""
+        if shape != self._shape:
+            if shape[1:] != self._shape[1:]:
+                self._full = _fresh_arrays((self._rows, shape[1]))
+            self._shape = shape
+            self._views = {name: full[:shape[0]] for name, full in self._full.items()}
+        return self._views
+
+
 def occupancy_outcome_profiles(
-        rule: Rule, counts: np.ndarray
+        rule: Rule, counts: np.ndarray, *, _program: Optional["_RoundProgram"] = None
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Band profiles ``(lo, hi, diag)`` of a built-in rule's outcome matrix.
 
@@ -188,73 +276,97 @@ def occupancy_outcome_profiles(
     ``occupancy_kernel`` hook — those go through the dense path).  Raises
     the same errors as :func:`occupancy_transition_matrix` for invalid
     inputs so routing through profiles never changes the error surface.
+
+    A direct call returns fresh arrays.  A count-space loop passes its round
+    program (``_program``): the rule's recipe was resolved once for the
+    loop, and the profiles are written into the loop's buffers, valid until
+    its next round.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    n_per_row = _check_counts(counts)
-    if callable(getattr(rule, "occupancy_kernel", None)):
+    if _program is None:
+        recipe, buf = _recipe_of(rule), _fresh_arrays(counts.shape)
+    else:
+        recipe, buf = _program.recipe, _program.buffers.fit(counts.shape)
+    cum = np.add.accumulate(counts, axis=-1, out=buf["cum"])
+    n_per_row = _check_counts(counts, cum)
+    if recipe is None:
         return None
-    if not isinstance(rule, OCCUPANCY_KERNEL_RULE_TYPES):
-        return None
-    cdf = np.cumsum(counts, axis=-1).astype(np.float64) / n_per_row[..., None]
-    zeros = np.zeros_like(cdf[..., :1])
+    family = recipe.family
+    lo, hi, diag = buf["lo"], buf["hi"], buf["diag"]
 
-    if isinstance(rule, MedianRuleWithoutReplacement) and np.all(n_per_row >= 3):
+    if family == "median-noreplace" and (n_per_row >= 3).all():
         # the ordered contact pair is uniform over distinct non-self pairs:
         # with cumulative counts C_b and D = (n−1)(n−2), both contacts are
         # ≤ b with probability C_b(C_b − 1)/D (b < a: self is above b) and
         # ≥ b with probability U_b(U_b − 1)/D, U_b = n − C_{b−1} (b > a)
         n = int(n_per_row.ravel()[0])
-        if counts.ndim > 1 and np.any(n_per_row != n):
+        if counts.ndim > 1 and (n_per_row != n).any():
             raise ValueError(
                 "batched without-replacement kernel needs a uniform n")
-        C = np.cumsum(counts, axis=-1).astype(np.float64)
-        C_prev = np.concatenate([zeros, C[..., :-1]], axis=-1)
+        C, below, above, scratch = buf["cdf"], buf["s_lo"], buf["s_hi"], buf["term"]
+        C[...] = cum
         D = float(n - 1) * float(n - 2)
-        below = C * (C - 1.0) / D
-        above = (n - C_prev) * (n - C_prev - 1.0) / D
-        lo = np.diff(below, prepend=0.0, axis=-1)
-        hi = -np.diff(above, append=0.0, axis=-1)
-        below_prev = np.concatenate([zeros, below[..., :-1]], axis=-1)
-        above_next = np.concatenate([above[..., 1:], zeros], axis=-1)
-        diag = 1.0 - below_prev - above_next
+        np.subtract(C, 1.0, out=below)
+        below *= C
+        below /= D
+        above[..., :1] = n                       # n − C_{−1}, C_{−1} = 0
+        np.subtract(n, C[..., :-1], out=above[..., 1:])
+        np.subtract(above, 1.0, out=scratch)
+        above *= scratch
+        above /= D
+        _diff(below, lo)
+        # hi = −diff(above, append=0.0)
+        np.subtract(above[..., 1:], above[..., :-1], out=hi[..., :-1])
+        np.subtract(0.0, above[..., -1:], out=hi[..., -1:])
+        np.negative(hi, out=hi)
+        # diag = 1 − below_{b−1} − above_{b+1}, with zeros past either end
+        diag[..., :1] = 1.0
+        np.subtract(1.0, below[..., :-1], out=diag[..., 1:])
+        np.subtract(diag[..., :-1], above[..., 1:], out=diag[..., :-1])
         return lo, hi, diag
-    if isinstance(rule, (MedianRule, BestOfKMedianRule)):
+
+    cdf = np.divide(cum, n_per_row[..., None], out=buf["cdf"])
+    if family in ("median", "median-noreplace"):
         # median of own value and k samples, r = ⌊k/2⌋: the new value is
         # ≤ b iff ≥ r (b ≥ a, own value helps) or ≥ r + 1 (b < a) of the k
         # samples land at or below b — a binomial tail in the CDF F_b.
         # MedianRuleWithoutReplacement with some n < 3 lands here too: the
         # rule itself falls back to with-replacement sampling below n = 3
-        k = rule.k if isinstance(rule, BestOfKMedianRule) else 2
-        r = k // 2
-        s_hi = binomial_sf(k, r, cdf)
-        s_lo = binomial_sf(k, r + 1, cdf)
-        lo = np.diff(s_lo, prepend=0.0, axis=-1)
-        hi = np.diff(s_hi, prepend=0.0, axis=-1)
-        s_lo_prev = np.concatenate([zeros, s_lo[..., :-1]], axis=-1)
-        diag = s_hi - s_lo_prev
+        k, r = recipe.k, recipe.r
+        omx, s_hi, s_lo, scratch = buf["omx"], buf["s_hi"], buf["s_lo"], buf["term"]
+        np.subtract(1.0, cdf, out=omx)
+        _binomial_sf_into(k, r, cdf, omx, s_hi, scratch, recipe.coefs)
+        _binomial_sf_into(k, r + 1, cdf, omx, s_lo, scratch, recipe.coefs)
+        _diff(s_lo, lo)
+        _diff(s_hi, hi)
+        diag[..., :1] = s_hi[..., :1]            # s_hi − s_lo_{b−1}, s_lo_{−1} = 0
+        np.subtract(s_hi[..., 1:], s_lo[..., :-1], out=diag[..., 1:])
         return lo, hi, diag
 
-    p = np.diff(cdf, prepend=0.0, axis=-1)
-    if isinstance(rule, VoterRule):
+    p = _diff(cdf, buf["p"])
+    if family == "voter":
         return p, p, p
-    if isinstance(rule, MinimumRule):
+    if family == "minimum":
         # adopt the sample iff it is smaller, keep own value otherwise
-        F_prev = np.concatenate([zeros, cdf[..., :-1]], axis=-1)
-        return p, np.zeros_like(p), 1.0 - F_prev
-    if isinstance(rule, MaximumRule):
-        return np.zeros_like(p), p, cdf
-    if isinstance(rule, TwoChoicesMajorityRule):
+        hi.fill(0.0)
+        diag[..., :1] = 1.0                      # 1 − F_{b−1}, F_{−1} = 0
+        np.subtract(1.0, cdf[..., :-1], out=diag[..., 1:])
+        return p, hi, diag
+    if family == "maximum":
+        lo.fill(0.0)
+        return lo, p, cdf
+    p2 = np.multiply(p, p, out=buf["term"])
+    s2 = p2.sum(axis=-1, keepdims=True)
+    if family == "three-majority":
         # 3-majority: b wins iff ≥ 2 of three samples equal it, or all three
         # differ and the tie-break picks it — q_b = p_b (1 + p_b − Σ p_c²)
-        s2 = np.sum(p * p, axis=-1, keepdims=True)
-        q = p * (1.0 + p - s2)
+        q = np.add(1.0, p, out=lo)
+        q -= s2
+        q *= p
         return q, q, q
-    if isinstance(rule, TwoChoicesRule):
-        # 2-Choices: switch to b ≠ a iff both samples land on b
-        p2 = p * p
-        s2 = np.sum(p2, axis=-1, keepdims=True)
-        return p2, p2, 1.0 - s2 + p2
-    return None
+    # 2-Choices: switch to b ≠ a iff both samples land on b
+    np.subtract(1.0, s2, out=s2)
+    return p2, p2, np.add(s2, p2, out=diag)
 
 
 def _builtin_band(rule: Rule, counts: np.ndarray) -> np.ndarray:
@@ -330,19 +442,26 @@ def occupancy_transition_matrix_batch(rule: Rule, counts: np.ndarray,
 # ---------------------------------------------------------------------- #
 # the round and the run
 # ---------------------------------------------------------------------- #
-def _banded_profiles_if_fast(rule: Rule, counts: np.ndarray
-                             ) -> Optional[tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray]]:
-    """Profiles for the O(m)-draw banded scatter, when it is the right path.
+class _RoundProgram:
+    """What a count-space loop resolves before its first round, for all of them.
 
-    Only the compiled backend implements the pooled hazard walk natively;
-    the numpy backend keeps the historical dense ``Generator.multinomial``
-    bit stream, so banded routing is gated on the resolved backend (not
-    just rule structure).
+    ``kernel`` is the multinomial backend
+    (:class:`repro.engine._multinomial._BoundKernel`: resolved once, its C
+    entry points bound, its own seed-state scratch), ``recipe`` the rule's
+    outcome recipe (``None``: the dense path only) and ``buffers`` the
+    ``(R, m)`` arrays the band profiles are written into.  Rounds take the
+    banded O(m)-draw path iff the compiled backend resolved and the rule is
+    built in: only the compiled backend implements the pooled hazard walk
+    natively, and the numpy backend keeps the historical dense
+    ``Generator.multinomial`` bit stream.  A direct call of a one-round
+    function builds a program of its own.
     """
-    if not _mnk.use_compiled():
-        return None
-    return occupancy_outcome_profiles(rule, counts)
+
+    def __init__(self, rule: Rule, rows: int) -> None:
+        self.kernel = _mnk._BoundKernel()
+        self.recipe = _recipe_of(rule)
+        self.banded = self.kernel.provider is not None and self.recipe is not None
+        self.buffers = _ProfileBuffers(rows)
 
 
 def occupancy_round(counts: np.ndarray, rule: Rule,
@@ -378,7 +497,8 @@ def occupancy_round_split(counts: np.ndarray, victim_counts: np.ndarray,
 
 def occupancy_round_batch(counts: np.ndarray, rule: Rule,
                           rng: np.random.Generator, *,
-                          support: Optional[np.ndarray] = None) -> np.ndarray:
+                          support: Optional[np.ndarray] = None,
+                          _program: Optional[_RoundProgram] = None) -> np.ndarray:
     """Advance ``R`` independent runs one synchronous round (exact, O(R·m²)).
 
     ``counts`` has shape ``(R, m)``: run ``r`` scatters each of its value
@@ -387,19 +507,23 @@ def occupancy_round_batch(counts: np.ndarray, rule: Rule,
     round is a handful of NumPy passes regardless of R.  Each run's
     population size is conserved exactly.  On the compiled backend, built-in
     rules take the banded O(m)-draw path and never build the m×m matrix.
+    ``_program`` is the calling loop's round program; without it the call
+    resolves its own.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    prof = _banded_profiles_if_fast(rule, counts)
-    if prof is not None:
-        lo, hi, diag = prof
-        return _mnk.sample_scatter_banded(counts, lo, hi, diag, rng)
+    program = _program or _RoundProgram(rule, counts.shape[0])
+    if program.banded:
+        lo, hi, diag = occupancy_outcome_profiles(rule, counts, _program=program)
+        return _mnk.sample_scatter_banded(counts, lo, hi, diag, rng,
+                                          _kernel=program.kernel)
     Q = occupancy_transition_matrix_batch(rule, counts, support)
-    return _mnk.scatter_column_sums_batch(counts, Q, rng)
+    return _mnk.scatter_column_sums_batch(counts, Q, rng, _kernel=program.kernel)
 
 
 def occupancy_round_batch_split(counts: np.ndarray, victim_counts: np.ndarray,
                                 rule: Rule, rng: np.random.Generator, *,
-                                support: Optional[np.ndarray] = None
+                                support: Optional[np.ndarray] = None,
+                                _program: Optional[_RoundProgram] = None
                                 ) -> tuple[np.ndarray, np.ndarray]:
     """One round with each run's victim subpopulation scattered separately.
 
@@ -413,6 +537,7 @@ def occupancy_round_batch_split(counts: np.ndarray, victim_counts: np.ndarray,
     exactly the same joint law as one combined scatter plus tracking which
     holders were victims.  Rows whose run has no victim tracking carry a
     zero victim row (a no-op scatter), so mixed batches stay one program.
+    ``_program`` is as in :func:`occupancy_round_batch`.
 
     Returns ``(new_counts, new_victim_counts)``.
     """
@@ -424,16 +549,18 @@ def occupancy_round_batch_split(counts: np.ndarray, victim_counts: np.ndarray,
             "victim occupancy out of sync with the population counts "
             "(victim_counts must satisfy 0 <= victim_counts <= counts)"
         )
-    prof = _banded_profiles_if_fast(rule, counts)
-    if prof is not None:
-        lo, hi, diag = prof
-        new_civilians = _mnk.sample_scatter_banded(civilians, lo, hi, diag, rng)
+    program = _program or _RoundProgram(rule, counts.shape[0])
+    kernel = program.kernel
+    if program.banded:
+        lo, hi, diag = occupancy_outcome_profiles(rule, counts, _program=program)
+        new_civilians = _mnk.sample_scatter_banded(civilians, lo, hi, diag, rng,
+                                                   _kernel=kernel)
         new_victims = _mnk.sample_scatter_banded(victim_counts, lo, hi, diag,
-                                                 rng)
+                                                 rng, _kernel=kernel)
         return new_civilians + new_victims, new_victims
     Q = occupancy_transition_matrix_batch(rule, counts, support)
-    new_civilians = _mnk.scatter_column_sums_batch(civilians, Q, rng)
-    new_victims = _mnk.scatter_column_sums_batch(victim_counts, Q, rng)
+    new_civilians = _mnk.scatter_column_sums_batch(civilians, Q, rng, _kernel=kernel)
+    new_victims = _mnk.scatter_column_sums_batch(victim_counts, Q, rng, _kernel=kernel)
     return new_civilians + new_victims, new_victims
 
 

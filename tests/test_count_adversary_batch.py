@@ -12,6 +12,9 @@ occupancy one run at a time.  Swapped into the same loop, the reference must
 leave the same counts, consensus and stable rounds, ledgers, strategy state
 and generator state as the batched step, for every strategy, timing, batch
 width, palette, rule and seed.
+
+A count outside the model (below 0 or above a run's budget) is refused by
+the run's own ledger in the round it happens.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import repro.adversary.base as base_module
 import repro.engine.batch as batch_module
 from repro.adversary.base import Adversary, AdversaryTiming, NullAdversary
 from repro.adversary.budget import BudgetLedger
@@ -225,7 +229,14 @@ def test_batched_step_matches_per_run_reference(strategy, timing):
 @pytest.mark.parametrize("make", [
     lambda r: HidingAdversary(3) if r % 2 == 0 else BalancingAdversary(3),
     lambda r: NullAdversary() if r % 2 == 0 else BalancingAdversary(4),
-], ids=["mixed-class", "mixed-budget"])
+    # different budgets and both timings, one class or several: the runs
+    # stabilise and retire in different rounds
+    lambda r: BalancingAdversary((1, 3, 0, 5, 2, 8)[r % 6],
+                                 timing=list(AdversaryTiming)[r % 2]),
+    lambda r: make_adversary(("balancing", "sticky", "random", "null", "switching")[r % 5],
+                             budget=(2, 4, 1, 0, 3)[r % 5],
+                             timing=list(AdversaryTiming)[r % 3 % 2]),
+], ids=["mixed-class", "mixed-budget", "mixed-budget-timing", "mixed-all"])
 @pytest.mark.parametrize("seed", (0, 1))
 def test_mixed_batches_match_per_run_reference(make, seed):
     for R, wider in itertools.product((3, 17), (False, True)):
@@ -247,3 +258,30 @@ def test_one_adversary_call_per_round(monkeypatch):
         max_rounds=40)
     assert res.meta["rounds_executed"] > 1
     assert len(calls) == res.meta["rounds_executed"]
+
+
+@pytest.mark.parametrize("bad", ["negative", "over-budget"])
+def test_a_count_outside_the_model_raises_in_its_round(monkeypatch, bad):
+    """An enforcement returning a count below 0 or above a run's budget is
+    refused in the round it happens, by the run's own ledger."""
+    enforce = base_module._enforce_rows
+    calls = []
+
+    def tampered(support, block, moves, budgets, palette):
+        spent = enforce(support, block, moves, budgets, palette)
+        calls.append(None)
+        if len(calls) == 3:   # every run acts before sampling: round 3
+            spent[1] = -1 if bad == "negative" else budgets[1] + 1
+        return spent
+
+    monkeypatch.setattr(base_module, "_enforce_rows", tampered)
+    adversaries = [BalancingAdversary(4) for _ in range(4)]
+    counts = np.tile([60, 60], (4, 1))
+    support = np.arange(2, dtype=np.int64)
+    with pytest.raises(ValueError, match="^round 3: ") as raised:
+        _occupancy_loop(counts, support, get_rule("median"), adversaries,
+                        [support] * 4, np.random.default_rng(0), 10)
+    assert ("negative" if bad == "negative" else "exceeding budget 4") in str(raised.value)
+    # the rows before the refused one were recorded, the rest were not
+    assert [3 in adv.ledger.per_round for adv in adversaries] == [True, False, False, False]
+    assert all(max(adv.ledger.per_round) <= 3 for adv in adversaries)

@@ -5,10 +5,13 @@ Five concerns:
 * **selection plumbing** — ``auto → compiled → numpy`` resolution, the
   ``REPRO_MULTINOMIAL_KERNEL`` env override, :func:`set_multinomial_backend`
   precedence, and the guarantee that a broken provider degrades to NumPy
-  with exactly one structured :class:`MultinomialKernelWarning` (and that
-  importing :mod:`repro.engine` never triggers detection at all); a run
-  launched with the variable at ``compiled`` or ``cc`` fails instead of
-  silently falling back;
+  with exactly one structured :class:`MultinomialKernelWarning` per
+  requested mode (and that importing :mod:`repro.engine` never triggers
+  detection at all); a run launched with the variable at ``compiled`` or
+  ``cc`` fails instead of silently falling back; a count-space loop
+  resolves the backend once and draws once per scatter, with no ctypes
+  conversion per array, and the bound entry points refuse an array of the
+  wrong dtype, layout or shape before C runs;
 * **invariants** — row sums preserved exactly, zero-count rows exactly
   zero, zero-probability columns never receive mass, on both backends and
   every seam entry point;
@@ -27,13 +30,17 @@ off-by-one in a conditional probability fails immediately.
 
 from __future__ import annotations
 
+import ctypes
 import os
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.adversary.base import AdversaryTiming
+from repro.adversary.strategies import make_adversary
 from repro.engine import _multinomial as mnk
 from repro.engine._multinomial import (
     BACKEND_CHOICES,
@@ -128,30 +135,46 @@ class TestResolution:
         assert info.resolved == "compiled", info.detail
 
 
+def _poison_providers(monkeypatch):
+    """Make every compiled provider fail detection, from a clean slate."""
+    monkeypatch.setattr(mnk, "_PROVIDER_FACTORIES", {
+        name: _raise for name in mnk._PROVIDER_FACTORIES})
+    monkeypatch.setattr(mnk, "_providers", {})
+    monkeypatch.setattr(mnk, "_provider_errors", {})
+    monkeypatch.setattr(mnk, "_warned", set())
+
+
+def _kernel_warnings(caught):
+    return [w for w in caught if issubclass(w.category, MultinomialKernelWarning)]
+
+
 class TestFallback:
     """A broken provider degrades to NumPy: one warning, correct results."""
 
-    def test_broken_providers_fall_back_with_single_warning(self, monkeypatch):
-        # poison the factory table so every compiled provider fails detection
-        monkeypatch.setattr(mnk, "_PROVIDER_FACTORIES", {
-            name: _raise for name in mnk._PROVIDER_FACTORIES})
-        monkeypatch.setattr(mnk, "_providers", {})
-        monkeypatch.setattr(mnk, "_provider_errors", {})
-        monkeypatch.setattr(mnk, "_warned", set())
+    @pytest.mark.parametrize("mode", ["auto", "compiled"])
+    def test_broken_providers_fall_back_with_single_warning(self, monkeypatch, mode):
+        _poison_providers(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            first = resolve_multinomial_backend("compiled")
-            second = resolve_multinomial_backend("compiled")
+            first = resolve_multinomial_backend(mode)
+            second = resolve_multinomial_backend(mode)
         assert first.resolved == "numpy" == second.resolved
         assert "deliberately broken" in first.detail
-        kernel_warnings = [w for w in caught
-                           if issubclass(w.category, MultinomialKernelWarning)]
-        assert len(kernel_warnings) == 1  # warned once, not per call
+        assert len(_kernel_warnings(caught)) == 1  # warned once, not per call
         # sampling still works end to end on the fallback
         rng = np.random.default_rng(3)
         flows = sample_flows(np.array([9, 4]), np.full((2, 3), 1 / 3), rng,
-                             backend="compiled")
+                             backend=mode)
         assert flows.sum() == 13
+
+    def test_fallback_warns_once_per_requested_mode(self, monkeypatch):
+        _poison_providers(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for mode in ("auto", "compiled", "auto", "compiled"):
+                assert resolve_multinomial_backend(mode).resolved == "numpy"
+        assert [str(w.message).split("'")[1] for w in _kernel_warnings(caught)] \
+            == ["auto", "compiled"]
 
     def test_import_engine_does_not_trigger_detection(self):
         # detection state is only populated by sampling/resolution calls;
@@ -176,6 +199,106 @@ class TestFallback:
 
 def _raise(*a, **k):
     raise RuntimeError("deliberately broken provider")
+
+
+# ---------------------------------------------------------------------- #
+# a loop's kernel: resolved once, bound to raw addresses
+# ---------------------------------------------------------------------- #
+class _CallCounter:
+    """Counts Python-level calls of the given functions while installed."""
+
+    def __init__(self, **functions):
+        self._names = {f.__code__: name for name, f in functions.items()}
+        self.calls = dict.fromkeys(functions, 0)
+
+    def _profile(self, frame, event, arg):
+        if event == "call":
+            name = self._names.get(frame.f_code)
+            if name is not None:
+                self.calls[name] += 1
+
+    def __enter__(self):
+        self._previous = sys.getprofile()
+        sys.setprofile(self._profile)
+        return self
+
+    def __exit__(self, *exc):
+        sys.setprofile(self._previous)
+
+
+@needs_compiled
+@pytest.mark.parametrize("max_rounds", [4, 30])
+@pytest.mark.parametrize("adversary, scatters", [("null", 1), ("balancing", 1),
+                                                 ("sticky", 2)])
+def test_a_loop_resolves_once_and_draws_once_per_scatter(adversary, scatters,
+                                                          max_rounds):
+    """Whatever its length, a fused loop resolves the backend at most once,
+    calls the kernel once per round (twice with a victim-tracking adversary,
+    whose victims are scattered separately) and converts no array argument
+    through ``ndpointer``."""
+    set_multinomial_backend("compiled")
+    resolve_multinomial_backend()          # detection is not part of the loop
+    initial = make_workload_for_engine("two-bins", "occupancy-fused", n=4096,
+                                       minority=2048)
+    factory = None if adversary == "null" else (lambda: make_adversary(
+        adversary, budget=64, timing=AdversaryTiming.BEFORE_SAMPLING))
+    ndpointer_from_param = np.ctypeslib.ndpointer(np.float64).from_param.__func__
+    draws = mnk.DRAW_STATS["calls"]
+    with _CallCounter(resolve=mnk.resolve_multinomial_backend,
+                      from_param=ndpointer_from_param) as counter:
+        result = run_batch_fused_occupancy(initial, 6, adversary_factory=factory,
+                                           seed=11, max_rounds=max_rounds)
+    rounds = result.meta["rounds_executed"]
+    assert rounds >= 3
+    assert counter.calls["resolve"] <= 1
+    assert counter.calls["from_param"] == 0
+    assert mnk.DRAW_STATS["calls"] - draws == scatters * rounds
+
+
+def _bad_arguments(entry):
+    """``entry``'s good arguments, and variants with one argument refused:
+    a float32 array, a strided one, and one of another dtype."""
+    rng = np.random.default_rng(0)
+    R, m = 3, 4
+    counts = rng.integers(1, 50, (R, m)).astype(np.int64)
+    probs = rng.dirichlet(np.ones(m), R * m)
+    if entry == "sample_flows":
+        good = {"counts": counts.ravel(), "probs": probs}
+    elif entry == "scatter_sums":
+        good = {"counts": counts.ravel(), "probs": probs, "R": R, "m": m}
+    else:
+        good = {"counts": counts, "lo": probs[:R], "hi": probs[R:2 * R],
+                "diag": probs[2 * R:3 * R]}
+    floats = "probs" if "probs" in good else "lo"
+    wide = np.zeros(good["counts"].shape[:-1] + (2 * good["counts"].shape[-1],),
+                    dtype=np.int64)
+    wide[..., ::2] = good["counts"]
+    bad = {
+        "float32": {floats: good[floats].astype(np.float32)},
+        "strided": {"counts": wide[..., ::2]},
+        "wrong-dtype": {"counts": good["counts"].astype(np.int32),
+                        floats: good[floats].astype(np.int64)},
+    }
+    return good, bad
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", ["float32", "strided", "wrong-dtype"])
+@pytest.mark.parametrize("entry", ["sample_flows", "scatter_sums", "sample_banded"])
+def test_bound_entry_points_refuse_arrays_c_cannot_read(monkeypatch, entry, case):
+    """The raw-address binding keeps ``ndpointer``'s guard: an array of the
+    wrong dtype or layout raises before any C entry point is called."""
+    provider = mnk._providers[resolve_multinomial_backend("compiled").provider]
+    good, bad = _bad_arguments(entry)
+    assert getattr(provider, entry)(**good, seed=5).sum() == good["counts"].sum()
+    called = []
+    for c_entry in ("_seed", "_flows", "_sums", "_banded"):
+        monkeypatch.setattr(provider, c_entry,
+                            lambda *args, c_entry=c_entry: called.append(c_entry))
+    for name, value in bad[case].items():
+        with pytest.raises((ctypes.ArgumentError, TypeError, ValueError)):
+            getattr(provider, entry)(**{**good, name: value}, seed=5)
+    assert called == []
 
 
 # ---------------------------------------------------------------------- #
