@@ -73,10 +73,15 @@ import numpy as np
 from repro.adversary.strategies import ADVERSARY_REGISTRY, make_adversary
 from repro.core.rules import available_rules, get_rule
 from repro.engine.batch import BATCH_ENGINES, ENGINES
+from repro.engine.occupancy import MAX_SUPPORT_DEFAULT, OCCUPANCY_RULES
 from repro.store.backends import BACKEND_NAMES
 from repro.experiments import figures
 from repro.experiments.reporting import format_report
-from repro.experiments.workloads import WORKLOAD_REGISTRY, make_workload_for_engine
+from repro.experiments.workloads import (
+    WORKLOAD_REGISTRY,
+    implied_support_width,
+    make_workload_for_engine,
+)
 from repro.io.tables import render_kv
 
 __all__ = ["main", "build_parser"]
@@ -99,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--workload", default="all-distinct", choices=sorted(WORKLOAD_REGISTRY))
     sim.add_argument("--m", type=int, default=None, help="number of initial values "
                                                          "(workloads that take m)")
-    sim.add_argument("--rule", default="median", help="update rule name")
+    sim.add_argument("--rule", default="median", choices=sorted(available_rules()),
+                     help="update rule name")
     sim.add_argument("--adversary", default="null", choices=sorted(ADVERSARY_REGISTRY))
     sim.add_argument("--budget", type=int, default=0, help="adversary budget T")
     sim.add_argument("--max-rounds", type=int, default=None)
@@ -251,6 +257,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     params = {"n": args.n}
     if args.m is not None:
         params["m"] = args.m
+    if args.engine == "occupancy":
+        if args.rule not in OCCUPANCY_RULES:
+            print(f"error: rule {args.rule!r} has no occupancy-space kernel; "
+                  f"supported rules are {', '.join(sorted(OCCUPANCY_RULES))}",
+                  file=sys.stderr)
+            return 2
+        m = implied_support_width(args.workload, params)
+        if m > MAX_SUPPORT_DEFAULT:
+            print(f"error: support width m={m} exceeds the occupancy engine's "
+                  f"limit of {MAX_SUPPORT_DEFAULT}; use --engine vectorized",
+                  file=sys.stderr)
+            return 2
     workload = make_workload_for_engine(args.workload, args.engine, **params)
     rng = np.random.default_rng(args.seed)
     initial = workload(rng) if callable(workload) else workload

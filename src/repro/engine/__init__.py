@@ -36,22 +36,23 @@ per round and therefore in where they are fast:
     engine (select with ``engine="vectorized" | "occupancy" |
     "occupancy-fused"``).  ``run_batch_fused_occupancy``
     (``engine="occupancy-fused"``) advances all R runs as one (R, m) count
-    tensor, each round building a stacked (R, m, m) outcome tensor and
-    drawing all R·m multinomials in a single call.  It and the single-run
+    tensor, each round drawing every run's scatter in a single call of the
+    backend's one sampler (below).  It and the single-run
     ``occupancy`` engine share one round loop (stop rules, adversary steps,
     convergence bookkeeping) and one outcome law per rule
     (:func:`~repro.engine.occupancy.occupancy_outcome_profiles`), as
     ``vectorized`` and ``network`` share one value-space round loop.
-    Cost model: O(R·m²) time per round **independent of n** and
-    O(R·m² · 8 bytes) peak memory (chunked over runs beyond ~134 MB), versus
-    O(R·m²) time *plus O(R) interpreter round trips* for the looped
-    occupancy path.  With an adversary the fused engine still makes one
-    adversary step per round and timing for all R runs; what it does per run
-    is the strategies' random victim draws and the run's ledger entry.  The
-    fused engine wins by an order of magnitude once R is
-    in the hundreds (``tests/test_batch_fused_occupancy.py`` guards ≥ 2× at
-    R = 96), and by far more at large n against the looped value-space
-    engine.
+    Cost model: O(R·m²) time per round **independent of n**, versus O(R·m²)
+    time *plus O(R) interpreter round trips* for the looped occupancy path.
+    Peak memory is O(R·m² · 8 bytes) on the NumPy backend, whose dense
+    (R, m, m) outcome tensor is chunked over runs beyond ~134 MB, and
+    O(R·m) on the compiled backend, whose banded walker builds no matrix.
+    With an adversary the fused engine still makes one adversary step per
+    round and timing for all R runs; what it does per run is the
+    strategies' random victim draws and the run's ledger entry.  The fused
+    engine wins by an order of magnitude once R is in the hundreds
+    (``tests/test_batch_fused_occupancy.py`` guards ≥ 2× at R = 96), and by
+    far more at large n against the looped value-space engine.
 
     Supported rule/adversary matrix of the occupancy substrates (single-run
     and fused alike):
@@ -60,8 +61,7 @@ per round and therefore in where they are fast:
     rules              median, median-k (any k), median-noreplace, voter,
                        minimum, maximum, three-majority (majority of three
                        polled processes), two-choices-majority (adopt iff two
-                       samples agree), or any rule defining
-                       ``occupancy_kernel(support, counts)``
+                       samples agree)
     adversaries        every shipped strategy: null; the histogram
                        strategies balancing, reviving, switching, random,
                        targeted-median (each one move, realized as count
@@ -102,15 +102,18 @@ modest m → occupancy-fused.
 Multinomial kernel backend (the m ≥ 64 wall)
 --------------------------------------------
 Every occupancy substrate bottoms out in exact multinomial scatters, drawn
-through one seam (:mod:`repro.engine._multinomial`) with two backends:
+through one seam (:mod:`repro.engine._multinomial`) with two backends, one
+count-space sampler each:
 
 =============  ============================================================
-``numpy``      ``Generator.multinomial`` — the historical bit stream; every
-               seed-pinned golden result was produced on it.
-``compiled``   conditional-binomial cascade in a C kernel compiled on
-               first use (provider ``cc``), plus a pooled *banded* sampler
-               that scatters a built-in rule's whole run with O(m) draws
-               instead of O(m²).
+``numpy``      ``scatter_column_sums_batch``: ``Generator.multinomial``
+               over the dense (R, m, m) outcome tensor — the historical
+               bit stream; every seed-pinned golden result was produced
+               on it.
+``compiled``   ``sample_scatter_banded``: a pooled *banded* walker in a C
+               kernel compiled on first use (provider ``cc``) that
+               scatters a run with O(m) binomial draws instead of O(m²)
+               and never builds the m×m matrix.
 =============  ============================================================
 
 Selection is ``auto`` (compiled when available, else NumPy with one
@@ -144,7 +147,6 @@ from repro.engine.occupancy import (
     occupancy_round,
     occupancy_round_batch,
     occupancy_transition_matrix,
-    occupancy_transition_matrix_batch,
     simulate_occupancy,
 )
 from repro.engine.rng import (
@@ -152,7 +154,6 @@ from repro.engine.rng import (
     MultinomialKernelWarning,
     RngPool,
     make_rng,
-    multinomial_backend_info,
     multinomial_kernel_id,
     resolve_multinomial_backend,
     set_multinomial_backend,
@@ -182,10 +183,8 @@ __all__ = [
     "occupancy_round_batch",
     "occupancy_outcome_profiles",
     "occupancy_transition_matrix",
-    "occupancy_transition_matrix_batch",
     "KernelInfo",
     "MultinomialKernelWarning",
-    "multinomial_backend_info",
     "multinomial_kernel_id",
     "resolve_multinomial_backend",
     "set_multinomial_backend",

@@ -1,16 +1,7 @@
 /* Compiled exact-multinomial kernel for the occupancy engines.
  *
- * Three entry points, all exact samplers (no normal approximations):
+ * One sampler, exact (no normal approximations):
  *
- *   mnk_sample_flows   — dense conditional-binomial cascade: row i of the
- *                        output is one Multinomial(counts[i], probs[i]) draw,
- *                        decomposed into at most m-1 sequential binomial
- *                        draws with conditional success probabilities
- *                        p_j / (p_j + p_{j+1} + ... + p_{m-1}).
- *   mnk_scatter_sums   — same cascade, but rows are grouped into R runs of m
- *                        source bins each and only the per-run column sums
- *                        are accumulated (the occupancy engines never need
- *                        the full flow tensor, only the new occupancy).
  *   mnk_sample_banded  — pooled O(m)-draw sampler for banded outcome
  *                        matrices Q[a,b] = lo[b] (b<a) / hi[b] (b>a) /
  *                        diag[a] (b=a) up to per-row normalization, the
@@ -42,8 +33,9 @@
  * mnk_seed_state, so reproducibility is seed-exact *within* this backend
  * (the bit stream legitimately differs from NumPy's own multinomial).
  *
- * ABI: bump MNK_ABI_VERSION whenever a signature changes; the Python seam
- * refuses to load a mismatched shared object and falls back to NumPy.
+ * ABI: bump MNK_ABI_VERSION whenever an entry point is added, removed or
+ * changes signature; the Python seam builds one shared object per version
+ * and refuses to load a mismatched one (falling back to NumPy).
  */
 
 #include <stdint.h>
@@ -51,7 +43,7 @@
 #include <math.h>
 #include <string.h>
 
-#define MNK_ABI_VERSION 1
+#define MNK_ABI_VERSION 2
 
 int64_t mnk_abi_version(void) { return MNK_ABI_VERSION; }
 
@@ -170,65 +162,11 @@ static inline int64_t binom_draw(xo256 *st, int64_t n, double p) {
     return flip ? n - x : x;
 }
 
-/* ------------------------------------------------------- dense cascade -- */
-
-/* One multinomial row: rem balls over p[0..m-1] into o[0..m-1]. */
-static inline void cascade_row(xo256 *st, int64_t rem, const double *p,
-                               int64_t m, int64_t *o) {
-    double psum = 1.0;
-    int64_t j = 0;
-    for (; j < m - 1; j++) {
-        const double pj = p[j];
-        if (pj <= 0.0) { o[j] = 0; continue; }
-        const double cond = pj / psum;
-        const int64_t d = (cond >= 1.0) ? rem : binom_draw(st, rem, cond);
-        o[j] = d; rem -= d; psum -= pj;
-        if (rem <= 0 || psum <= 0.0) { j++; break; }
-    }
-    if (j < m) memset(o + j, 0, sizeof(int64_t) * (size_t)(m - j));
-    if (m > 0 && rem > 0) o[m - 1] = rem;
-}
-
-void mnk_sample_flows(const int64_t *counts, const double *probs,
-                      int64_t rows, int64_t m, const uint64_t *state4,
-                      uint64_t *state4_out, int64_t *out) {
-    init_tables();
-    xo256 st = {{state4[0], state4[1], state4[2], state4[3]}};
-    for (int64_t r = 0; r < rows; r++) {
-        int64_t *o = out + (size_t)r * m;
-        if (counts[r] <= 0) { memset(o, 0, sizeof(int64_t) * (size_t)m); continue; }
-        cascade_row(&st, counts[r], probs + (size_t)r * m, m, o);
-    }
-    memcpy(state4_out, st.s, sizeof(st.s));
-}
-
-/* R runs of m source rows each; out is the (R, m) per-run column sums.
- * counts/probs have R*m rows.  Zero-count rows cost one compare. */
-void mnk_scatter_sums(const int64_t *counts, const double *probs,
-                      int64_t R, int64_t m, const uint64_t *state4,
-                      uint64_t *state4_out, int64_t *out) {
-    init_tables();
-    xo256 st = {{state4[0], state4[1], state4[2], state4[3]}};
-    int64_t *row = (int64_t *)malloc(sizeof(int64_t) * (size_t)m);
-    memset(out, 0, sizeof(int64_t) * (size_t)R * (size_t)m);
-    for (int64_t r = 0; r < R; r++) {
-        int64_t *o = out + (size_t)r * m;
-        for (int64_t a = 0; a < m; a++) {
-            const int64_t c = counts[(size_t)r * m + a];
-            if (c <= 0) continue;
-            cascade_row(&st, c, probs + ((size_t)r * m + a) * m, m, row);
-            for (int64_t b = 0; b < m; b++) o[b] += row[b];
-        }
-    }
-    free(row);
-    memcpy(state4_out, st.s, sizeof(st.s));
-}
-
 /* ------------------------------------------------------- banded walker -- */
 
 /* counts/lo/hi/diag are (R, m) row-major; out is the (R, m) new occupancy.
  * Negative profile entries (floating-point noise) are clamped to zero, the
- * same clip _normalize_rows applies on the dense path. */
+ * same clip _normalize_rows applies to NumPy's dense matrix. */
 void mnk_sample_banded(const int64_t *counts, const double *lo,
                        const double *hi, const double *diag,
                        int64_t R, int64_t m, const uint64_t *state4,

@@ -4,20 +4,22 @@ Every fast path in the repository bottoms out in drawing multinomial flows
 (at m = 64 a dense round costs ~R·m² sequential binomial draws inside
 ``Generator.multinomial``, so on NumPy the fused engine's win over the
 looped one shrinks to a few ×).  This module is the single seam the
-occupancy engines sample through, with two interchangeable *backends*:
+occupancy engines sample through, with two interchangeable *backends*, and
+one count-space sampler each:
 
 ``numpy``
-    ``Generator.multinomial`` — bit-for-bit the code the engines ran before
-    the seam existed, so every seed-pinned golden result stays valid, and
-    the trusted reference the compiled backend is certified against.
+    :func:`scatter_column_sums_batch`: ``Generator.multinomial`` over a
+    dense ``(R, m, m)`` outcome tensor, bit-for-bit the code the engines ran
+    before the seam existed, so every seed-pinned golden result stays
+    valid, and the trusted reference the compiled backend is certified
+    against.
 
 ``compiled``
-    A conditional-binomial cascade with no Python dispatch per row: the C
+    :func:`sample_scatter_banded`: the pooled *banded* walker of the C
     kernel ``_mnk.c``, compiled on first use with the system C compiler and
-    loaded via ctypes (provider ``cc``).  The compiled backend additionally
-    offers a pooled *banded* sampler exploiting the band structure every
-    built-in occupancy rule shares (O(m) draws per run instead of O(m²) —
-    see ``_mnk.c``).
+    loaded via ctypes (provider ``cc``).  It exploits the band structure
+    every built-in occupancy rule shares: O(m) binomial draws per run
+    instead of O(m²), and no m×m matrix (see ``_mnk.c``).
 
 Selection: explicit ``backend=`` argument > :func:`set_multinomial_backend`
 > the ``REPRO_MULTINOMIAL_KERNEL`` environment variable > ``auto``.  Values:
@@ -29,15 +31,18 @@ ABI-mismatched provider degrades to NumPy with one structured
 included: ``auto`` and then ``compiled`` warn twice, a repeated ``auto``
 not again).
 
-A direct call of a sampler resolves the backend on every call.  A
-count-space loop (``repro.engine.batch._occupancy_loop``) resolves it once,
-before its first round, into a :class:`_BoundKernel` that every round then
-samples through: the provider's C entry points are bound to raw addresses
-(``c_void_p`` / ``c_int64`` argtypes) when the provider is detected, and the
-loop owns the kernel's seed-state scratch.  The raw-address call keeps what
-``ndpointer`` argtypes guaranteed: every array handed to C was allocated here
-with the right dtype, layout and shape, or is checked for dtype,
-``C_CONTIGUOUS`` and shape first, and a wrong one is refused before C runs.
+A direct call of :func:`sample_scatter_banded` resolves the backend on every
+call; the NumPy-only samplers (:func:`sample_flows`,
+:func:`scatter_column_sums`, :func:`scatter_column_sums_batch`) resolve
+none.  A count-space loop (``repro.engine.batch._occupancy_loop``) resolves
+the backend once, before its first round, into a :class:`_BoundKernel` that
+every round then samples through: the provider's C entry points are bound
+to raw addresses (``c_void_p`` / ``c_int64`` argtypes) when the provider is
+detected, and the loop owns the kernel's seed-state scratch.  The
+raw-address call keeps what ``ndpointer`` argtypes guaranteed: every array
+handed to C was allocated here with the right dtype, layout and shape, or
+is checked for dtype, ``C_CONTIGUOUS`` and shape first, and a wrong one is
+refused before C runs.
 
 Reproducibility contract: seed-exact **within** a backend.  The compiled
 provider bridges the caller's ``numpy.random.Generator`` by drawing one
@@ -71,12 +76,10 @@ __all__ = [
     "DRAW_STATS",
     "KernelInfo",
     "MultinomialKernelWarning",
-    "multinomial_backend_info",
     "multinomial_kernel_id",
     "resolve_multinomial_backend",
     "set_multinomial_backend",
     "sample_flows",
-    "sample_flows_batch",
     "scatter_column_sums",
     "scatter_column_sums_batch",
     "sample_scatter_banded",
@@ -93,7 +96,7 @@ BACKEND_CHOICES = ("auto", "compiled", "numpy", "cc")
 DRAW_STATS = {"calls": 0, "rows": 0}
 
 #: Must match MNK_ABI_VERSION in _mnk.c; a stale shared object is rebuilt.
-_ABI_VERSION = 1
+_ABI_VERSION = 2
 
 class MultinomialKernelWarning(UserWarning):
     """A requested compiled multinomial backend was unavailable; NumPy ran."""
@@ -180,12 +183,6 @@ class _CcKernel:
         self._seed = lib.mnk_seed_state
         self._seed.restype = None
         self._seed.argtypes = [ctypes.c_uint64, _ADDR]
-        self._flows = lib.mnk_sample_flows
-        self._flows.restype = None
-        self._flows.argtypes = [_ADDR, _ADDR, _SIZE, _SIZE, _ADDR, _ADDR, _ADDR]
-        self._sums = lib.mnk_scatter_sums
-        self._sums.restype = None
-        self._sums.argtypes = [_ADDR, _ADDR, _SIZE, _SIZE, _ADDR, _ADDR, _ADDR]
         self._banded = lib.mnk_sample_banded
         self._banded.restype = None
         self._banded.argtypes = [_ADDR, _ADDR, _ADDR, _ADDR, _SIZE, _SIZE,
@@ -233,35 +230,9 @@ class _CcKernel:
         return so_path
 
     # -- draws ---------------------------------------------------------- #
-    # Each draw checks every caller array before any C call, seeds the
+    # A draw checks every caller array before any C call, seeds the
     # kernel's state from ``seed`` (in ``state``, or a fresh one it holds
     # until C returns), and writes into an ``out`` it allocates.
-    def _seeded(self, seed: int, state: Optional[_SeedState]) -> _SeedState:
-        state = state or _SeedState()
-        self._seed(int(seed) & (2**64 - 1), state.at)
-        return state
-
-    def sample_flows(self, counts: np.ndarray, probs: np.ndarray,
-                     seed: int, state: Optional[_SeedState] = None
-                     ) -> np.ndarray:
-        rows, m = probs.shape
-        args = (_address(counts, _I64, (rows,)),
-                _address(probs, _F64, (rows, m)))
-        out = np.empty((rows, m), dtype=np.int64)
-        state = self._seeded(seed, state)
-        self._flows(*args, rows, m, state.at, state.at, _address(out, _I64, (rows, m)))
-        return out
-
-    def scatter_sums(self, counts: np.ndarray, probs: np.ndarray,
-                     R: int, m: int, seed: int,
-                     state: Optional[_SeedState] = None) -> np.ndarray:
-        args = (_address(counts, _I64, (R * m,)),
-                _address(probs, _F64, (R * m, m)))
-        out = np.empty((R, m), dtype=np.int64)
-        state = self._seeded(seed, state)
-        self._sums(*args, R, m, state.at, state.at, _address(out, _I64, (R, m)))
-        return out
-
     def sample_banded(self, counts: np.ndarray, lo: np.ndarray,
                       hi: np.ndarray, diag: np.ndarray, seed: int,
                       state: Optional[_SeedState] = None) -> np.ndarray:
@@ -269,30 +240,22 @@ class _CcKernel:
         args = (_address(counts, _I64, shape), _address(lo, _F64, shape),
                 _address(hi, _F64, shape), _address(diag, _F64, shape))
         out = np.empty(shape, dtype=np.int64)
-        state = self._seeded(seed, state)
+        state = state or _SeedState()
+        self._seed(int(seed) & (2**64 - 1), state.at)
         self._banded(*args, R, m, state.at, state.at, _address(out, _I64, shape))
         return out
 
     # -- detection smoke test ------------------------------------------- #
     def _smoke_test(self) -> None:
-        eye = np.eye(3, dtype=np.float64)
-        c = np.array([5, 0, 7], dtype=np.int64)
-        flows = self.sample_flows(c, eye, 12345)
-        if not (np.array_equal(np.diag(flows), c) and flows.sum() == c.sum()):
-            raise RuntimeError("cc sample_flows failed its identity smoke test")
-        sums = self.scatter_sums(c, eye, 1, 3, 12345)
-        if not np.array_equal(sums[0], c):
-            raise RuntimeError("cc scatter_sums failed its identity smoke test")
+        c = np.array([[5, 0, 7]], dtype=np.int64)
         z = np.zeros((1, 3), dtype=np.float64)
-        one = np.ones((1, 3), dtype=np.float64)
-        stay = self.sample_banded(c[None, :], z, z, one, 12345)
-        if not np.array_equal(stay[0], c):
+        stay = self.sample_banded(c, z, z, np.ones((1, 3)), 12345)
+        if not np.array_equal(stay, c):
             raise RuntimeError("cc sample_banded failed its stay smoke test")
         third = np.full((1, 3), 1.0 / 3.0)
-        mix = self.sample_flows(np.array([1000], dtype=np.int64),
-                                third, 99)
-        if mix.sum() != 1000 or mix.min() < 0:
-            raise RuntimeError("cc sample_flows failed its sum smoke test")
+        mix = self.sample_banded(c * 200, third, third, third, 99)
+        if mix.sum() != 2400 or mix.min() < 0:
+            raise RuntimeError("cc sample_banded failed its sum smoke test")
 
 
 _PROVIDER_FACTORIES = {"cc": _CcKernel}
@@ -386,12 +349,6 @@ def resolve_multinomial_backend(backend: Optional[str] = None) -> KernelInfo:
     return KernelInfo(requested, "numpy", "numpy", detail=detail)
 
 
-def multinomial_backend_info(backend: Optional[str] = None) -> KernelInfo:
-    """The kernel the current configuration resolves to (alias with a
-    discoverable name)."""
-    return resolve_multinomial_backend(backend)
-
-
 def multinomial_kernel_id(backend: Optional[str] = None) -> str:
     """Provenance string of the resolved kernel (``numpy`` / ``compiled:*``)."""
     return resolve_multinomial_backend(backend).kernel_id
@@ -404,7 +361,7 @@ class _BoundKernel:
     with its bound entry points (``None`` on numpy), and ``state`` the
     kernel's seed-state scratch.  A loop builds one before its first round
     and drops it with the loop, so two loops in two threads never share a
-    scratch; a direct sampler call builds its own.
+    scratch; a direct :func:`sample_scatter_banded` call builds its own.
     """
 
     __slots__ = ("info", "provider", "state")
@@ -438,93 +395,57 @@ def _draw_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, _U64_MAX, dtype=np.uint64, endpoint=True))
 
 
-def _prep(counts: np.ndarray, dtype=np.int64) -> np.ndarray:
-    return np.ascontiguousarray(counts, dtype=dtype)
-
-
 # ---------------------------------------------------------------------- #
 # sampling operations
 # ---------------------------------------------------------------------- #
 def sample_flows(counts: np.ndarray, pvals: np.ndarray,
-                 rng: np.random.Generator,
-                 backend: Optional[str] = None) -> np.ndarray:
+                 rng: np.random.Generator) -> np.ndarray:
     """Row-wise multinomial flows: ``out[i] ~ Multinomial(counts[i], pvals[i])``.
 
-    ``counts`` is ``(N,)``, ``pvals`` is ``(N, m)``; rows with zero count
-    cost nothing on the compiled backend.  On the numpy backend this is
-    verbatim ``rng.multinomial(counts, pvals)``.
+    ``counts`` is ``(N,)``, ``pvals`` is ``(N, m)``.  NumPy only: verbatim
+    ``rng.multinomial(counts, pvals)``.
     """
     DRAW_STATS["calls"] += 1
     DRAW_STATS["rows"] += int(np.asarray(pvals).shape[0])
-    kernel = _BoundKernel(backend)
-    if kernel.provider is None:
-        return rng.multinomial(counts, pvals).astype(np.int64, copy=False)
-    return kernel.provider.sample_flows(_prep(counts), _prep(pvals, np.float64),
-                                        _draw_seed(rng), kernel.state)
-
-
-def sample_flows_batch(counts: np.ndarray, Q: np.ndarray,
-                       rng: np.random.Generator,
-                       backend: Optional[str] = None) -> np.ndarray:
-    """Batched flow tensor: ``(R, m)`` counts through ``(R, m, m)`` outcome
-    matrices → ``(R, m, m)`` flows, ``out[r, a] ~ Multinomial(counts[r, a],
-    Q[r, a])``."""
-    counts = np.asarray(counts)
-    Q = np.asarray(Q)
-    R, m = counts.shape
-    flat = sample_flows(counts.reshape(R * m), Q.reshape(R * m, m), rng,
-                        backend=backend)
-    return flat.reshape(R, m, m)
+    return rng.multinomial(counts, pvals).astype(np.int64, copy=False)
 
 
 def scatter_column_sums(counts: np.ndarray, Q: np.ndarray,
-                        rng: np.random.Generator,
-                        backend: Optional[str] = None) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     """Column sums of one run's flows: the new occupancy after a scatter.
 
     The ``R = 1`` slice of :func:`scatter_column_sums_batch` (one seam call,
     the same draws).
     """
     counts = np.asarray(counts)
-    return scatter_column_sums_batch(counts[None, :], np.asarray(Q)[None],
-                                     rng, backend=backend)[0]
+    return scatter_column_sums_batch(counts[None, :], np.asarray(Q)[None], rng)[0]
 
 
 def scatter_column_sums_batch(counts: np.ndarray, Q: np.ndarray,
-                              rng: np.random.Generator,
-                              backend: Optional[str] = None, *,
-                              _kernel: Optional[_BoundKernel] = None
-                              ) -> np.ndarray:
+                              rng: np.random.Generator) -> np.ndarray:
     """Batched scatter column sums: ``(R, m)`` counts through ``(R, m, m)``.
 
-    The numpy path draws only the occupied (run, bin) pairs, so seeded
-    numpy results match the pre-seam engines bit for bit.  The compiled
-    path skips zero rows inline in C.  ``_kernel`` is a count-space loop's
-    backend, resolved once for all its rounds.
+    The numpy backend's count-space sampler.  It draws only the occupied
+    (run, bin) pairs, so seeded results match the pre-seam engines bit for
+    bit.
     """
     DRAW_STATS["calls"] += 1
     DRAW_STATS["rows"] += int(np.asarray(counts).size)
-    kernel = _kernel or _BoundKernel(backend)
     R, m = counts.shape
-    if kernel.provider is None:
-        nz_run, nz_bin = np.nonzero(counts > 0)
-        if nz_run.shape[0] >= R * m:
-            flows = rng.multinomial(counts.reshape(R * m), Q.reshape(R * m, m))
-            return flows.reshape(R, m, m).sum(axis=1, dtype=np.int64)
-        # empty bins scatter nothing: draw only the occupied (run, bin) pairs
-        # and segment-sum the flows back per run (nz_run is sorted row-major,
-        # so each run's pairs are contiguous)
-        out = np.zeros((R, m), dtype=np.int64)
-        if nz_run.shape[0] == 0:
-            return out
-        flows = rng.multinomial(counts[nz_run, nz_bin], Q[nz_run, nz_bin])
-        starts = np.flatnonzero(np.r_[True, np.diff(nz_run) > 0])
-        out[nz_run[starts]] = np.add.reduceat(flows, starts, axis=0)
+    nz_run, nz_bin = np.nonzero(counts > 0)
+    if nz_run.shape[0] >= R * m:
+        flows = rng.multinomial(counts.reshape(R * m), Q.reshape(R * m, m))
+        return flows.reshape(R, m, m).sum(axis=1, dtype=np.int64)
+    # empty bins scatter nothing: draw only the occupied (run, bin) pairs
+    # and segment-sum the flows back per run (nz_run is sorted row-major,
+    # so each run's pairs are contiguous)
+    out = np.zeros((R, m), dtype=np.int64)
+    if nz_run.shape[0] == 0:
         return out
-    flat_counts = _prep(counts).reshape(R * m)
-    flat_Q = _prep(Q, np.float64).reshape(R * m, m)
-    return kernel.provider.scatter_sums(flat_counts, flat_Q, R, m,
-                                        _draw_seed(rng), kernel.state)
+    flows = rng.multinomial(counts[nz_run, nz_bin], Q[nz_run, nz_bin])
+    starts = np.flatnonzero(np.r_[True, np.diff(nz_run) > 0])
+    out[nz_run[starts]] = np.add.reduceat(flows, starts, axis=0)
+    return out
 
 
 def _profile(p: np.ndarray, R: int, m: int) -> np.ndarray:
@@ -542,15 +463,17 @@ def sample_scatter_banded(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                           _kernel: Optional[_BoundKernel] = None) -> np.ndarray:
     """Scatter through a banded outcome matrix with O(m) draws per run.
 
-    ``counts`` is ``(R, m)``; ``lo``/``hi``/``diag`` are the band profiles
-    (``(m,)`` or ``(R, m)``), defining ``Q[a, b] = lo[b]`` below the
-    diagonal, ``hi[b]`` above and ``diag[a]`` on it, up to per-row
-    normalization (which cancels out of every sampled ratio).  Returns the
-    new ``(R, m)`` occupancy — the flow tensor is never formed.  Exact in
-    law; see ``_mnk.c`` for the pooled-hazard-walk argument.  ``_kernel`` is
-    a count-space loop's backend, resolved once for all its rounds.
+    The compiled backend's count-space sampler.  ``counts`` is ``(R, m)``;
+    ``lo``/``hi``/``diag`` are the band profiles (``(m,)`` or ``(R, m)``),
+    defining ``Q[a, b] = lo[b]`` below the diagonal, ``hi[b]`` above and
+    ``diag[a]`` on it, up to per-row normalization (which cancels out of
+    every sampled ratio).  Returns the new ``(R, m)`` occupancy — the flow
+    tensor is never formed.  Exact in law; see ``_mnk.c`` for the
+    pooled-hazard-walk argument.  ``backend`` picks the walker: the C one,
+    or on ``numpy`` the NumPy reference :func:`_banded_numpy`.  ``_kernel``
+    is a count-space loop's backend, resolved once for all its rounds.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
     R, m = counts.shape
     DRAW_STATS["calls"] += 1
     DRAW_STATS["rows"] += int(counts.size)
@@ -558,8 +481,8 @@ def sample_scatter_banded(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     kernel = _kernel or _BoundKernel(backend)
     if kernel.provider is None:
         return _banded_numpy(counts, lo, hi, diag, rng)
-    return kernel.provider.sample_banded(_prep(counts), lo, hi, diag,
-                                         _draw_seed(rng), kernel.state)
+    return kernel.provider.sample_banded(counts, lo, hi, diag, _draw_seed(rng),
+                                         kernel.state)
 
 
 def _banded_numpy(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -567,9 +490,9 @@ def _banded_numpy(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     """NumPy reference of the banded pooled sampler (vectorized over runs).
 
     Same law as the C implementation (not the same bit stream); the
-    engines only route banded scatters to compiled backends, so this exists
-    as the independently-written cross-check the property tests compare
-    against.
+    engines scatter on NumPy through :func:`scatter_column_sums_batch`, so
+    this exists as the independently-written cross-check the property tests
+    compare against.
     """
     R, m = counts.shape
     loc = np.clip(lo, 0.0, None)

@@ -11,13 +11,15 @@ batching strategies are provided:
   cheaper than one interpreter round trip.
 
 * :func:`run_batch_fused_occupancy` — the multi-run analogue of the occupancy
-  engine: state is one ``(R, m)`` count tensor, each round builds the stacked
-  ``(R, m, m)`` outcome tensor and draws all ``R·m`` multinomials in a single
-  reshaped call, and the adversaries of all runs act in one step.  O(R·m²)
-  per round with **no dependence on n**, so convergence-round distributions
-  at n = 10⁶–10⁹ cost the same as at n = 10⁴.  The only work left per run is
-  the adversaries' own random victim draws and each run's budget-ledger
-  entry.  Selected as ``run_batch(engine="occupancy-fused")``.
+  engine: state is one ``(R, m)`` count tensor, each round draws every run's
+  scatter in a single seam call (on NumPy all ``R·m`` multinomials of the
+  stacked ``(R, m, m)`` outcome tensor, on the compiled kernel the banded
+  walker, which builds no matrix), and the adversaries of all runs act in
+  one step.  O(R·m²) per round with **no dependence on n**, so
+  convergence-round distributions at n = 10⁶–10⁹ cost the same as at
+  n = 10⁴.  The only work left per run is the adversaries' own random
+  victim draws and each run's budget-ledger entry.  Selected as
+  ``run_batch(engine="occupancy-fused")``.
 
 Both return a :class:`BatchResult` with convergence-round statistics.
 """
@@ -290,15 +292,12 @@ def _fused_occupancy_supported(rule: Rule, adversary: Optional[Adversary]) -> bo
     """Object-level twin of :func:`fused_occupancy_cell_supported`."""
     if adversary is not None and adversary.budget > 0 and not adversary.supports_counts:
         return False
-    if callable(getattr(rule, "occupancy_kernel", None)):
-        return True
     return isinstance(rule, OCCUPANCY_KERNEL_RULE_TYPES)
 
 
 def _occupancy_round_blocked(counts: np.ndarray,
                              victims: Optional[np.ndarray], rule: Rule,
-                             rng: np.random.Generator, support: np.ndarray,
-                             program: _RoundProgram
+                             rng: np.random.Generator, program: _RoundProgram
                              ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """One fused round, chunked over runs so peak memory stays bounded.
 
@@ -314,12 +313,12 @@ def _occupancy_round_blocked(counts: np.ndarray,
     for s in range(0, R, block):
         if victims is None:
             parts.append((occupancy_round_batch(counts[s:s + block], rule, rng,
-                                                support=support, _program=program),
+                                                _program=program),
                           None))
         else:
             parts.append(occupancy_round_batch_split(
                 counts[s:s + block], victims[s:s + block], rule, rng,
-                support=support, _program=program))
+                _program=program))
     if len(parts) == 1:
         return parts[0]
     new_victims = None if victims is None else np.concatenate(
@@ -441,8 +440,7 @@ def _occupancy_loop(
             # get their victims scattered as a separate — exactly equivalent —
             # multinomial program, and learn the victims' new occupancy
             victims = batch.victim_rows(support, live)
-        cur, new_victims = _occupancy_round_blocked(cur, victims, rule, rng, support,
-                                                    program)
+        cur, new_victims = _occupancy_round_blocked(cur, victims, rule, rng, program)
         if victims is not None:
             batch.observe_victim_rows(support, live, new_victims)
         if batch is not None:

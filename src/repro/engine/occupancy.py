@@ -38,8 +38,7 @@ pair-without-replacement kernel), the single-choice baselines
 (:class:`~repro.core.baseline_rules.TwoChoicesMajorityRule` — classic
 3-majority — and :class:`~repro.core.baseline_rules.TwoChoicesRule` — classic
 2-Choices), whose majority-of-k-samples outcome distributions also close over
-the load pmf.  Rules may also provide their own kernel by defining
-``occupancy_kernel(support, counts) -> (m, m) matrix``.
+the load pmf.
 
 Adversaries act through budgeted *count edits*
 (:meth:`repro.adversary.base.Adversary.corrupt_counts`), reusing the same
@@ -90,7 +89,6 @@ __all__ = [
     "binomial_sf",
     "occupancy_outcome_profiles",
     "occupancy_transition_matrix",
-    "occupancy_transition_matrix_batch",
     "occupancy_round",
     "occupancy_round_batch",
     "occupancy_round_split",
@@ -114,9 +112,8 @@ _PMF_FAMILIES = ((VoterRule, "voter"), (MinimumRule, "minimum"),
                  (TwoChoicesMajorityRule, "three-majority"),
                  (TwoChoicesRule, "two-choices"))
 
-#: Rule classes :func:`occupancy_transition_matrix` can dispatch on (plus any
-#: rule providing its own ``occupancy_kernel``).  Shared with the batch
-#: layer's support checks so the two cannot drift.
+#: Rule classes :func:`occupancy_transition_matrix` can dispatch on.  Shared
+#: with the batch layer's support checks so the two cannot drift.
 OCCUPANCY_KERNEL_RULE_TYPES = (MedianRule, BestOfKMedianRule) + tuple(
     cls for cls, _ in _PMF_FAMILIES)
 
@@ -125,7 +122,6 @@ OCCUPANCY_KERNEL_RULE_TYPES = (MedianRule, BestOfKMedianRule) + tuple(
 OCCUPANCY_RULES = frozenset(
     name for name, cls in RULE_REGISTRY.items()
     if issubclass(cls, OCCUPANCY_KERNEL_RULE_TYPES)
-    or callable(getattr(cls, "occupancy_kernel", None))
 )
 
 
@@ -179,10 +175,10 @@ def _normalize_rows(Q: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _check_counts(counts: np.ndarray, cum: Optional[np.ndarray] = None) -> np.ndarray:
+def _check_counts(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
     """Refuse a support too wide for m² memory or an empty population;
     return the population size of each row (the last column of ``cum``,
-    the counts' cumulative sum, when given)."""
+    the counts' cumulative sum)."""
     m = counts.shape[-1]
     if m > MAX_SUPPORT_DEFAULT:
         raise ValueError(
@@ -190,7 +186,7 @@ def _check_counts(counts: np.ndarray, cum: Optional[np.ndarray] = None) -> np.nd
             f"({m * m * 8 / 1e9:.1f} GB); the occupancy engine targets m ≪ n — "
             "use the vectorized engine for wide supports"
         )
-    n_per_row = cum[..., -1] if cum is not None and m else counts.sum(axis=-1)
+    n_per_row = cum[..., -1] if m else counts.sum(axis=-1)
     if not n_per_row.all():
         raise ValueError("cannot build a transition for an empty population")
     return n_per_row
@@ -208,9 +204,7 @@ class _Recipe(NamedTuple):
 
 def _recipe_of(rule: Rule) -> Optional[_Recipe]:
     """The recipe of a built-in rule; ``None`` for a rule outside the
-    built-in families or providing its own ``occupancy_kernel``."""
-    if callable(getattr(rule, "occupancy_kernel", None)):
-        return None
+    built-in families."""
     if isinstance(rule, (MedianRule, BestOfKMedianRule)):
         k = rule.k if isinstance(rule, BestOfKMedianRule) else 2
         family = ("median-noreplace" if isinstance(rule, MedianRuleWithoutReplacement)
@@ -272,10 +266,9 @@ def occupancy_outcome_profiles(
 
     ``counts`` may carry leading batch dimensions ``(..., m)``; the profiles
     come back with the same leading shape.  Returns ``None`` for rules
-    outside the built-in families (including any rule providing its own
-    ``occupancy_kernel`` hook — those go through the dense path).  Raises
-    the same errors as :func:`occupancy_transition_matrix` for invalid
-    inputs so routing through profiles never changes the error surface.
+    outside the built-in families.  Raises the same errors as
+    :func:`occupancy_transition_matrix` for invalid inputs so routing
+    through profiles never changes the error surface.
 
     A direct call returns fresh arrays.  A count-space loop passes its round
     program (``_program``): the rule's recipe was resolved once for the
@@ -369,14 +362,20 @@ def occupancy_outcome_profiles(
     return p2, p2, np.add(s2, p2, out=diag)
 
 
-def _builtin_band(rule: Rule, counts: np.ndarray) -> np.ndarray:
-    """The dense band of a built-in rule's profiles, rows renormalized."""
+def occupancy_transition_matrix(rule: Rule, counts: np.ndarray) -> np.ndarray:
+    """The per-class outcome matrix ``Q`` of one round of ``rule``.
+
+    The dense band of :func:`occupancy_outcome_profiles`, rows renormalized.
+    ``counts`` may carry leading batch dimensions ``(..., m)``: ``(R, m)``
+    counts give the stacked ``(R, m, m)`` tensor, one matrix per run, built
+    in one vectorized pass.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
     profiles = occupancy_outcome_profiles(rule, counts)
     if profiles is None:
         raise TypeError(
             f"rule {rule.name!r} has no occupancy-space kernel; supported "
-            f"rules are {', '.join(sorted(OCCUPANCY_RULES))}, or any rule "
-            "defining occupancy_kernel(support, counts)"
+            f"rules are {', '.join(sorted(OCCUPANCY_RULES))}"
         )
     lo, hi, diag = profiles
     m = counts.shape[-1]
@@ -385,58 +384,6 @@ def _builtin_band(rule: Rule, counts: np.ndarray) -> np.ndarray:
     Q = np.where(b_idx < a_idx, lo[..., None, :],
                  np.where(b_idx > a_idx, hi[..., None, :], diag[..., None, :]))
     return _normalize_rows(Q)
-
-
-def occupancy_transition_matrix(rule: Rule, counts: np.ndarray,
-                                support: Optional[np.ndarray] = None
-                                ) -> np.ndarray:
-    """Build the per-class outcome matrix ``Q`` of one round of ``rule``.
-
-    Built-in rules get the band of :func:`occupancy_outcome_profiles`;
-    rules outside the built-in families may provide an
-    ``occupancy_kernel(support, counts)`` method.  ``support`` is the
-    bin-value array matching ``counts`` (the built-in kernels are label-free
-    and ignore it; value-aware hooks receive whatever the caller tracked, or
-    ``None`` when no labels exist at the call site).
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    hook = getattr(rule, "occupancy_kernel", None)
-    if callable(hook):
-        _check_counts(counts)
-        return _normalize_rows(np.asarray(hook(support, counts),
-                                          dtype=np.float64))
-    return _builtin_band(rule, counts)
-
-
-def occupancy_transition_matrix_batch(rule: Rule, counts: np.ndarray,
-                                      support: Optional[np.ndarray] = None
-                                      ) -> np.ndarray:
-    """Stacked ``(R, m, m)`` outcome tensor: one transition matrix per run.
-
-    The built-in kernels are genuinely vectorized over the run axis (one pass
-    of batched CDFs / binomial tails for the whole batch); rules providing a
-    custom ``occupancy_kernel`` hook are offered the whole ``(R, m)`` batch
-    first (hooks broadcasting over leading batch dims run vectorized), and
-    only drop to a per-run loop when the batched call fails or returns the
-    wrong shape.  ``support`` is forwarded to the hook exactly as in
-    :func:`occupancy_transition_matrix`.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 2:
-        raise ValueError(f"batched counts must be (R, m), got shape {counts.shape}")
-    hook = getattr(rule, "occupancy_kernel", None)
-    if callable(hook):
-        _check_counts(counts)
-        R, m = counts.shape
-        try:
-            batched = np.asarray(hook(support, counts), dtype=np.float64)
-        except Exception:
-            batched = None
-        if batched is not None and batched.shape == (R, m, m):
-            return _normalize_rows(batched)
-        return np.stack([occupancy_transition_matrix(rule, row, support)
-                         for row in counts])
-    return _builtin_band(rule, counts)
 
 
 # ---------------------------------------------------------------------- #
@@ -448,13 +395,13 @@ class _RoundProgram:
     ``kernel`` is the multinomial backend
     (:class:`repro.engine._multinomial._BoundKernel`: resolved once, its C
     entry points bound, its own seed-state scratch), ``recipe`` the rule's
-    outcome recipe (``None``: the dense path only) and ``buffers`` the
-    ``(R, m)`` arrays the band profiles are written into.  Rounds take the
-    banded O(m)-draw path iff the compiled backend resolved and the rule is
-    built in: only the compiled backend implements the pooled hazard walk
-    natively, and the numpy backend keeps the historical dense
-    ``Generator.multinomial`` bit stream.  A direct call of a one-round
-    function builds a program of its own.
+    outcome recipe (``None`` for a rule outside the built-in families) and
+    ``buffers`` the ``(R, m)`` arrays the band profiles are written into.
+    Each backend has one sampler: rounds take the compiled banded O(m)-draw
+    walker iff the compiled backend resolved and the rule is built in, and
+    otherwise NumPy's dense ``Generator.multinomial`` bit stream (which
+    refuses a rule without a recipe).  A direct call of a one-round function
+    builds a program of its own.
     """
 
     def __init__(self, rule: Rule, rows: int) -> None:
@@ -465,8 +412,7 @@ class _RoundProgram:
 
 
 def occupancy_round(counts: np.ndarray, rule: Rule,
-                    rng: np.random.Generator, *,
-                    support: Optional[np.ndarray] = None) -> np.ndarray:
+                    rng: np.random.Generator) -> np.ndarray:
     """Advance one run one synchronous round in count space (exact, O(m²)).
 
     The ``R = 1`` slice of :func:`occupancy_round_batch`: each value class
@@ -475,13 +421,11 @@ def occupancy_round(counts: np.ndarray, rule: Rule,
     Population size is conserved exactly.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    return occupancy_round_batch(counts[None, :], rule, rng,
-                                 support=support)[0]
+    return occupancy_round_batch(counts[None, :], rule, rng)[0]
 
 
 def occupancy_round_split(counts: np.ndarray, victim_counts: np.ndarray,
-                          rule: Rule, rng: np.random.Generator, *,
-                          support: Optional[np.ndarray] = None
+                          rule: Rule, rng: np.random.Generator
                           ) -> tuple[np.ndarray, np.ndarray]:
     """One run's round with its victims scattered separately (exact).
 
@@ -491,13 +435,12 @@ def occupancy_round_split(counts: np.ndarray, victim_counts: np.ndarray,
     counts = np.asarray(counts, dtype=np.int64)
     victim_counts = np.asarray(victim_counts, dtype=np.int64)
     new, new_victims = occupancy_round_batch_split(
-        counts[None, :], victim_counts[None, :], rule, rng, support=support)
+        counts[None, :], victim_counts[None, :], rule, rng)
     return new[0], new_victims[0]
 
 
 def occupancy_round_batch(counts: np.ndarray, rule: Rule,
                           rng: np.random.Generator, *,
-                          support: Optional[np.ndarray] = None,
                           _program: Optional[_RoundProgram] = None) -> np.ndarray:
     """Advance ``R`` independent runs one synchronous round (exact, O(R·m²)).
 
@@ -505,8 +448,9 @@ def occupancy_round_batch(counts: np.ndarray, rule: Rule,
     classes with one multinomial draw from that run's outcome distribution —
     all ``R·m`` multinomials are drawn in a single seam call, so the whole
     round is a handful of NumPy passes regardless of R.  Each run's
-    population size is conserved exactly.  On the compiled backend, built-in
-    rules take the banded O(m)-draw path and never build the m×m matrix.
+    population size is conserved exactly.  On the compiled backend the
+    round takes the banded O(m)-draw walker and never builds the m×m
+    matrix.
     ``_program`` is the calling loop's round program; without it the call
     resolves its own.
     """
@@ -516,13 +460,12 @@ def occupancy_round_batch(counts: np.ndarray, rule: Rule,
         lo, hi, diag = occupancy_outcome_profiles(rule, counts, _program=program)
         return _mnk.sample_scatter_banded(counts, lo, hi, diag, rng,
                                           _kernel=program.kernel)
-    Q = occupancy_transition_matrix_batch(rule, counts, support)
-    return _mnk.scatter_column_sums_batch(counts, Q, rng, _kernel=program.kernel)
+    Q = occupancy_transition_matrix(rule, counts)
+    return _mnk.scatter_column_sums_batch(counts, Q, rng)
 
 
 def occupancy_round_batch_split(counts: np.ndarray, victim_counts: np.ndarray,
                                 rule: Rule, rng: np.random.Generator, *,
-                                support: Optional[np.ndarray] = None,
                                 _program: Optional[_RoundProgram] = None
                                 ) -> tuple[np.ndarray, np.ndarray]:
     """One round with each run's victim subpopulation scattered separately.
@@ -550,17 +493,17 @@ def occupancy_round_batch_split(counts: np.ndarray, victim_counts: np.ndarray,
             "(victim_counts must satisfy 0 <= victim_counts <= counts)"
         )
     program = _program or _RoundProgram(rule, counts.shape[0])
-    kernel = program.kernel
     if program.banded:
+        kernel = program.kernel
         lo, hi, diag = occupancy_outcome_profiles(rule, counts, _program=program)
         new_civilians = _mnk.sample_scatter_banded(civilians, lo, hi, diag, rng,
                                                    _kernel=kernel)
         new_victims = _mnk.sample_scatter_banded(victim_counts, lo, hi, diag,
                                                  rng, _kernel=kernel)
         return new_civilians + new_victims, new_victims
-    Q = occupancy_transition_matrix_batch(rule, counts, support)
-    new_civilians = _mnk.scatter_column_sums_batch(civilians, Q, rng, _kernel=kernel)
-    new_victims = _mnk.scatter_column_sums_batch(victim_counts, Q, rng, _kernel=kernel)
+    Q = occupancy_transition_matrix(rule, counts)
+    new_civilians = _mnk.scatter_column_sums_batch(civilians, Q, rng)
+    new_victims = _mnk.scatter_column_sums_batch(victim_counts, Q, rng)
     return new_civilians + new_victims, new_victims
 
 

@@ -9,14 +9,15 @@ streams — the recommended practice for parallel Monte-Carlo work.
 This module is also the home of the *multinomial kernel selection plumbing*
 (re-exported from :mod:`repro.engine._multinomial`): which backend draws the
 occupancy engines' exact multinomial flows — ``numpy``
-(``Generator.multinomial``, the historical bit stream) or ``compiled`` (the
-C-kernel conditional-binomial cascade).  Select with
-:func:`set_multinomial_backend` or the ``REPRO_MULTINOMIAL_KERNEL``
-environment variable; inspect with :func:`multinomial_backend_info` /
-:func:`multinomial_kernel_id`.  Reproducibility is backend-scoped: a fixed
-seed pins results bit-for-bit *within* a backend, while the backends agree
-only in distribution (compiled draws bridge the NumPy stream through one
-64-bit seed per kernel call).
+(``Generator.multinomial`` over the dense outcome matrix, the historical bit
+stream) or ``compiled`` (the C kernel's banded walker, O(m) binomial draws
+per run).  Select with :func:`set_multinomial_backend` or the
+``REPRO_MULTINOMIAL_KERNEL`` environment variable; inspect with
+:func:`resolve_multinomial_backend` / :func:`multinomial_kernel_id`.
+Reproducibility is backend-scoped: a fixed seed pins results bit-for-bit
+*within* a backend, while the backends agree only in distribution
+(compiled draws bridge the NumPy stream through one 64-bit seed per kernel
+call).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.engine._multinomial import (
     ENV_VAR as MULTINOMIAL_KERNEL_ENV,
     KernelInfo,
     MultinomialKernelWarning,
-    multinomial_backend_info,
     multinomial_kernel_id,
     resolve_multinomial_backend,
     set_multinomial_backend,
@@ -39,8 +39,8 @@ from repro.engine._multinomial import (
 __all__ = ["make_rng", "spawn_rngs", "spawn_seeds", "RngPool",
            "MULTINOMIAL_BACKEND_CHOICES", "MULTINOMIAL_KERNEL_ENV",
            "KernelInfo", "MultinomialKernelWarning",
-           "multinomial_backend_info", "multinomial_kernel_id",
-           "resolve_multinomial_backend", "set_multinomial_backend"]
+           "multinomial_kernel_id", "resolve_multinomial_backend",
+           "set_multinomial_backend"]
 
 
 def make_rng(seed: Optional[int | np.random.SeedSequence | np.random.Generator] = None

@@ -226,10 +226,10 @@ def make_occupancy_workload(name: str, **params) -> OccupancyWorkloadFactory:
         high = int(params.get("high", 1))
         if not 0 <= minority <= n:
             raise ValueError("minority must lie in [0, n]")
-        if low >= high:
-            raise ValueError("two-bins occupancy needs low < high")
-        return OccupancyState(support=np.array([low, high], dtype=np.int64),
-                              counts=np.array([minority, n - minority], dtype=np.int64))
+        # the loads of Configuration.two_bins, for any pair (low, high)
+        loads = {high: n - minority}
+        loads[low] = loads.get(low, 0) + minority
+        return OccupancyState.from_loads(loads)
 
     if name == "blocks":
         n, m = int(params["n"]), int(params["m"])

@@ -58,7 +58,6 @@ from repro.engine.occupancy import (
     occupancy_round,
     occupancy_round_batch,
     occupancy_transition_matrix,
-    occupancy_transition_matrix_batch,
 )
 from repro.experiments.config import ExperimentConfig, SweepConfig
 from repro.experiments.workloads import (
@@ -166,7 +165,7 @@ def test_convergence_round_statistics_match_looped_engine(sc: Scenario):
 def test_batched_transition_tensor_equals_stacked_single_matrices(rule):
     rng = np.random.default_rng(7)
     counts = rng.multinomial(240, np.full(6, 1 / 6), size=12).astype(np.int64)
-    Qb = occupancy_transition_matrix_batch(rule, counts)
+    Qb = occupancy_transition_matrix(rule, counts)
     assert Qb.shape == (12, 6, 6)
     for i in range(counts.shape[0]):
         np.testing.assert_allclose(Qb[i], occupancy_transition_matrix(rule, counts[i]),

@@ -127,91 +127,6 @@ class TestTransitionMatrices:
         Q = occupancy_transition_matrix(get_rule(name), np.array([5, 5]))
         np.testing.assert_allclose(Q.sum(axis=1), 1.0)
 
-    def test_custom_kernel_hook_is_used(self):
-        class FrozenRule(MedianRule):
-            name = "frozen-test"
-
-            def occupancy_kernel(self, support, counts):
-                return np.eye(counts.shape[0])
-
-        counts = np.array([3, 7], dtype=np.int64)
-        Q = occupancy_transition_matrix(FrozenRule(), counts)
-        assert np.allclose(Q, np.eye(2))
-
-    def test_hook_receives_support_argument(self):
-        # regression: the batch builder used to pass support=None into the
-        # hook, so any kernel that consulted the support values crashed or
-        # silently mis-scaled; both builders must forward the real support
-        seen = []
-
-        class SupportEchoRule(MedianRule):
-            name = "support-echo-test"
-
-            def occupancy_kernel(self, support, counts):
-                seen.append(support)
-                assert support is not None
-                m = counts.shape[-1]
-                return np.tile(np.eye(m), counts.shape[:-1] + (1, 1)) \
-                    if counts.ndim > 1 else np.eye(m)
-
-        from repro.engine.occupancy import occupancy_transition_matrix_batch
-
-        support = np.array([2.0, 5.0, 9.0])
-        occupancy_transition_matrix(
-            SupportEchoRule(), np.array([3, 4, 5]), support=support)
-        occupancy_transition_matrix_batch(
-            SupportEchoRule(), np.array([[3, 4, 5], [1, 1, 10]]),
-            support=support)
-        assert len(seen) >= 2
-        for s in seen:
-            np.testing.assert_array_equal(np.asarray(s, dtype=float), support)
-
-    def test_batched_hook_used_when_it_vectorizes(self):
-        # a hook that accepts the (R, m) batch and returns (R, m, m) must be
-        # called once, not once per row
-        calls = []
-
-        class BatchAwareRule(MedianRule):
-            name = "batch-aware-test"
-
-            def occupancy_kernel(self, support, counts):
-                counts = np.asarray(counts)
-                calls.append(counts.shape)
-                if counts.ndim == 2:
-                    R, m = counts.shape
-                    return np.tile(np.eye(m), (R, 1, 1))
-                return np.eye(counts.shape[0])
-
-        from repro.engine.occupancy import occupancy_transition_matrix_batch
-
-        counts = np.array([[3, 4, 5], [6, 0, 6]], dtype=np.int64)
-        Q = occupancy_transition_matrix_batch(BatchAwareRule(), counts)
-        assert Q.shape == (2, 3, 3)
-        assert calls == [(2, 3)]  # single batched call, no per-row loop
-
-    def test_row_only_hook_falls_back_to_per_row_loop(self):
-        # a legacy hook that only understands 1-D counts still works: the
-        # batch builder detects the wrong output shape and loops
-        calls = []
-
-        class RowOnlyRule(MedianRule):
-            name = "row-only-test"
-
-            def occupancy_kernel(self, support, counts):
-                counts = np.asarray(counts)
-                calls.append(counts.shape)
-                if counts.ndim != 1:
-                    raise TypeError("rows only")
-                return np.eye(counts.shape[0])
-
-        from repro.engine.occupancy import occupancy_transition_matrix_batch
-
-        counts = np.array([[3, 4, 5], [6, 0, 6]], dtype=np.int64)
-        Q = occupancy_transition_matrix_batch(RowOnlyRule(), counts)
-        assert Q.shape == (2, 3, 3)
-        np.testing.assert_allclose(Q, np.tile(np.eye(3), (2, 1, 1)))
-        assert (2, 3) in calls and calls.count((3,)) == 2
-
 
 class TestOccupancyRound:
     def test_population_is_conserved(self):

@@ -5,11 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.occupancy_state import OccupancyState
 from repro.core.state import Configuration
+from repro.engine.batch import BATCH_ENGINES
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_cell
 from repro.experiments.workloads import (
     WORKLOAD_REGISTRY,
     all_distinct_workload,
     blocks_workload,
+    make_occupancy_workload,
     make_workload,
     planted_majority_workload,
     two_bins_workload,
@@ -45,6 +50,19 @@ class TestFixedWorkloads:
     def test_two_bins_custom(self):
         cfg = two_bins_workload(20, minority=3, low=5, high=9)
         assert cfg.count_value(5) == 3 and cfg.count_value(9) == 17
+
+    @pytest.mark.parametrize("low, high", [(0, 1), (1, 0), (3, 3)])
+    def test_two_bins_runs_on_every_engine(self, low, high):
+        # the count form has the loads of the counted value form for any
+        # pair, so a cell runs whatever engine it resolves to
+        params = {"n": 64, "minority": 20, "low": low, "high": high}
+        counted = OccupancyState.from_configuration(make_workload("two-bins", **params))
+        assert make_occupancy_workload("two-bins", **params).loads == counted.loads
+        for engine in BATCH_ENGINES:
+            cell = ExperimentConfig(name=f"two-bins-{engine}", workload="two-bins",
+                                    workload_params=params, num_runs=2,
+                                    max_rounds=30, engine=engine)
+            assert run_cell(cell).num_runs == 2
 
     def test_blocks_equal_loads(self):
         cfg = blocks_workload(100, 4)

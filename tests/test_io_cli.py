@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,20 @@ class TestCli:
         rc = main(["simulate", "--n", "64", "--workload", "uniform-random",
                    "--m", "5", "--seed", "3"])
         assert rc == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--rule", "nosuch"],
+        ["--engine", "occupancy", "--rule", "mean"],
+        ["--engine", "occupancy", "--n", "20001"],
+    ], ids=["unknown-rule", "rule-without-kernel", "support-too-wide"])
+    def test_simulate_refuses_bad_arguments_without_traceback(self, argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "repro", "simulate", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_sweep_command_with_outputs(self, tmp_path, capsys):
         json_path = tmp_path / "report.json"

@@ -1,6 +1,6 @@
 """The exact-multinomial kernel seam: resolution, fallback, and sampling law.
 
-Five concerns:
+Six concerns:
 
 * **selection plumbing** — ``auto → compiled → numpy`` resolution, the
   ``REPRO_MULTINOMIAL_KERNEL`` env override, :func:`set_multinomial_backend`
@@ -12,14 +12,17 @@ Five concerns:
   resolves the backend once and draws once per scatter, with no ctypes
   conversion per array, and the bound entry points refuse an array of the
   wrong dtype, layout or shape before C runs;
+* **routing** — each backend draws every count-space round through its one
+  sampler: NumPy through the dense ``scatter_column_sums_batch``, the
+  compiled kernel through ``sample_scatter_banded``;
 * **invariants** — row sums preserved exactly, zero-count rows exactly
-  zero, zero-probability columns never receive mass, on both backends and
-  every seam entry point;
-* **marginal law** — chi-square goodness of fit of compiled single-cell
-  marginals against the exact binomial law, over a small (R, m) grid;
+  zero, zero-probability columns never receive mass, on every seam entry
+  point and under either configured backend;
+* **marginal law** — chi-square goodness of fit of the compiled kernel's
+  binomial draws against the exact binomial law, over a small (n, p) grid;
 * **cross-backend agreement** — the two backends are bitwise *different*
-  streams but statistically equal: mean flows match within Monte-Carlo
-  error, and the banded sampler matches the dense cascade in law;
+  streams but statistically equal: the compiled banded walker matches
+  NumPy's dense scatter and the NumPy banded reference in law;
 * **what the compiled kernel buys** — the fused engine on it stays ≥ 3×
   faster than the looped engine on NumPy at m = 64.
 
@@ -49,13 +52,14 @@ from repro.engine._multinomial import (
     MultinomialKernelWarning,
     resolve_multinomial_backend,
     sample_flows,
-    sample_flows_batch,
     sample_scatter_banded,
     scatter_column_sums,
     scatter_column_sums_batch,
     set_multinomial_backend,
 )
+from repro.core.rules import get_rule
 from repro.engine.batch import run_batch, run_batch_fused_occupancy
+from repro.engine.occupancy import OCCUPANCY_RULES, simulate_occupancy
 from repro.experiments.workloads import make_workload_for_engine
 
 HAS_COMPILED = resolve_multinomial_backend("compiled").resolved == "compiled"
@@ -163,9 +167,10 @@ class TestFallback:
         assert len(_kernel_warnings(caught)) == 1  # warned once, not per call
         # sampling still works end to end on the fallback
         rng = np.random.default_rng(3)
-        flows = sample_flows(np.array([9, 4]), np.full((2, 3), 1 / 3), rng,
-                             backend=mode)
-        assert flows.sum() == 13
+        third = np.full(3, 1 / 3)
+        out = sample_scatter_banded(np.array([[9, 0, 4]]), third, third, third,
+                                    rng, backend=mode)
+        assert out.sum() == 13
 
     def test_fallback_warns_once_per_requested_mode(self, monkeypatch):
         _poison_providers(monkeypatch)
@@ -255,50 +260,80 @@ def test_a_loop_resolves_once_and_draws_once_per_scatter(adversary, scatters,
     assert mnk.DRAW_STATS["calls"] - draws == scatters * rounds
 
 
-def _bad_arguments(entry):
-    """``entry``'s good arguments, and variants with one argument refused:
-    a float32 array, a strided one, and one of another dtype."""
+def _bad_arguments():
+    """The banded entry point's good arguments, and variants with one
+    argument refused: a float32 array, a strided one, and one of another
+    dtype."""
     rng = np.random.default_rng(0)
     R, m = 3, 4
     counts = rng.integers(1, 50, (R, m)).astype(np.int64)
-    probs = rng.dirichlet(np.ones(m), R * m)
-    if entry == "sample_flows":
-        good = {"counts": counts.ravel(), "probs": probs}
-    elif entry == "scatter_sums":
-        good = {"counts": counts.ravel(), "probs": probs, "R": R, "m": m}
-    else:
-        good = {"counts": counts, "lo": probs[:R], "hi": probs[R:2 * R],
-                "diag": probs[2 * R:3 * R]}
-    floats = "probs" if "probs" in good else "lo"
-    wide = np.zeros(good["counts"].shape[:-1] + (2 * good["counts"].shape[-1],),
-                    dtype=np.int64)
-    wide[..., ::2] = good["counts"]
+    probs = rng.dirichlet(np.ones(m), 3 * R)
+    good = {"counts": counts, "lo": probs[:R], "hi": probs[R:2 * R],
+            "diag": probs[2 * R:]}
+    wide = np.zeros((R, 2 * m), dtype=np.int64)
+    wide[:, ::2] = counts
     bad = {
-        "float32": {floats: good[floats].astype(np.float32)},
-        "strided": {"counts": wide[..., ::2]},
-        "wrong-dtype": {"counts": good["counts"].astype(np.int32),
-                        floats: good[floats].astype(np.int64)},
+        "float32": {"lo": good["lo"].astype(np.float32)},
+        "strided": {"counts": wide[:, ::2]},
+        "wrong-dtype": {"counts": counts.astype(np.int32),
+                        "lo": good["lo"].astype(np.int64)},
     }
     return good, bad
 
 
 @needs_compiled
 @pytest.mark.parametrize("case", ["float32", "strided", "wrong-dtype"])
-@pytest.mark.parametrize("entry", ["sample_flows", "scatter_sums", "sample_banded"])
-def test_bound_entry_points_refuse_arrays_c_cannot_read(monkeypatch, entry, case):
+def test_bound_entry_points_refuse_arrays_c_cannot_read(monkeypatch, case):
     """The raw-address binding keeps ``ndpointer``'s guard: an array of the
     wrong dtype or layout raises before any C entry point is called."""
     provider = mnk._providers[resolve_multinomial_backend("compiled").provider]
-    good, bad = _bad_arguments(entry)
-    assert getattr(provider, entry)(**good, seed=5).sum() == good["counts"].sum()
+    good, bad = _bad_arguments()
+    assert provider.sample_banded(**good, seed=5).sum() == good["counts"].sum()
     called = []
-    for c_entry in ("_seed", "_flows", "_sums", "_banded"):
+    for c_entry in ("_seed", "_banded"):
         monkeypatch.setattr(provider, c_entry,
                             lambda *args, c_entry=c_entry: called.append(c_entry))
     for name, value in bad[case].items():
         with pytest.raises((ctypes.ArgumentError, TypeError, ValueError)):
-            getattr(provider, entry)(**{**good, name: value}, seed=5)
+            provider.sample_banded(**{**good, name: value}, seed=5)
     assert called == []
+
+
+# ---------------------------------------------------------------------- #
+# routing: each backend's one count-space sampler
+# ---------------------------------------------------------------------- #
+_SAMPLERS = {"numpy": "scatter_column_sums_batch",
+             "compiled": "sample_scatter_banded"}
+
+
+@pytest.mark.parametrize("rule_name", sorted(OCCUPANCY_RULES))
+@pytest.mark.parametrize("adversary", ["null", "balancing", "sticky"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_each_backend_draws_every_round_through_its_one_sampler(
+        monkeypatch, backend, adversary, rule_name):
+    """A fused loop and a single occupancy run on ``backend`` draw every
+    scatter through that backend's sampler and never through the other's."""
+    set_multinomial_backend(backend)
+    calls = dict.fromkeys(_SAMPLERS.values(), 0)
+    for name in calls:
+        def spy(*args, _name=name, _sampler=getattr(mnk, name), **kwargs):
+            calls[_name] += 1
+            return _sampler(*args, **kwargs)
+        monkeypatch.setattr(mnk, name, spy)
+    initial = make_workload_for_engine("blocks", "occupancy", n=600, m=6)
+    rule = get_rule(rule_name)
+
+    def factory():
+        return make_adversary(adversary, budget=8)
+
+    fused = run_batch_fused_occupancy(initial, 4, rule=rule, seed=3, max_rounds=6,
+                                      adversary_factory=factory)
+    single = simulate_occupancy(initial, rule=rule, adversary=factory(), seed=4,
+                                max_rounds=6)
+    assert fused.meta["rounds_executed"] >= 1 and single.rounds_executed >= 1
+    own = _SAMPLERS[backend]
+    other = _SAMPLERS["compiled" if backend == "numpy" else "numpy"]
+    assert calls[own] >= 2 and calls[other] == 0, calls
 
 
 # ---------------------------------------------------------------------- #
@@ -316,36 +351,27 @@ class TestInvariants:
         return counts, P
 
     def test_sample_flows_row_sums_and_zero_rows(self, backend):
+        # NumPy only: it keeps its invariants whatever backend is configured
+        set_multinomial_backend(backend)
         counts, P = self._rows()
-        flows = sample_flows(counts, P, np.random.default_rng(1),
-                             backend=backend)
+        flows = sample_flows(counts, P, np.random.default_rng(1))
         assert flows.dtype == np.int64
         np.testing.assert_array_equal(flows.sum(axis=1), counts)
         assert (flows[counts == 0] == 0).all()
         assert (flows[:, 2] == 0).all()      # dead column gets no mass
         assert (flows >= 0).all()
 
-    def test_sample_flows_batch_matches_contract(self, backend):
-        counts, P = self._rows(seed=5, N=24, m=6)
-        R, m = 4, 6
-        cb = counts[:R * m].reshape(R, m) % 97
-        Qb = P[:m][None].repeat(R, axis=0)
-        flows = sample_flows_batch(cb, Qb, np.random.default_rng(2),
-                                   backend=backend)
-        assert flows.shape == (R, m, m)
-        np.testing.assert_array_equal(flows.sum(axis=2), cb)
-
     def test_scatter_sums_conserve_population(self, backend):
+        # NumPy only: it keeps its invariants whatever backend is configured
+        set_multinomial_backend(backend)
         counts, P = self._rows(seed=9, N=6, m=6)
-        sums = scatter_column_sums(counts[:6], P[:6],
-                                   np.random.default_rng(3), backend=backend)
+        sums = scatter_column_sums(counts[:6], P[:6], np.random.default_rng(3))
         assert sums.sum() == counts[:6].sum()
         cb = np.abs(counts[:6])[None].repeat(5, axis=0)
         cb[1] = 0
         cb[1, 0] = 11                        # sparse row for the filter path
         Qb = P[:6][None].repeat(5, axis=0)
-        out = scatter_column_sums_batch(cb, Qb, np.random.default_rng(4),
-                                        backend=backend)
+        out = scatter_column_sums_batch(cb, Qb, np.random.default_rng(4))
         np.testing.assert_array_equal(out.sum(axis=1), cb.sum(axis=1))
 
     def test_banded_stay_profile_is_identity(self, backend):
@@ -368,8 +394,12 @@ class TestInvariants:
 
     def test_within_backend_seed_reproducibility(self, backend):
         counts, P = self._rows(seed=11)
-        a = sample_flows(counts, P, np.random.default_rng(42), backend=backend)
-        b = sample_flows(counts, P, np.random.default_rng(42), backend=backend)
+        cb = counts.reshape(4, 6)
+        lo, hi, diag = P[:4, :6], P[4:8, :6], P[8:12, :6]
+        a = sample_scatter_banded(cb, lo, hi, diag, np.random.default_rng(42),
+                                  backend=backend)
+        b = sample_scatter_banded(cb, lo, hi, diag, np.random.default_rng(42),
+                                  backend=backend)
         np.testing.assert_array_equal(a, b)
 
 
@@ -393,18 +423,20 @@ def _chi_square_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
 
 @needs_compiled
 @pytest.mark.parametrize("n,p", [(50, 0.3), (400, 0.07), (2000, 0.5),
-                                 (10 ** 5, 0.015)])
+                                 (10 ** 5, 0.015), (40, 0.1)])
 def test_compiled_marginal_matches_binomial_law(n, p):
-    """Each multinomial cell is marginally Binomial(n, p_j): chi-square the
-    compiled sampler's first cell over repeated draws (covers both the
-    inversion and the BTRS regime of the compiled binomial sampler)."""
+    """The compiled kernel's binomial draws follow Binomial(n, p): chi-square
+    them over repeated runs (covers both the inversion regime, n·p < 10, and
+    the BTRS regime of the compiled binomial sampler).  The walker draws
+    them on two bins: n holders of bin 0 with ``lo = 0``, ``hi = [0, p]``
+    and ``diag = [1 − p, 1]`` make one draw per run, Binomial(n, p) movers
+    up, and all of them land in bin 1."""
     reps = 600
-    pvals = np.array([p, 1.0 - p])
-    counts = np.full(reps, n, dtype=np.int64)
-    P = np.tile(pvals, (reps, 1))
-    flows = sample_flows(counts, P, np.random.default_rng(123),
-                         backend="compiled")
-    draws = flows[:, 0]
+    counts = np.tile(np.array([n, 0], dtype=np.int64), (reps, 1))
+    out = sample_scatter_banded(counts, np.zeros(2), np.array([0.0, p]),
+                                np.array([1.0 - p, 1.0]),
+                                np.random.default_rng(123), backend="compiled")
+    draws = out[:, 1]
     lo_edge = max(0, int(n * p - 6 * np.sqrt(n * p * (1 - p)) - 2))
     hi_edge = min(n, int(n * p + 6 * np.sqrt(n * p * (1 - p)) + 2))
     edges = np.linspace(lo_edge, hi_edge, 12).astype(np.int64)
@@ -425,53 +457,28 @@ def test_compiled_marginal_matches_binomial_law(n, p):
 
 
 @needs_compiled
-@pytest.mark.parametrize("R,m", [(40, 3), (25, 6)])
-def test_compiled_mean_flows_match_numpy(R, m):
-    """Cross-backend statistical equality of full flow tensors: mean flows
-    over many draws agree within z < 5 Monte-Carlo bands, cell-wise."""
-    rng = np.random.default_rng(17)
-    counts = rng.integers(50, 400, (R, m)).astype(np.int64)
-    Q = rng.dirichlet(np.ones(m), (R, m))
-    reps = 60
-    acc = {}
-    for backend in ("numpy", "compiled"):
-        total = np.zeros((R, m, m))
-        for rep in range(reps):
-            total += sample_flows_batch(counts, Q,
-                                        np.random.default_rng(1000 + rep),
-                                        backend=backend)
-        acc[backend] = total / reps
-    expected = counts[..., None] * Q
-    var = counts[..., None] * Q * (1 - Q) / reps
-    sd = np.sqrt(np.maximum(var, 1e-12))
-    for backend in ("numpy", "compiled"):
-        z = np.abs(acc[backend] - expected) / sd
-        assert z[var > 1e-9].max() < 5.5, f"{backend} marginal means drifted"
-
-
-@needs_compiled
 def test_banded_matches_dense_cascade_in_law():
-    """The pooled banded walker and the dense cascade sample the same law:
-    compare mean new-occupancy and variance over repeated rounds for a real
-    median-rule profile."""
+    """The compiled banded walker and NumPy's dense scatter (the trusted
+    reference) sample the same law: compare mean new-occupancy over
+    repeated rounds for a real median-rule profile."""
     from repro.core.median_rule import MedianRule
     from repro.engine.occupancy import (
         occupancy_outcome_profiles,
-        occupancy_transition_matrix_batch,
+        occupancy_transition_matrix,
     )
 
     rng = np.random.default_rng(29)
     R, m, n = 24, 12, 3000
     counts = rng.multinomial(n, rng.dirichlet(np.ones(m)), size=R)
     rule = MedianRule()
-    Q = occupancy_transition_matrix_batch(rule, counts)
+    Q = occupancy_transition_matrix(rule, counts)
     lo, hi, diag = occupancy_outcome_profiles(rule, counts)
     reps = 150
     dense = np.zeros((R, m))
     banded = np.zeros((R, m))
     for rep in range(reps):
         dense += scatter_column_sums_batch(
-            counts, Q, np.random.default_rng(5000 + rep), backend="compiled")
+            counts, Q, np.random.default_rng(5000 + rep))
         banded += sample_scatter_banded(
             counts, lo, hi, diag, np.random.default_rng(6000 + rep),
             backend="compiled")

@@ -40,10 +40,7 @@ from repro.core.median_rule import (
     MedianRuleWithoutReplacement,
 )
 from repro.core.rules import Rule
-from repro.engine.occupancy import (
-    occupancy_transition_matrix,
-    occupancy_transition_matrix_batch,
-)
+from repro.engine.occupancy import occupancy_transition_matrix
 
 RULES: Dict[str, Rule] = {
     "median": MedianRule(),
@@ -259,7 +256,7 @@ def test_batched_majority_tensors_equal_stacked_singles(rule_name):
     rule = RULES[rule_name]
     rng = np.random.default_rng(7)
     counts = rng.multinomial(240, np.full(6, 1 / 6), size=12).astype(np.int64)
-    Qb = occupancy_transition_matrix_batch(rule, counts)
+    Qb = occupancy_transition_matrix(rule, counts)
     assert Qb.shape == (12, 6, 6)
     for i in range(counts.shape[0]):
         np.testing.assert_allclose(
