@@ -257,6 +257,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     params = {"n": args.n}
     if args.m is not None:
         params["m"] = args.m
+    if args.n <= 0:
+        print(f"error: --n must be positive, got {args.n}", file=sys.stderr)
+        return 2
+    if args.m is None and implied_support_width(args.workload, params) == 0:
+        print(f"error: workload {args.workload!r} needs --m (its number of "
+              f"initial values)", file=sys.stderr)
+        return 2
     if args.engine == "occupancy":
         if args.rule not in OCCUPANCY_RULES:
             print(f"error: rule {args.rule!r} has no occupancy-space kernel; "
@@ -269,9 +276,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                   f"limit of {MAX_SUPPORT_DEFAULT}; use --engine vectorized",
                   file=sys.stderr)
             return 2
-    workload = make_workload_for_engine(args.workload, args.engine, **params)
     rng = np.random.default_rng(args.seed)
-    initial = workload(rng) if callable(workload) else workload
+    try:
+        workload = make_workload_for_engine(args.workload, args.engine,
+                                            **params)
+        initial = workload(rng) if callable(workload) else workload
+    except (TypeError, ValueError) as exc:
+        print(f"error: workload {args.workload!r} with "
+              f"{', '.join(f'--{k} {v}' for k, v in params.items())}: {exc}",
+              file=sys.stderr)
+        return 2
     rule = get_rule(args.rule)
     adversary = make_adversary(args.adversary, budget=args.budget)
     simulate_fn = ENGINES[args.engine]

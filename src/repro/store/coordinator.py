@@ -11,11 +11,14 @@ through canonical cell hashes:
   :class:`~repro.store.shard.LeaseManager`.  Every lease rule (atomic
   ``O_CREAT | O_EXCL`` create, failure markers, stale reclaim, the
   append-only ``shard/executions.jsonl`` ledger) stays **one
-  implementation**: the server simply acts on behalf of remote callers,
-  writing their full identity (worker, pid, host, nonce) into the lease
-  files.  Staleness of a remote worker's lease falls to the mtime-age TTL
-  (its host differs from the server's), with the future-mtime clamp of
-  :meth:`LeaseManager._age_stale` guarding against skewed client clocks.
+  implementation**: the server runs the lease manager's
+  :meth:`~repro.store.shard.LeaseManager.claim` and
+  :meth:`~repro.store.shard.LeaseManager.complete` on behalf of remote
+  callers, writing their full identity (worker, pid, host, nonce) into the
+  lease files and ledger lines.  Staleness of a remote worker's lease falls
+  to the mtime-age TTL (its host differs from the server's), with the
+  future-mtime clamp of :meth:`LeaseManager._age_stale` guarding against
+  skewed client clocks.
 * :class:`CoordinatorClient` — a thin ``urllib`` JSON transport with a
   budgeted retry loop.  Connection-level failures raise
   :class:`CoordinatorError`, a ``ConnectionError`` subclass, so the retry
@@ -23,28 +26,35 @@ through canonical cell hashes:
   worker loop leaves the affected cell pending instead of dying — a
   coordinator outage stalls the fleet, it does not kill it.
 * :class:`CoordinatorStore` — duck-types the ``ResultStore`` surface the
-  runner and workers touch (``key_for`` / ``get`` / ``put`` / ``contains``),
-  so :class:`~repro.store.runner.CachedSweepRunner` and
+  runner and workers touch (``key_for`` / ``get`` / ``get_many`` / ``put``
+  / ``contains`` / ``delete``), so
+  :class:`~repro.store.runner.CachedSweepRunner` and
   :class:`~repro.store.shard.ShardWorker` run unchanged against a URL.
-  ``put`` uploads the full ``CellResult`` (rounds inline on the wire); the
-  *server's* sidecar policy decides whether rounds land as NPZ sidecars on
-  its disk, and ``get`` returns sidecar rounds re-inlined — payload *and*
-  sidecar round-trip without the worker ever seeing the store directory.
-* :class:`HttpLeaseClient` — the :class:`LeaseManager` method surface
-  (acquire / release / mark-failed / clear-failure / peek / is-stale /
-  reclaim / log-execution) forwarded over the wire, carrying the worker's
-  full identity so ownership comparisons behave exactly as on a shared
-  filesystem.
+  ``get_many`` is one request for a whole batch of cells.  ``put`` uploads
+  the full ``CellResult`` (rounds inline on the wire); the *server's*
+  sidecar policy decides whether rounds land as NPZ sidecars on its disk,
+  and reads return sidecar rounds re-inlined — payload *and* sidecar
+  round-trip without the worker ever seeing the store directory.
+* :class:`HttpLeaseClient` — the lease surface a shard worker uses
+  (claim / complete / release / mark-failed / clear-failures), one request
+  per call, carrying the worker's full identity so ownership comparisons
+  behave exactly as on a shared filesystem.
 * :class:`HttpBackend` — ``backend="http"``: the shard fleet loop
   (:class:`~repro.store.shard.ShardBackend`) with spawned worker processes
   whose store and leases all live behind a coordinator URL.
 
-Exactly-once across retried requests: the lease acquire is decided by the
-server's ``O_EXCL`` create, so a *retried* acquire whose first attempt won
-(but whose acknowledgement was lost) simply loses the re-try — the worker
-then finds its own abandoned lease and releases it (ownership-checked)
-before re-acquiring.  Ledger appends are deduplicated server-side by
-``(key, worker)``, so a lost acknowledgement cannot double-book a compute;
+A computed cell costs two requests: ``POST /api/v1/lease/acquire`` (the
+claim) and ``PUT /api/v1/cells/<key>`` carrying the worker's identity (the
+complete).  A sweep's partition, its failure-marker clear and each worker
+pass's payload read are one request each.
+
+Exactly-once across retried requests: the lease acquire inside a claim is
+decided by the server's ``O_EXCL`` create, so a *retried* claim whose first
+attempt won (but whose acknowledgement was lost) finds the caller's own
+abandoned lease, releases it (ownership-checked) and acquires afresh.  A
+retried complete overwrites the same payload, its ledger line is
+deduplicated server-side by ``(key, worker)``, and its release is
+ownership-checked, so a lost acknowledgement cannot double-book a compute;
 a genuine same-worker recompute (quarantined payload) is *under*-counted,
 the ledger's documented safe direction.
 """
@@ -53,7 +63,6 @@ from __future__ import annotations
 
 import errno
 import json
-import os
 import socket
 import threading
 import time
@@ -61,7 +70,7 @@ import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import CellResult
@@ -73,10 +82,10 @@ from repro.store.hashing import cell_key
 from repro.store.shard import (
     DEFAULT_POLL_INTERVAL,
     DEFAULT_STALE_AFTER,
+    Claim,
     LeaseManager,
     ShardBackend,
     ShardWorker,
-    read_execution_log,
     worker_identity,
 )
 from repro.store.store import STORE_SCHEMA_VERSION, ResultStore, StoreRecord
@@ -216,7 +225,8 @@ class CoordinatorServer:
         if not isinstance(store, ResultStore):
             store = ResultStore(store)
         self.store = store
-        self.leases = LeaseManager(store.root, stale_after=stale_after)
+        self.leases = LeaseManager(store.root, stale_after=stale_after,
+                                   store=store)
         # a coordinator restarted on its predecessor's fixed address may
         # race the predecessor's draining connections: retry the bind for
         # a short grace window instead of failing the whole fleet
@@ -273,57 +283,55 @@ class CoordinatorServer:
         if parts == ["ping"] and method == "GET":
             return 200, {"ok": True, "store": str(self.store.root),
                          "worker": self.leases.worker}
+        if parts == ["cells"] and method == "POST":
+            # the batched read: one record (or null) per requested key
+            records = self.store.get_many([str(k) for k in body["keys"]])
+            return 200, {"records": [None if r is None else _record_to_wire(r)
+                                     for r in records]}
         if parts[0] == "cells" and len(parts) == 2:
             return self._handle_cell(method, parts[1], body)
-        if parts[0] == "lease" and len(parts) == 2:
-            return self._handle_lease(method, parts[1], body)
-        if parts == ["executions"]:
-            if method == "POST":
-                return 200, self._log_execution(body)
-            if method == "GET":
-                return 200, {"records": read_execution_log(self.store.root)}
+        if parts[0] == "lease" and len(parts) == 2 and method == "POST":
+            return self._handle_lease(parts[1], body)
         return 404, {"error": f"no route for {method} {path}"}
 
     def _handle_cell(self, method: str, key: str,
                      body: Dict[str, Any]) -> "tuple[int, Any]":
-        if method == "GET":
-            record = self.store.get(key)
-            if record is None:
-                return 404, {"error": f"no record for {key}"}
-            return 200, {
-                "key": record.key,
-                "schema": record.schema,
-                "config": record.config,
-                # sidecar rounds were re-inlined by store.get: the wire
-                # payload is always the complete result
-                "result": record.result.to_dict(),
-                "provenance": record.provenance,
-            }
-        if method in ("PUT", "POST"):
+        if method == "PUT":
             config = ExperimentConfig.from_dict(dict(body["config"]))
             if self.store.key_for(config) != key:
                 raise ValueError(f"config hashes to "
                                  f"{self.store.key_for(config)}, "
                                  f"not the addressed key {key}")
             result = CellResult.from_dict(dict(body["result"]))
-            stored = self.store.put(config, result,
-                                    dict(body.get("provenance") or {}))
-            return 200, {"key": stored}
+            provenance = dict(body.get("provenance") or {})
+            if "identity" not in body:
+                return 200, {"key": self.store.put(config, result, provenance)}
+            # a worker's complete: payload, ledger line and lease release
+            # in one request, deduplicated against retried deliveries
+            released = self.leases.complete(
+                config, key, result, provenance,
+                identity=dict(body["identity"]), dedup=True)
+            return 200, {"key": key, "released": released}
         if method == "DELETE":
             return 200, {"removed": self.store.delete(key)}
         return 405, {"error": f"cells: unsupported method {method}"}
 
-    def _handle_lease(self, method: str, op: str,
+    def _handle_lease(self, op: str,
                       body: Dict[str, Any]) -> "tuple[int, Any]":
-        if method == "GET":
-            # GET /lease/<key> — peek (op is the key here)
-            return 200, {"lease": self.leases.peek(op)}
-        if method != "POST":
-            return 405, {"error": f"lease: unsupported method {method}"}
+        if op == "clear-failures":
+            keys = [str(k) for k in body["keys"]]
+            return 200, {"cleared": self.leases.clear_failures(keys)}
         key = str(body["key"])
         if op == "acquire":
-            won = self.leases.acquire(key, identity=dict(body["identity"]))
-            return 200, {"acquired": won}
+            claim = self.leases.claim(
+                key, start=bool(body["start"]),
+                max_attempts=int(body["max_attempts"]),
+                identity=dict(body["identity"]))
+            return 200, {"state": claim.state,
+                         "record": None if claim.record is None
+                         else _record_to_wire(claim.record),
+                         "marker": claim.marker,
+                         "prior_attempts": claim.prior_attempts}
         if op == "release":
             self.leases.release(key, worker=str(body["worker"]))
             return 200, {"released": True}
@@ -333,30 +341,32 @@ class CoordinatorServer:
                 attempts=int(body.get("attempts", 1)),
                 kind=body.get("kind"), identity=dict(body["identity"]))
             return 200, {"marked": True}
-        if op == "clear-failure":
-            return 200, {"cleared": self.leases.clear_failure(key)}
-        if op == "stale":
-            stale = self.leases.is_stale(key, dict(body["lease"]))
-            return 200, {"stale": stale}
-        if op == "reclaim":
-            taken = self.leases.reclaim(key, dict(body["observed"]))
-            return 200, {"reclaimed": taken}
         return 404, {"error": f"lease: unknown operation {op!r}"}
 
-    def _log_execution(self, body: Dict[str, Any]) -> Dict[str, Any]:
-        key = str(body["key"])
-        worker = str(body.get("worker", ""))
-        # idempotent by (key, worker): a client that retried a lost
-        # acknowledgement must not double-book the compute.  (A genuine
-        # same-worker recompute — quarantined payload — is under-counted:
-        # the ledger's documented safe direction.)
-        for record in read_execution_log(self.store.root):
-            if record.get("key") == key and record.get("worker") == worker:
-                return {"logged": False, "duplicate": True}
-        self.leases.log_execution(key, str(body.get("cell", "")),
-                                  attempts=int(body.get("attempts", 1)),
-                                  worker=worker, pid=body.get("pid"))
-        return {"logged": True, "duplicate": False}
+
+def _record_to_wire(record: StoreRecord) -> Dict[str, Any]:
+    # sidecar rounds were re-inlined by store.get: the wire payload is
+    # always the complete result
+    return {"key": record.key, "schema": record.schema,
+            "config": record.config, "result": record.result.to_dict(),
+            "provenance": record.provenance}
+
+
+def _record_from_wire(raw: Dict[str, Any]) -> StoreRecord:
+    return StoreRecord(
+        key=str(raw["key"]),
+        config=dict(raw["config"]),
+        result=CellResult.from_dict(dict(raw["result"])),
+        provenance=dict(raw.get("provenance") or {}),
+        schema=int(raw.get("schema", STORE_SCHEMA_VERSION)),
+    )
+
+
+def _cell_body(config: ExperimentConfig, result: CellResult,
+               provenance: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """The ``PUT /cells/<key>`` body of one computed cell."""
+    return {"config": config.to_dict(), "result": result.to_dict(),
+            "provenance": dict(provenance or {})}
 
 
 # ---------------------------------------------------------------------- #
@@ -440,7 +450,8 @@ class CoordinatorClient:
 class CoordinatorStore:
     """The ``ResultStore`` surface the runner/workers touch, over HTTP.
 
-    Misses come back as 404 → ``None``; ``put`` uploads config + result +
+    Reads go through one batched request (``get`` is a batch of one), whose
+    misses come back as ``None``; ``put`` uploads config + result +
     provenance and lets the *server's* sidecar policy place the rounds.
     ``root`` is the coordinator URL so runner messages and artifact
     registration read sensibly.
@@ -459,32 +470,24 @@ class CoordinatorStore:
     def key_for(config: ExperimentConfig) -> str:
         return cell_key(config)
 
-    def _key(self, config_or_key: "ExperimentConfig | str") -> str:
-        return (config_or_key if isinstance(config_or_key, str)
-                else self.key_for(config_or_key))
-
     def get(self, config_or_key: "ExperimentConfig | str"
             ) -> Optional[StoreRecord]:
-        key = self._key(config_or_key)
-        raw = self.client.request("GET", f"{_API}/cells/{key}")
-        if raw is None:
-            return None
-        return StoreRecord(
-            key=str(raw["key"]),
-            config=dict(raw["config"]),
-            result=CellResult.from_dict(dict(raw["result"])),
-            provenance=dict(raw.get("provenance") or {}),
-            schema=int(raw.get("schema", STORE_SCHEMA_VERSION)),
-        )
+        return self.get_many([config_or_key])[0]
+
+    def get_many(self, configs_or_keys: "Iterable[ExperimentConfig | str]"
+                 ) -> List[Optional[StoreRecord]]:
+        """Every requested cell's record (or ``None``), in one request."""
+        keys = [item if isinstance(item, str) else self.key_for(item)
+                for item in configs_or_keys]
+        out = self.client.request("POST", f"{_API}/cells", {"keys": keys})
+        return [None if raw is None else _record_from_wire(raw)
+                for raw in out["records"]]
 
     def put(self, config: ExperimentConfig, result: CellResult,
             provenance: Optional[Dict[str, Any]] = None) -> str:
         key = self.key_for(config)
-        self.client.request("PUT", f"{_API}/cells/{key}", {
-            "config": config.to_dict(),
-            "result": result.to_dict(),
-            "provenance": dict(provenance or {}),
-        })
+        self.client.request("PUT", f"{_API}/cells/{key}",
+                            _cell_body(config, result, provenance))
         return key
 
     def contains(self, config_or_key: "ExperimentConfig | str") -> bool:
@@ -497,12 +500,13 @@ class CoordinatorStore:
 
 
 class HttpLeaseClient:
-    """The :class:`LeaseManager` method surface, forwarded to a coordinator.
+    """A shard worker's lease surface, forwarded to a coordinator.
 
-    Carries this worker's *full* identity (worker, pid, host, nonce) into
-    acquire / mark-failed so the server-side lease files record the true
-    remote owner; release and the execution ledger compare/record by the
-    same identity.  Staleness and reclaim are evaluated server-side, where
+    :meth:`claim` and :meth:`complete` are the server's
+    :meth:`LeaseManager.claim` / :meth:`LeaseManager.complete`, one request
+    each, made with this worker's *full* identity (worker, pid, host,
+    nonce) so the server-side lease files and ledger lines record the true
+    remote owner.  Staleness and reclaim are evaluated server-side, where
     the lease files (and the reclaim ``flock`` mutex) live.
     """
 
@@ -515,10 +519,23 @@ class HttpLeaseClient:
 
     identity = LeaseManager.identity
 
-    def acquire(self, key: str) -> bool:
-        out = self.client.request("POST", f"{_API}/lease/acquire",
-                                  {"key": key, "identity": self.identity()})
-        return bool(out["acquired"])
+    def claim(self, key: str, start: bool = True,
+              max_attempts: int = 1) -> Claim:
+        out = self.client.request("POST", f"{_API}/lease/acquire", {
+            "key": key, "start": bool(start),
+            "max_attempts": int(max_attempts), "identity": self.identity()})
+        return Claim(str(out["state"]),
+                     record=None if out["record"] is None
+                     else _record_from_wire(out["record"]),
+                     marker=out["marker"],
+                     prior_attempts=int(out["prior_attempts"]))
+
+    def complete(self, cell: ExperimentConfig, key: str, result: CellResult,
+                 provenance: Dict[str, Any]) -> bool:
+        out = self.client.request("PUT", f"{_API}/cells/{key}", {
+            **_cell_body(cell, result, provenance),
+            "identity": self.identity()})
+        return bool(out["released"])
 
     def release(self, key: str) -> None:
         self.client.request("POST", f"{_API}/lease/release",
@@ -531,30 +548,10 @@ class HttpLeaseClient:
             "attempts": int(attempts), "kind": kind,
             "identity": self.identity()})
 
-    def clear_failure(self, key: str) -> bool:
-        out = self.client.request("POST", f"{_API}/lease/clear-failure",
-                                  {"key": key})
-        return bool(out["cleared"])
-
-    def peek(self, key: str) -> Optional[Dict[str, Any]]:
-        out = self.client.request("GET", f"{_API}/lease/{key}")
-        return None if out is None else out.get("lease")
-
-    def is_stale(self, key: str, lease: Dict[str, Any]) -> bool:
-        out = self.client.request("POST", f"{_API}/lease/stale",
-                                  {"key": key, "lease": lease})
-        return bool(out["stale"])
-
-    def reclaim(self, key: str, observed: Dict[str, Any]) -> bool:
-        out = self.client.request("POST", f"{_API}/lease/reclaim",
-                                  {"key": key, "observed": observed})
-        return bool(out["reclaimed"])
-
-    def log_execution(self, key: str, cell_name: str,
-                      attempts: int = 1) -> None:
-        self.client.request("POST", f"{_API}/executions", {
-            "key": key, "cell": cell_name, "worker": self.worker,
-            "pid": os.getpid(), "attempts": int(attempts)})
+    def clear_failures(self, keys: "Iterable[str]") -> int:
+        out = self.client.request("POST", f"{_API}/lease/clear-failures",
+                                  {"keys": list(keys)})
+        return int(out["cleared"])
 
 
 # ---------------------------------------------------------------------- #

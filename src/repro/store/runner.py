@@ -161,20 +161,17 @@ class CachedSweepRunner:
         """
         hits: Dict[int, StoreRecord] = {}
         misses: List[int] = []
-        unreadable = self.store is None
-        for i, cell in enumerate(sweep):
-            record = None
-            if not self.rerun and not unreadable:
-                try:
-                    record = self.store.get(cell)
-                except OSError as exc:
-                    # one failed read degrades the whole partition: probing
-                    # the remaining cells would just replay the same error
-                    unreadable = True
-                    warn_degraded(f"store {self.store.root} is not readable "
-                                  f"({exc}); treating every cell as a miss",
-                                  rung="store-unreadable",
-                                  cell=self.store.key_for(cell))
+        records: List[Optional[StoreRecord]] = [None] * len(sweep.cells)
+        if not self.rerun and self.store is not None:
+            try:
+                # one batched read: the coordinator's store answers it in
+                # one request, a local store with one get per cell
+                records = self.store.get_many(sweep.cells)
+            except OSError as exc:
+                warn_degraded(f"store {self.store.root} is not readable "
+                              f"({exc}); treating every cell as a miss",
+                              rung="store-unreadable")
+        for i, record in enumerate(records):
             if record is None:
                 misses.append(i)
             else:

@@ -16,11 +16,22 @@ winner per path) and carries::
 
     {"key", "worker", "pid", "host", "acquired_at", "state": "running"}
 
-Lease lifecycle:
+Lease lifecycle: **claim** → compute → **complete**.
 
-* **acquire** → compute → persist payload → append execution log → **release**
-  (unlink).  Once the payload exists, the payload itself marks the cell done;
-  the lease only guards the in-flight window.
+* :meth:`LeaseManager.claim` is the whole pre-compute decision in one
+  operation: the payload check, the failure-marker budget check (and the
+  marker claim), the release of the caller's own abandoned lease, stale
+  reclaim, the ``O_CREAT | O_EXCL`` acquire and the winner's double check.
+  It answers *done* (with the stored record), *failed* (the spent marker),
+  *busy*, or *acquired* (with the attempts earlier workers spent).
+  :meth:`LeaseManager.complete` is the whole post-compute step: store the
+  payload, append the execution log line, release (unlink) the lease.
+  Once the payload exists, the payload itself marks the cell done; the
+  lease only guards the in-flight window.
+* the rules run where the lease files live: in the worker process for the
+  shared-directory ``shard`` backend, and inside the coordinator for the
+  ``http`` backend (:mod:`repro.store.coordinator`), which calls the same
+  two methods on a remote worker's behalf — one request each.
 * a cell that **raises** rewrites its lease to ``state: "failed"`` (with the
   cell label, the canonical error string, the attempt count consumed so far
   and the permanent/transient classification) instead of persisting a
@@ -76,9 +87,9 @@ import socket
 import time
 import uuid
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.experiments.config import ExperimentConfig, SweepConfig
 from repro.experiments.results import CellResult
@@ -100,9 +111,9 @@ from repro.robustness.retry import (
     format_cell_error,
 )
 from repro.store.backends import CellStep, PoolBackend, recommended_workers
-from repro.store.store import ResultStore
+from repro.store.store import ResultStore, StoreRecord
 
-__all__ = ["LeaseManager", "ShardWorker", "ShardBackend",
+__all__ = ["Claim", "LeaseManager", "ShardWorker", "ShardBackend",
            "read_execution_log", "failed_markers", "run_sweep_sharded",
            "worker_identity", "process_nonce"]
 
@@ -182,17 +193,44 @@ def _proc_start_time(pid: int) -> Optional[float]:
         return None
 
 
+@dataclass(frozen=True)
+class Claim:
+    """What :meth:`LeaseManager.claim` decided for one cell.
+
+    ``state`` is ``"done"`` (``record`` is the stored payload), ``"failed"``
+    (``marker`` is a failure marker whose budget is spent), ``"busy"``
+    (another worker holds the cell, or won the race for it) or
+    ``"acquired"`` (the caller holds the lease and computes the cell;
+    ``prior_attempts`` are the attempts an earlier worker spent on it).
+    """
+
+    state: str
+    record: Optional[StoreRecord] = None
+    marker: Optional[Dict[str, Any]] = None
+    prior_attempts: int = 0
+
+
+_BUSY = Claim("busy")
+
+
 class LeaseManager:
-    """Atomic per-cell lease files under ``<store>/shard/leases/``."""
+    """Atomic per-cell lease files under ``<store>/shard/leases/``.
+
+    ``store`` is the result store :meth:`claim` checks for payloads and
+    :meth:`complete` writes to (default: a :class:`ResultStore` on
+    ``store_root``).
+    """
 
     def __init__(self, store_root: str | Path, worker: Optional[str] = None,
-                 stale_after: float = DEFAULT_STALE_AFTER) -> None:
+                 stale_after: float = DEFAULT_STALE_AFTER,
+                 store: Optional[ResultStore] = None) -> None:
         self.root = Path(store_root) / "shard"
         self.leases_dir = self.root / "leases"
         self.log_path = self.root / "executions.jsonl"
         self.worker = worker or worker_identity()
         self.stale_after = float(stale_after)
         self.leases_dir.mkdir(parents=True, exist_ok=True)
+        self.store = store if store is not None else ResultStore(store_root)
 
     def _path(self, key: str) -> Path:
         return self.leases_dir / f"{key}.json"
@@ -201,12 +239,95 @@ class LeaseManager:
         """This manager's full lease identity: worker, pid, host, nonce.
 
         The coordinator transport (:mod:`repro.store.coordinator`) passes a
-        *remote* worker's identity into :meth:`acquire` / :meth:`mark_failed`
-        so the one server-side :class:`LeaseManager` writes leases on the
-        remote caller's behalf.
+        *remote* worker's identity into :meth:`claim`, :meth:`complete` and
+        :meth:`mark_failed` so the one server-side :class:`LeaseManager`
+        writes leases and ledger lines on the remote caller's behalf.
         """
         return {"worker": self.worker, "pid": os.getpid(),
                 "host": socket.gethostname(), "nonce": process_nonce()}
+
+    # ------------------------------------------------------------------ #
+    # the two fleet steps: claim before a compute, complete after it
+    # ------------------------------------------------------------------ #
+    def claim(self, key: str, start: bool = True, max_attempts: int = 1,
+              identity: Optional[Dict[str, Any]] = None) -> Claim:
+        """Decide one cell for the caller (``identity``, default this
+        manager's worker); see :class:`Claim` for the four answers.
+
+        ``start=False`` (the sweep deadline passed) only reports what is
+        stored: a payload, or a failure marker whatever budget it has left.
+        A marker whose ``attempts`` are under ``max_attempts`` (and not
+        ``permanent``) is claimed — its unlink is the atomic claim point,
+        one winner among racing workers — and its attempts carry over.
+        """
+        record = self.store.get(key)
+        if record is not None:
+            return Claim("done", record=record)
+        who = identity or self.identity()
+        worker = who.get("worker", self.worker)
+        prior_attempts = 0
+        lease = self.peek(key)
+        if lease is not None and lease.get("state") == "failed":
+            attempts = int(lease.get("attempts", 1) or 1)
+            if (not start or lease.get("kind") == "permanent"
+                    or attempts >= max_attempts):
+                # budget exhausted (or deterministic error): done (failed)
+                return Claim("failed", marker=lease)
+            if not self.clear_failure(key):
+                return _BUSY   # another worker claimed it; poll again
+            prior_attempts = attempts
+        elif not start:
+            return _BUSY
+        elif lease is not None:
+            if lease.get("worker") == worker:
+                # our own abandoned running lease — e.g. a claim whose
+                # acknowledgement was lost over the coordinator transport.
+                # Liveness says "live" (we are), so staleness would wait the
+                # full TTL; the ownership-checked release drops it and the
+                # normal acquire below takes a fresh lease.
+                self.release(key, worker=worker)
+            elif self.is_stale(key, lease):
+                self.reclaim(key, lease)
+            else:
+                return _BUSY   # live worker owns it; poll again later
+        if not self.acquire(key, identity=who):
+            return _BUSY       # lost the acquire race; poll again later
+        try:
+            # the winner double-checks: the previous holder may have
+            # persisted the payload and released since the first check
+            record = self.store.get(key)
+        except BaseException:
+            self.release(key, worker=worker)
+            raise
+        if record is None:
+            return Claim("acquired", prior_attempts=prior_attempts)
+        self.release(key, worker=worker)
+        return Claim("done", record=record)
+
+    def complete(self, cell: ExperimentConfig, key: str, result: CellResult,
+                 provenance: Dict[str, Any],
+                 identity: Optional[Dict[str, Any]] = None,
+                 dedup: bool = False) -> bool:
+        """Store a computed cell, append its ledger line, drop its lease.
+
+        Returns whether the lease was released; a release that failed is
+        left to the caller, which holds the lease and retries it (the
+        payload and the ledger line are already in place, so a retry must
+        not recompute).  ``dedup`` is for callers that retry a whole
+        ``complete`` whose acknowledgement was lost (the coordinator): the
+        put overwrites the same payload, the ledger books a (key, worker)
+        pair once, and the release is ownership-checked.
+        """
+        who = identity or self.identity()
+        worker = who.get("worker", self.worker)
+        self.store.put(cell, result, provenance)
+        self.log_execution(key, cell.name, attempts=provenance["attempts"],
+                           worker=worker, pid=who.get("pid"), dedup=dedup)
+        try:
+            self.release(key, worker=worker)
+        except (InjectedFault, OSError):
+            return False
+        return True
 
     # ------------------------------------------------------------------ #
     # lease lifecycle
@@ -356,6 +477,11 @@ class LeaseManager:
             return False
         return True
 
+    def clear_failures(self, keys: Iterable[str]) -> int:
+        """:meth:`clear_failure` for each key (a new coordinated run clears
+        its misses' markers in one call); returns how many were removed."""
+        return sum(self.clear_failure(key) for key in keys)
+
     def peek(self, key: str) -> Optional[Dict[str, Any]]:
         """The current lease record for ``key``, or ``None``."""
         path = self._path(key)
@@ -483,10 +609,22 @@ class LeaseManager:
     # execution log (store-level compute counter)
     # ------------------------------------------------------------------ #
     def log_execution(self, key: str, cell_name: str, attempts: int = 1,
-                      worker: Optional[str] = None,
-                      pid: Optional[int] = None) -> None:
+                      worker: Optional[str] = None, pid: Optional[int] = None,
+                      dedup: bool = False) -> None:
+        """Append one ledger line for a completed compute.
+
+        With ``dedup`` a (key, worker) pair is booked at most once, so a
+        retried request cannot double-book a compute; a genuine same-worker
+        recompute (quarantined payload) is then under-counted, the ledger's
+        documented safe direction.
+        """
+        worker = worker or self.worker
+        if dedup and any(record.get("key") == key
+                         and record.get("worker") == worker
+                         for record in read_execution_log(self.root.parent)):
+            return
         line = json.dumps({"key": key, "cell": cell_name,
-                           "worker": worker or self.worker,
+                           "worker": worker,
                            "pid": os.getpid() if pid is None else int(pid),
                            "attempts": int(attempts),
                            "at": time.time()}, allow_nan=False) + "\n"
@@ -571,7 +709,7 @@ class ShardWorker:
         # coordinator's HttpLeaseClient speaks the same surface over HTTP);
         # the default is the shared-filesystem LeaseManager
         self.leases = leases if leases is not None else LeaseManager(
-            store.root, worker=worker, stale_after=stale_after)
+            store.root, worker=worker, stale_after=stale_after, store=store)
         self.poll_interval = float(poll_interval)
         # ``run_cell`` is looked up here at call time: tests patch this
         # module's name to count or slow down worker computes
@@ -579,15 +717,18 @@ class ShardWorker:
                              retry or DEFAULT_RETRY_POLICY, deadline,
                              compute=lambda cell: run_cell(cell),
                              worker=self.leases.worker)
+        self._released = False
 
     # ------------------------------------------------------------------ #
     def run(self, sweep: SweepConfig) -> Dict[int, CellResult]:
         """Resolve every cell of ``sweep``; returns results by position.
 
-        Lease-layer hiccups (an injected fault or a transient ``OSError``
-        from acquire/reclaim/release plumbing) leave the affected cell
-        *pending* for the next pass instead of killing the worker — the
-        store protocol is already built so that any interrupted step is
+        Each pass reads every pending cell's payload in one batched call,
+        then claims the cells still missing one by one.  Lease-layer
+        hiccups (an injected fault or a transient ``OSError`` from the
+        claim/complete/release plumbing) leave the affected cell *pending*
+        for the next pass instead of killing the worker — the store
+        protocol is already built so that any interrupted step is
         recoverable, so the loop simply goes around again.  Once the
         sweep's wall-clock deadline has passed, one last pass reports every
         payload and failure marker, and cells still unresolved surface as
@@ -602,12 +743,19 @@ class ShardWorker:
             expired = deadline is not None and deadline.expired()
             progressed = False
             still_pending: List[int] = []
-            for i in pending:
-                try:
-                    result = self._resolve_one(cells[i], keys[i],
-                                               start=not expired)
-                except (InjectedFault, OSError):
-                    result = None   # lease-layer hiccup: retry next pass
+            try:
+                records = self.store.get_many([keys[i] for i in pending])
+            except (InjectedFault, OSError):
+                records = [None] * len(pending)   # the claims check again
+            for i, record in zip(pending, records):
+                if record is not None:
+                    result = replace(record.result, config=cells[i])
+                else:
+                    try:
+                        result = self._resolve_one(cells[i], keys[i],
+                                                   start=not expired)
+                    except (InjectedFault, OSError):
+                        result = None   # lease-layer hiccup: retry next pass
                 if result is None:
                     still_pending.append(i)
                 else:
@@ -627,56 +775,29 @@ class ShardWorker:
 
     def _resolve_one(self, cell: ExperimentConfig, key: str,
                      start: bool = True) -> Optional[CellResult]:
-        """One attempt at one cell: ``None`` means blocked on another worker.
+        """One claim on one cell: ``None`` means blocked on another worker.
 
-        ``start=False`` (the deadline passed) only reports what is stored:
-        a payload, or a failure marker whatever budget it has left.
+        ``start=False`` (the deadline passed) only reports what is stored
+        (see :meth:`LeaseManager.claim`).  Stored results are served under
+        the requesting sweep's config: an overlapping sweep may have
+        persisted the cell under a different label.
         """
-        record = self.store.get(key)
-        if record is not None:
-            # served under the requesting sweep's config (an overlapping
-            # sweep may have persisted it under a different label)
-            return replace(record.result, config=cell)
-        prior_attempts = 0
-        lease = self.leases.peek(key)
-        if lease is not None and lease.get("state") == "failed":
-            attempts = int(lease.get("attempts", 1) or 1)
-            kind = str(lease.get("kind", "")) or None
-            if (not start or kind == "permanent"
-                    or attempts >= self.step.retry.max_attempts):
-                # budget exhausted (or deterministic error): done (failed)
-                return failed_cell_result(cell, str(lease.get("error", "")),
-                                          attempts=attempts, kind=kind)
-            # budget remains: claim the in-run retry.  The marker unlink
-            # is the atomic claim (one winner among racing workers); the
-            # spent attempts carry over into this worker's budget.
-            if not self.leases.clear_failure(key):
-                return None   # another worker claimed it; poll again
-            prior_attempts = attempts
-        elif not start:
+        claim = self.leases.claim(key, start=start,
+                                  max_attempts=self.step.retry.max_attempts)
+        if claim.record is not None:
+            return replace(claim.record.result, config=cell)
+        if claim.marker is not None:
+            marker = claim.marker
+            return failed_cell_result(
+                cell, str(marker.get("error", "")),
+                attempts=int(marker.get("attempts", 1) or 1),
+                kind=str(marker.get("kind", "")) or None)
+        if claim.state != "acquired":
             return None
-        elif lease is not None:
-            if lease.get("worker") == self.leases.worker:
-                # our own abandoned running lease — e.g. an acquire whose
-                # acknowledgement was lost over the coordinator transport.
-                # Liveness says "live" (we are), so staleness would wait the
-                # full TTL; the ownership-checked release drops it and the
-                # normal acquire below takes a fresh lease.
-                self.leases.release(key)
-            elif self.leases.is_stale(key, lease):
-                self.leases.reclaim(key, lease)
-            else:
-                return None   # live worker owns it; poll again later
-        if not self.leases.acquire(key):
-            return None       # lost the acquire race; poll again later
+        self._released = False
         failed = False
         try:
-            # the winner double-checks: the previous holder may have
-            # persisted the payload and released between our get and acquire
-            record = self.store.get(key)
-            if record is not None:
-                return replace(record.result, config=cell)
-            result = self.step(cell, key, prior_attempts=prior_attempts)
+            result = self.step(cell, key, prior_attempts=claim.prior_attempts)
             failed = bool(result.extra.get("failed"))
             if failed:
                 self.leases.mark_failed(key, cell.name, result.extra["error"],
@@ -684,18 +805,17 @@ class ShardWorker:
                                         kind=result.extra["kind"])
             return result
         finally:
-            # a failed compute rewrote the lease into the run-scoped failure
-            # marker — releasing would delete it and let every other worker
+            # ``complete`` released the lease with the payload; a failed
+            # compute rewrote it into the run-scoped failure marker —
+            # releasing would delete it and let every other worker
             # re-execute the poisoned cell
-            if not failed:
+            if not failed and not self._released:
                 self.leases.release(key)
 
     def _persist(self, cell: ExperimentConfig, key: str, result: CellResult,
                  provenance: Dict[str, Any]) -> None:
-        """Store one computed cell, then append its ledger line."""
-        self.store.put(cell, result, provenance)
-        self.leases.log_execution(key, cell.name,
-                                  attempts=provenance["attempts"])
+        """Complete one computed cell: payload, ledger line, lease release."""
+        self._released = self.leases.complete(cell, key, result, provenance)
 
 
 def _fleet_worker_main(backend: "ShardBackend", store: Any,
@@ -736,7 +856,8 @@ class ShardBackend:
         self.poll_interval = float(poll_interval)
 
     def connect(self, store: Any) -> Any:
-        manager = LeaseManager(store.root, stale_after=self.stale_after)
+        manager = LeaseManager(store.root, stale_after=self.stale_after,
+                               store=store)
         # probe: leases must be creatable, or no worker can make progress
         probe = manager.leases_dir / f".probe.{os.getpid()}"
         # content-free writability probe, deleted immediately
@@ -766,12 +887,12 @@ class ShardBackend:
             # runner persists what it can
             warn_degraded(self.unavailable(store, exc), rung=self.rung)
             return PoolBackend(self.workers).execute(sweep, misses, runner)
-        for i in misses:
-            # a fresh coordinated run retries cells that failed previously
-            leases.clear_failure(keys[i])
-            if runner.rerun:
-                # --rerun promises recomputation: drop the stale payload so
-                # the payload-exists-means-done protocol recomputes it
+        # a fresh coordinated run retries cells that failed previously
+        leases.clear_failures([keys[i] for i in misses])
+        if runner.rerun:
+            # --rerun promises recomputation: drop the stale payloads so
+            # the payload-exists-means-done protocol recomputes them
+            for i in misses:
                 store.delete(keys[i])
 
         workers = recommended_workers() if self.workers is None \

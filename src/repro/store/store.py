@@ -67,7 +67,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -277,6 +277,16 @@ class ResultStore:
             obs_metrics.count("store.quarantine")
             obs_metrics.count("store.get.miss")
             return None
+
+    def get_many(self, configs_or_keys: Iterable[ExperimentConfig | str]
+                 ) -> List[Optional[StoreRecord]]:
+        """:meth:`get` for each cell or key, in order.
+
+        The batched read of the store surface: the coordinator's store
+        (:class:`~repro.store.coordinator.CoordinatorStore`) answers it in
+        one request; here it is one :meth:`get` per cell.
+        """
+        return [self.get(item) for item in configs_or_keys]
 
     def _load_verified(self, path: Path) -> Optional[Dict[str, Any]]:
         """Parse + verify one payload; ``None`` = stale miss, raise = damage.

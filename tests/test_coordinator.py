@@ -1,6 +1,7 @@
 """Coordinator-backed fleet transport: HTTP lease protocol + result push.
 
-Covers the wire round-trips (store + lease surfaces), the NPZ sidecar pin
+Covers the wire round-trips (store surface, claim / complete), the request
+budget (a computed cell costs a claim and a complete), the NPZ sidecar pin
 (rounds travel inline, the *server's* sidecar policy lands them on its
 disk), the fleet guarantee — N workers on disjoint filesystems compute
 every cell exactly once and the merged report equals cold serial — and the
@@ -11,16 +12,19 @@ sweep bit-identically.
 
 from __future__ import annotations
 
+import os
+import re
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from chaos import CHAOS_RETRY, chaos_sweep
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, SweepConfig
 from repro.experiments.runner import run_cell
 from repro.robustness import DegradedExecutionWarning
 from repro.store import (
@@ -31,7 +35,9 @@ from repro.store import (
     CoordinatorStore,
     HttpBackend,
     HttpLeaseClient,
+    LeaseManager,
     ResultStore,
+    cell_key,
     read_execution_log,
 )
 from repro.robustness.retry import RetryPolicy, classify_error
@@ -72,31 +78,89 @@ class TestTransport:
         with CoordinatorServer(tmp_path / "store") as server:
             leases = HttpLeaseClient(server.url)
             rival = HttpLeaseClient(server.url, worker="rival")
-            assert leases.acquire("k") is True
-            assert rival.acquire("k") is False          # exactly one winner
-            lease = leases.peek("k")
+            disk = LeaseManager(tmp_path / "store", worker="inspector")
+            assert leases.claim("k").state == "acquired"
+            assert rival.claim("k").state == "busy"      # exactly one winner
+            lease = disk.peek("k")
             assert lease["worker"] == leases.worker
             assert lease["state"] == "running"
-            assert not leases.is_stale("k", lease)
+            assert not disk.is_stale("k", lease)
             rival.release("k")                # ownership check: not rival's
-            assert leases.peek("k") is not None
+            assert disk.peek("k") is not None
             leases.release("k")
-            assert leases.peek("k") is None
+            assert disk.peek("k") is None
             leases.mark_failed("k", "cell", "ValueError: boom", attempts=2)
-            marker = leases.peek("k")
+            marker = disk.peek("k")
             assert marker["state"] == "failed" and marker["attempts"] == 2
-            assert leases.clear_failure("k") is True
-            assert leases.clear_failure("k") is False
+            # a permanent error or a spent budget reports the marker; a
+            # transient one with budget left is claimed once, inheriting
+            # the marker's attempts
+            permanent = leases.claim("k", max_attempts=3)
+            assert permanent.state == "failed"
+            assert permanent.marker["attempts"] == 2
+            leases.mark_failed("k", "cell", "OSError: flaky disk", attempts=2)
+            assert leases.claim("k", max_attempts=2).state == "failed"
+            claimed = leases.claim("k", max_attempts=3)
+            assert claimed.state == "acquired" and claimed.prior_attempts == 2
+            assert rival.claim("k", max_attempts=3).state == "busy"
+            leases.release("k")
+            leases.mark_failed("k", "cell", "ValueError: boom", attempts=2)
+            assert leases.clear_failures(["k"]) == 1
+            assert leases.clear_failures(["k"]) == 0
+
+    def test_claim_returns_stored_record(self, tmp_path):
+        with CoordinatorServer(tmp_path / "store") as server:
+            cfg = _config()
+            result = run_cell(cfg)
+            key = CoordinatorStore(server.url).put(cfg, result, {})
+            claim = HttpLeaseClient(server.url).claim(key)
+            assert claim.state == "done"
+            assert claim.record.result.to_dict() == result.to_dict()
+            # a done cell takes no lease
+            assert LeaseManager(tmp_path / "store").peek(key) is None
+
+    def test_claim_reclaims_stale_foreign_lease(self, tmp_path):
+        with CoordinatorServer(tmp_path / "store", stale_after=2.0) as server:
+            disk = LeaseManager(tmp_path / "store", worker="ghost")
+            assert disk.acquire("k", identity={
+                "worker": "ghost", "pid": 1, "host": "elsewhere",
+                "nonce": "0"})
+            leases = HttpLeaseClient(server.url)
+            assert leases.claim("k").state == "busy"     # fresh: still live
+            backdated = time.time() - 60.0
+            os.utime(disk.leases_dir / "k.json", (backdated, backdated))
+            assert leases.claim("k").state == "acquired"
+            assert disk.peek("k")["worker"] == leases.worker
+
+    def test_claim_replaces_own_abandoned_lease(self, tmp_path):
+        # a claim whose acknowledgement was lost leaves the caller's own
+        # lease behind; the next claim releases it and acquires afresh
+        with CoordinatorServer(tmp_path / "store") as server:
+            disk = LeaseManager(tmp_path / "store", worker="inspector")
+            leases = HttpLeaseClient(server.url)
+            assert leases.claim("k").state == "acquired"
+            first = disk.peek("k")["acquired_at"]
+            assert leases.claim("k").state == "acquired"
+            lease = disk.peek("k")
+            assert lease["worker"] == leases.worker
+            assert lease["acquired_at"] > first
 
     def test_execution_ledger_dedups_lost_ack_retries(self, tmp_path):
         with CoordinatorServer(tmp_path / "store") as server:
             leases = HttpLeaseClient(server.url)
             other = HttpLeaseClient(server.url, worker="other")
-            leases.log_execution("k", "cell")
-            leases.log_execution("k", "cell")   # retried lost ack: dropped
-            other.log_execution("k", "cell")    # genuine recompute: recorded
+            cfg = _config()
+            key, result = cell_key(cfg), run_cell(cfg)
+            provenance = {"attempts": 1}
+            assert leases.claim(key).state == "acquired"
+            assert leases.complete(cfg, key, result, provenance)
+            # retried lost ack: dropped
+            assert leases.complete(cfg, key, result, provenance)
+            # genuine recompute: recorded
+            assert other.complete(cfg, key, result, provenance)
             ledger = read_execution_log(tmp_path / "store")
             assert [r["worker"] for r in ledger] == [leases.worker, "other"]
+            assert LeaseManager(tmp_path / "store").peek(key) is None
 
     def test_mismatched_key_is_rejected(self, tmp_path):
         with CoordinatorServer(tmp_path / "store") as server:
@@ -196,6 +260,37 @@ class TestHttpFleet:
             report = runner.run(sweep)
         # results computed anyway (pool), just not persisted anywhere
         assert report == baseline
+
+
+# ---------------------------------------------------------------------- #
+# request budget: one coordinator request per fleet step
+# ---------------------------------------------------------------------- #
+class TestRequestBudget:
+    def test_fleet_makes_at_most_four_requests_per_computed_cell(
+            self, tmp_path, monkeypatch):
+        # ping, partition, clears, claims, completes and the mop-up, all
+        # in: a computed cell costs a claim and a complete, and each worker
+        # probes the cells the other one holds
+        handled = []
+        real_handle = CoordinatorServer.handle
+
+        def counting_handle(self, method, path, body):
+            handled.append(f"{method} {re.sub('[0-9a-f]{64}$', '<key>', path)}")
+            return real_handle(self, method, path, body)
+
+        monkeypatch.setattr(CoordinatorServer, "handle", counting_handle)
+        sweep = SweepConfig(name="budget", description="request budget")
+        for n in range(16, 80, 2):
+            sweep.add(_config(name=f"n={n}", n=n))
+        with CoordinatorServer(tmp_path / "coord") as server:
+            runner = CachedSweepRunner(
+                CoordinatorStore(server.url),
+                backend=HttpBackend(server.url, workers=2))
+            report = runner.run(sweep)
+        assert not report.meta.get("failures")
+        computed = len(read_execution_log(tmp_path / "coord"))
+        assert computed == len(sweep.cells) == 32
+        assert len(handled) <= 4 * computed, Counter(handled)
 
 
 # ---------------------------------------------------------------------- #

@@ -152,7 +152,11 @@ class TestCli:
         ["--rule", "nosuch"],
         ["--engine", "occupancy", "--rule", "mean"],
         ["--engine", "occupancy", "--n", "20001"],
-    ], ids=["unknown-rule", "rule-without-kernel", "support-too-wide"])
+        ["--workload", "blocks"],
+        ["--n", "0"],
+        ["--workload", "blocks", "--m", "0"],
+    ], ids=["unknown-rule", "rule-without-kernel", "support-too-wide",
+            "workload-without-m", "no-processes", "blocks-without-values"])
     def test_simulate_refuses_bad_arguments_without_traceback(self, argv):
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run([sys.executable, "-m", "repro", "simulate", *argv],
