@@ -64,6 +64,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -90,6 +91,25 @@ __all__ = ["main", "build_parser"]
 _SWEEPS = figures.FIGURE_REGISTRY
 
 
+def _number(kind: type, low: float, what: str):
+    """An argparse ``type=``: a finite ``kind`` value of at least ``low``
+    (above it, for a float)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (low <= value < math.inf) or (kind is float and value == low):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _number(int, 1, "a positive integer")
+_non_negative_int = _number(int, 0, "a non-negative integer")
+_positive_float = _number(float, 0, "a positive number")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -100,33 +120,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     sim = sub.add_parser("simulate", help="run a single simulation")
-    sim.add_argument("--n", type=int, default=1024, help="number of processes")
+    sim.add_argument("--n", type=_positive_int, default=1024, help="number of processes")
     sim.add_argument("--workload", default="all-distinct", choices=sorted(WORKLOAD_REGISTRY))
     sim.add_argument("--m", type=int, default=None, help="number of initial values "
                                                          "(workloads that take m)")
     sim.add_argument("--rule", default="median", choices=sorted(available_rules()),
                      help="update rule name")
     sim.add_argument("--adversary", default="null", choices=sorted(ADVERSARY_REGISTRY))
-    sim.add_argument("--budget", type=int, default=0, help="adversary budget T")
-    sim.add_argument("--max-rounds", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--budget", type=_non_negative_int, default=0,
+                     help="adversary budget T")
+    sim.add_argument("--max-rounds", type=_non_negative_int, default=None)
+    sim.add_argument("--seed", type=_non_negative_int, default=0)
     sim.add_argument("--engine", default="vectorized", choices=sorted(ENGINES),
                      help="simulation substrate: 'vectorized' is O(n) per round, "
                           "'occupancy' is O(m^2) per round independent of n")
 
     swp = sub.add_parser("sweep", help="run a named experiment sweep")
     swp.add_argument("name", choices=sorted(_SWEEPS))
-    swp.add_argument("--scale", type=float, default=1.0,
+    swp.add_argument("--scale", type=_positive_float, default=1.0,
                      help="problem-size scale factor (use <1 for quick runs)")
-    swp.add_argument("--runs", type=int, default=None, help="runs per cell")
+    swp.add_argument("--runs", type=_positive_int, default=None, help="runs per cell")
     swp.add_argument("--engine", default=None, choices=sorted(BATCH_ENGINES),
                      help="simulation substrate for every cell of the sweep: "
                           "'vectorized' (O(n)/round), 'occupancy' (O(m^2)/round, "
                           "n-independent), or 'occupancy-fused' (all runs of a "
-                          "cell as one count tensor; cells without count-space "
-                          "kernels fall back to vectorized). Default: the "
-                          "sweep's own preference (the paper sweeps use "
-                          "occupancy-fused)")
+                          "cell as one count tensor; a cell it cannot run or "
+                          "win runs vectorized). Default: each sweep's own, in "
+                          "effect occupancy-fused for theorem10, figure1 and "
+                          "adversary-threshold, vectorized for the rest")
     swp.add_argument("--json", type=Path, default=None, help="save report as JSON")
     swp.add_argument("--csv", type=Path, default=None, help="save report as CSV")
     swp.add_argument("--store", type=Path, default=None,
@@ -146,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "processes that dedup through the store (safe to "
                           "launch concurrently), 'http' the same lease "
                           "protocol against a coordinator URL")
-    swp.add_argument("--workers", type=int, default=None,
+    swp.add_argument("--workers", type=_non_negative_int, default=None,
                      help="worker count for --backend pool/shard/http "
                           "(default: cpu_count - 1)")
     swp.add_argument("--worker", action="store_true",
@@ -169,16 +190,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="offline replay: assemble the report purely from "
                           "cached cells, never simulating (a missing cell "
                           "is an error; requires --store)")
-    swp.add_argument("--sidecar-at", type=int, default=None, metavar="R",
+    swp.add_argument("--sidecar-at", type=_positive_int, default=None, metavar="R",
                      help="store per-run rounds as a compressed NPZ sidecar "
                           "for cells with at least R runs (JSON payload "
                           "stays canonical and references the sidecar)")
-    swp.add_argument("--retries", type=int, default=None, metavar="N",
+    swp.add_argument("--retries", type=_positive_int, default=None, metavar="N",
                      help="per-cell attempt budget for transient failures "
                           "(requires --store; default 1 = no retry); "
                           "permanent errors never retry, exhausted cells "
                           "surface as kind=transient-exhausted failures")
-    swp.add_argument("--deadline", type=float, default=None, metavar="S",
+    swp.add_argument("--deadline", type=_positive_float, default=None, metavar="S",
                      help="wall-clock budget for the whole sweep in seconds "
                           "(requires --store): expired retries surface as "
                           "failures instead of hanging the fleet")
@@ -196,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "'obs summarize'")
 
     fig = sub.add_parser("figure1", help="regenerate the paper's Figure 1 table")
-    fig.add_argument("--scale", type=float, default=1.0)
-    fig.add_argument("--runs", type=int, default=10)
+    fig.add_argument("--scale", type=_positive_float, default=1.0)
+    fig.add_argument("--runs", type=_positive_int, default=10)
 
     sub.add_parser("rules", help="list registered rules, adversaries and workloads")
 
@@ -257,9 +278,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     params = {"n": args.n}
     if args.m is not None:
         params["m"] = args.m
-    if args.n <= 0:
-        print(f"error: --n must be positive, got {args.n}", file=sys.stderr)
-        return 2
     if args.m is None and implied_support_width(args.workload, params) == 0:
         print(f"error: workload {args.workload!r} needs --m (its number of "
               f"initial values)", file=sys.stderr)
@@ -272,9 +290,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return 2
         m = implied_support_width(args.workload, params)
         if m > MAX_SUPPORT_DEFAULT:
-            print(f"error: support width m={m} exceeds the occupancy engine's "
-                  f"limit of {MAX_SUPPORT_DEFAULT}; use --engine vectorized",
-                  file=sys.stderr)
+            print(f"error: simulate takes --engine occupancy only up to "
+                  f"{MAX_SUPPORT_DEFAULT} initial values, where count space "
+                  f"stops paying off; this workload has m={m}, so use "
+                  f"--engine vectorized", file=sys.stderr)
             return 2
     rng = np.random.default_rng(args.seed)
     try:
@@ -296,9 +315,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    kwargs = {"scale": args.scale}
-    if args.engine is not None:
-        kwargs["engine"] = args.engine
+    kwargs = {"scale": args.scale, "engine": args.engine}
     if args.runs is not None:
         kwargs["num_runs"] = args.runs
 
@@ -402,6 +419,8 @@ def _sweep_body(args: argparse.Namespace, kwargs: dict,
                                    offline=args.from_store, retry=retry)
         kwargs["runner"] = runner
     elif args.store is not None and not args.no_cache:
+        if args.from_store and _no_store_at(args.store):
+            return 2
         store = ResultStore(args.store, rounds_sidecar_at=args.sidecar_at)
         backend = args.backend
         if args.worker:
@@ -479,6 +498,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
     if args.store_command is None:
         print("usage: repro-consensus store {ls,info,gc} --store DIR")
         return 1
+    if _no_store_at(args.store):
+        return 2
     store = ResultStore(args.store)
     if args.store_command == "ls":
         rows = store.ls_rows()
@@ -547,6 +568,15 @@ def _cmd_store(args: argparse.Namespace) -> int:
               f"dangling_artifacts={counts['dangling_artifacts']}")
         return 0
     return 1
+
+
+def _no_store_at(root: Path) -> bool:
+    """True, said on stderr, when ``root`` holds no result store (no
+    ``cells/``): read-only commands must not create one."""
+    if (root / "cells").is_dir():
+        return False
+    print(f"error: no result store at {root}", file=sys.stderr)
+    return True
 
 
 def _print_json(payload) -> None:

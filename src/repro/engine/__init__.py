@@ -45,8 +45,8 @@ per round and therefore in where they are fast:
     Cost model: O(R·m²) time per round **independent of n**, versus O(R·m²)
     time *plus O(R) interpreter round trips* for the looped occupancy path.
     Peak memory is O(R·m² · 8 bytes) on the NumPy backend, whose dense
-    (R, m, m) outcome tensor is chunked over runs beyond ~134 MB, and
-    O(R·m) on the compiled backend, whose banded walker builds no matrix.
+    (R, m, m) outcome tensor is drawn in run blocks of ~134 MB, and O(R·m)
+    on the compiled backend, whose banded walker builds no matrix.
     With an adversary the fused engine still makes one adversary step per
     round and timing for all R runs; what it does per run is the
     strategies' random victim draws and the run's ledger entry.  The fused
@@ -80,11 +80,11 @@ per round and therefore in where they are fast:
                        ``propose_counts`` override stay vectorized-only.
     =================  =========================================================
 
-    ``run_batch(engine="occupancy-fused")`` checks the pair up front and
-    runs the fused engine whenever it is supported; sweep builders resolve
-    unsupported cells to ``"vectorized"`` before any work is spent
-    (:data:`repro.engine.batch.COUNT_ADVERSARIES`,
-    :func:`repro.engine.batch.fused_occupancy_cell_supported`).
+    ``run_batch(engine="occupancy-fused")`` runs the fused engine, which,
+    like ``occupancy``, refuses an unsupported pair.  A sweep cell's engine
+    is chosen once, by :func:`repro.experiments.runner.resolve_cell_engine`
+    through :func:`repro.engine.batch.fused_occupancy_cell_supported`: an
+    unsupported or too-wide cell goes to ``"vectorized"`` before any work.
 
 ``network`` (:class:`repro.network.simulator.NetworkSimulator`)
     Agent-level message passing with explicit topologies, schedulers and
@@ -109,7 +109,7 @@ count-space sampler each:
 ``numpy``      ``scatter_column_sums_batch``: ``Generator.multinomial``
                over the dense (R, m, m) outcome tensor — the historical
                bit stream; every seed-pinned golden result was produced
-               on it.
+               on it.  Only this round limits m (≤ 10⁴) and blocks runs.
 ``compiled``   ``sample_scatter_banded``: a pooled *banded* walker in a C
                kernel compiled on first use (provider ``cc``) that
                scatters a run with O(m) binomial draws instead of O(m²)

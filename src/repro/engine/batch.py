@@ -41,7 +41,6 @@ from repro.core.rules import Rule
 from repro.core.state import Configuration
 from repro.engine.occupancy import (
     MAX_SUPPORT_DEFAULT,
-    OCCUPANCY_KERNEL_RULE_TYPES,
     OCCUPANCY_RULES,
     _as_occupancy,
     _RoundProgram,
@@ -93,17 +92,17 @@ COUNT_ADVERSARIES = frozenset(
 def fused_occupancy_cell_supported(rule_name: str, adversary_name: str = "null",
                                    n: Optional[int] = None,
                                    m: Optional[int] = None) -> bool:
-    """Name-level support check for the fused occupancy batch engine.
+    """Whether a cell asking for ``engine="occupancy-fused"`` runs on it.
 
-    True iff a cell with this rule/adversary registry pair can run on
-    ``engine="occupancy-fused"`` — used by the sweep builders and the runner
-    to fall back to the looped :func:`run_batch` path *before* any work is
-    spent.  When the cell's geometry is known, pass ``n`` and ``m``: the
-    occupancy substrate costs O(m²) per round versus the vectorized engine's
-    O(n), so wide supports (``m² ≫ n``, e.g. the all-distinct workload where
-    m = n) are reported unsupported even though the kernels exist — and
-    ``m > MAX_SUPPORT_DEFAULT`` would refuse to allocate its transition
-    tensor outright.
+    The one engine decision for a cell, asked by
+    :func:`repro.experiments.runner.resolve_cell_engine` *before* any work is
+    spent: False sends the cell to ``"vectorized"``.  True iff the
+    rule/adversary registry pair has a count-space form and, when the
+    cell's geometry ``n``, ``m`` is given, its support is narrow enough for
+    count space to win: the occupancy substrate costs O(m²) per round
+    versus the vectorized engine's O(n), so wide supports (``m² ≫ n``, e.g.
+    the all-distinct workload where m = n, or ``m > MAX_SUPPORT_DEFAULT``)
+    go to value space even where a count-space kernel could run them.
     """
     if rule_name not in OCCUPANCY_RULES or adversary_name not in COUNT_ADVERSARIES:
         return False
@@ -201,12 +200,14 @@ def run_batch(
     engine:
         Which engine executes the batch: ``"vectorized"`` (O(n) per round per
         run) or ``"occupancy"`` (O(m²) per round, independent of n) loop the
-        runs in Python; ``"occupancy-fused"`` routes the whole batch through
+        runs in Python; ``"occupancy-fused"`` runs the whole batch as
         :func:`run_batch_fused_occupancy` (one (R, m) count tensor, no
-        per-run loop) whenever the rule/adversary pair supports it, and
-        through the vectorized loop when the pair has no count-space form
-        (a value-form initial is then required — occupancy states cannot be
-        expanded implicitly).  All are statistically equivalent.
+        per-run loop).  All are statistically equivalent.  The batch runs on
+        the engine named: like ``"occupancy"``, the fused engine refuses a
+        rule without a count-space kernel (``TypeError``) and an adversary
+        without a count-space form (``NotImplementedError``).  Choosing the
+        engine for a cell is
+        :func:`repro.experiments.runner.resolve_cell_engine`'s job.
     """
     if num_runs <= 0:
         raise ValueError("num_runs must be positive")
@@ -214,28 +215,15 @@ def run_batch(
         raise KeyError(f"unknown engine {engine!r}; available: {sorted(BATCH_ENGINES)}")
     rule = rule or MedianRule()
     if engine == "occupancy-fused":
-        probe = adversary_factory() if adversary_factory is not None else None
-        if probe is not None:
-            # hand the probe to run 0 so a stateful factory sees exactly one
-            # call per run, whichever path executes the batch
-            pending, original_factory = [probe], adversary_factory
-
-            def adversary_factory() -> Adversary:
-                return pending.pop() if pending else original_factory()
-
-        if _fused_occupancy_supported(rule, probe):
-            return run_batch_fused_occupancy(
-                initial_factory,
-                num_runs,
-                rule=rule,
-                adversary_factory=adversary_factory,
-                seed=seed,
-                max_rounds=max_rounds,
-                criterion=criterion,
-            )
-        # neither occupancy substrate can run this pair — only the
-        # vectorized loop can
-        engine = "vectorized"
+        return run_batch_fused_occupancy(
+            initial_factory,
+            num_runs,
+            rule=rule,
+            adversary_factory=adversary_factory,
+            seed=seed,
+            max_rounds=max_rounds,
+            criterion=criterion,
+        )
     simulate_fn = ENGINES[engine]
     rngs = spawn_rngs(seed, num_runs)
 
@@ -281,51 +269,6 @@ def run_batch(
 # ---------------------------------------------------------------------- #
 # fused multi-run engine in occupancy (count) space
 # ---------------------------------------------------------------------- #
-#: Per-round working-set cap for the fused occupancy engine, in float64
-#: elements of the (block, m, m) outcome tensor (2**24 ≈ 134 MB).  Rounds over
-#: batches wider than this are processed in run blocks of that size.  Read at
-#: every round, so a test can lower it to force the blocked path.
-FUSED_OCCUPANCY_BLOCK_ELEMS = 2 ** 24
-
-
-def _fused_occupancy_supported(rule: Rule, adversary: Optional[Adversary]) -> bool:
-    """Object-level twin of :func:`fused_occupancy_cell_supported`."""
-    if adversary is not None and adversary.budget > 0 and not adversary.supports_counts:
-        return False
-    return isinstance(rule, OCCUPANCY_KERNEL_RULE_TYPES)
-
-
-def _occupancy_round_blocked(counts: np.ndarray,
-                             victims: Optional[np.ndarray], rule: Rule,
-                             rng: np.random.Generator, program: _RoundProgram
-                             ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """One fused round, chunked over runs so peak memory stays bounded.
-
-    With ``victims`` (one victim-occupancy row per run, zero for runs that
-    track none) each block's round is split
-    (:func:`~repro.engine.occupancy.occupancy_round_batch_split`) and the new
-    victim rows come back second; without, the second item is ``None``.
-    Every block runs on the loop's round ``program``.
-    """
-    R, m = counts.shape
-    block = max(1, FUSED_OCCUPANCY_BLOCK_ELEMS // max(m * m, 1))
-    parts = []
-    for s in range(0, R, block):
-        if victims is None:
-            parts.append((occupancy_round_batch(counts[s:s + block], rule, rng,
-                                                _program=program),
-                          None))
-        else:
-            parts.append(occupancy_round_batch_split(
-                counts[s:s + block], victims[s:s + block], rule, rng,
-                _program=program))
-    if len(parts) == 1:
-        return parts[0]
-    new_victims = None if victims is None else np.concatenate(
-        [part[1] for part in parts])
-    return np.concatenate([part[0] for part in parts]), new_victims
-
-
 def _corrupt_live(batch: _CountBatch, timing: np.ndarray, live: np.ndarray,
                   support: np.ndarray, cur: np.ndarray, t: int,
                   rng: np.random.Generator) -> np.ndarray:
@@ -440,8 +383,11 @@ def _occupancy_loop(
             # get their victims scattered as a separate — exactly equivalent —
             # multinomial program, and learn the victims' new occupancy
             victims = batch.victim_rows(support, live)
-        cur, new_victims = _occupancy_round_blocked(cur, victims, rule, rng, program)
-        if victims is not None:
+        if victims is None:
+            cur = occupancy_round_batch(cur, rule, rng, _program=program)
+        else:
+            cur, new_victims = occupancy_round_batch_split(cur, victims, rule, rng,
+                                                           _program=program)
             batch.observe_victim_rows(support, live, new_victims)
         if batch is not None:
             cur = _corrupt_live(batch, after, live, support, cur, t, rng)
@@ -544,7 +490,9 @@ def run_batch_fused_occupancy(
         caller-supplied criterion is honored at the horizon: runs whose
         trailing streak satisfies it report the streak's first round.
 
-    Per-round working memory is capped by :data:`FUSED_OCCUPANCY_BLOCK_ELEMS`.
+    Per-round working memory is O(R·m) on the compiled backend; NumPy's
+    dense round is drawn in run blocks
+    (:data:`repro.engine.occupancy.DENSE_BLOCK_ELEMS`).
     """
     if num_runs <= 0:
         raise ValueError("num_runs must be positive")

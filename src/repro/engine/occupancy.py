@@ -57,7 +57,7 @@ approximation.
 from __future__ import annotations
 
 import math
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -99,10 +99,15 @@ __all__ = [
 #: Full-configuration trajectory recording is refused above this n.
 _FULL_RECORD_LIMIT = 100_000
 
-#: The transition matrix has m² float64 entries; beyond this support width a
-#: single round would allocate gigabytes, and the vectorized engine is the
-#: better substrate anyway (occupancy wins only when m ≪ n).
+#: :func:`occupancy_transition_matrix` refuses a support wider than this: its
+#: m² float64 entries would take gigabytes.  Only NumPy's round builds that
+#: matrix; the compiled banded walker has no width limit.  The engine choice
+#: and the CLI read this width as policy too (count space wins only at m ≪ n).
 MAX_SUPPORT_DEFAULT = 10_000
+
+#: NumPy's dense round draws its ``(R, m, m)`` outcome tensor in blocks of
+#: runs of at most this many float64 elements (2**24 ≈ 134 MB).
+DENSE_BLOCK_ELEMS = 2 ** 24
 
 #: The built-in families whose outcome law is a function of the load pmf
 #: alone, by rule class (the median family, :class:`MedianRule` and
@@ -112,13 +117,12 @@ _PMF_FAMILIES = ((VoterRule, "voter"), (MinimumRule, "minimum"),
                  (TwoChoicesMajorityRule, "three-majority"),
                  (TwoChoicesRule, "two-choices"))
 
-#: Rule classes :func:`occupancy_transition_matrix` can dispatch on.  Shared
-#: with the batch layer's support checks so the two cannot drift.
+#: Rule classes :func:`occupancy_transition_matrix` can dispatch on.
 OCCUPANCY_KERNEL_RULE_TYPES = (MedianRule, BestOfKMedianRule) + tuple(
     cls for cls, _ in _PMF_FAMILIES)
 
-#: Registry names of the rules with an occupancy-space kernel, so sweeps can
-#: be filtered *before* work is spent.
+#: Registry names of the rules with an occupancy-space kernel, so a cell's
+#: engine can be chosen *before* work is spent.
 OCCUPANCY_RULES = frozenset(
     name for name, cls in RULE_REGISTRY.items()
     if issubclass(cls, OCCUPANCY_KERNEL_RULE_TYPES)
@@ -173,23 +177,6 @@ def _normalize_rows(Q: np.ndarray) -> np.ndarray:
     sums = Q.sum(axis=-1, keepdims=True)
     np.divide(Q, sums, out=Q, where=sums > 0)
     return Q
-
-
-def _check_counts(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Refuse a support too wide for m² memory or an empty population;
-    return the population size of each row (the last column of ``cum``,
-    the counts' cumulative sum)."""
-    m = counts.shape[-1]
-    if m > MAX_SUPPORT_DEFAULT:
-        raise ValueError(
-            f"support width m={m} needs an m²={m * m:,}-entry transition matrix "
-            f"({m * m * 8 / 1e9:.1f} GB); the occupancy engine targets m ≪ n — "
-            "use the vectorized engine for wide supports"
-        )
-    n_per_row = cum[..., -1] if m else counts.sum(axis=-1)
-    if not n_per_row.all():
-        raise ValueError("cannot build a transition for an empty population")
-    return n_per_row
 
 
 class _Recipe(NamedTuple):
@@ -266,9 +253,7 @@ def occupancy_outcome_profiles(
 
     ``counts`` may carry leading batch dimensions ``(..., m)``; the profiles
     come back with the same leading shape.  Returns ``None`` for rules
-    outside the built-in families.  Raises the same errors as
-    :func:`occupancy_transition_matrix` for invalid inputs so routing
-    through profiles never changes the error surface.
+    outside the built-in families.  An empty population is refused.
 
     A direct call returns fresh arrays.  A count-space loop passes its round
     program (``_program``): the rule's recipe was resolved once for the
@@ -281,7 +266,9 @@ def occupancy_outcome_profiles(
     else:
         recipe, buf = _program.recipe, _program.buffers.fit(counts.shape)
     cum = np.add.accumulate(counts, axis=-1, out=buf["cum"])
-    n_per_row = _check_counts(counts, cum)
+    n_per_row = cum[..., -1] if counts.shape[-1] else counts.sum(axis=-1)
+    if not n_per_row.all():
+        raise ValueError("cannot build a transition for an empty population")
     if recipe is None:
         return None
     family = recipe.family
@@ -368,9 +355,16 @@ def occupancy_transition_matrix(rule: Rule, counts: np.ndarray) -> np.ndarray:
     The dense band of :func:`occupancy_outcome_profiles`, rows renormalized.
     ``counts`` may carry leading batch dimensions ``(..., m)``: ``(R, m)``
     counts give the stacked ``(R, m, m)`` tensor, one matrix per run, built
-    in one vectorized pass.
+    in one vectorized pass; m > :data:`MAX_SUPPORT_DEFAULT` is refused.
     """
     counts = np.asarray(counts, dtype=np.int64)
+    m = counts.shape[-1]
+    if m > MAX_SUPPORT_DEFAULT:
+        raise ValueError(
+            f"support width m={m} needs an m²={m * m:,}-entry transition matrix "
+            f"({m * m * 8 / 1e9:.1f} GB); the occupancy engine targets m ≪ n — "
+            "use the vectorized engine for wide supports"
+        )
     profiles = occupancy_outcome_profiles(rule, counts)
     if profiles is None:
         raise TypeError(
@@ -378,7 +372,6 @@ def occupancy_transition_matrix(rule: Rule, counts: np.ndarray) -> np.ndarray:
             f"rules are {', '.join(sorted(OCCUPANCY_RULES))}"
         )
     lo, hi, diag = profiles
-    m = counts.shape[-1]
     a_idx = np.arange(m)[:, None]
     b_idx = np.arange(m)[None, :]
     Q = np.where(b_idx < a_idx, lo[..., None, :],
@@ -450,7 +443,7 @@ def occupancy_round_batch(counts: np.ndarray, rule: Rule,
     round is a handful of NumPy passes regardless of R.  Each run's
     population size is conserved exactly.  On the compiled backend the
     round takes the banded O(m)-draw walker and never builds the m×m
-    matrix.
+    matrix; on NumPy it is the dense round of :func:`_dense_scatter`.
     ``_program`` is the calling loop's round program; without it the call
     resolves its own.
     """
@@ -460,8 +453,7 @@ def occupancy_round_batch(counts: np.ndarray, rule: Rule,
         lo, hi, diag = occupancy_outcome_profiles(rule, counts, _program=program)
         return _mnk.sample_scatter_banded(counts, lo, hi, diag, rng,
                                           _kernel=program.kernel)
-    Q = occupancy_transition_matrix(rule, counts)
-    return _mnk.scatter_column_sums_batch(counts, Q, rng)
+    return _dense_scatter(rule, counts, [counts], rng)[0]
 
 
 def occupancy_round_batch_split(counts: np.ndarray, victim_counts: np.ndarray,
@@ -501,10 +493,25 @@ def occupancy_round_batch_split(counts: np.ndarray, victim_counts: np.ndarray,
         new_victims = _mnk.sample_scatter_banded(victim_counts, lo, hi, diag,
                                                  rng, _kernel=kernel)
         return new_civilians + new_victims, new_victims
-    Q = occupancy_transition_matrix(rule, counts)
-    new_civilians = _mnk.scatter_column_sums_batch(civilians, Q, rng)
-    new_victims = _mnk.scatter_column_sums_batch(victim_counts, Q, rng)
+    new_civilians, new_victims = _dense_scatter(rule, counts,
+                                                [civilians, victim_counts], rng)
     return new_civilians + new_victims, new_victims
+
+
+def _dense_scatter(rule: Rule, counts: np.ndarray, parts: List[np.ndarray],
+                   rng: np.random.Generator) -> List[np.ndarray]:
+    """NumPy's dense round: each of ``parts`` (``(R, m)`` subpopulations of
+    ``counts``) scattered through the outcome tensor of ``counts``, in run
+    blocks of at most :data:`DENSE_BLOCK_ELEMS`, each drawing its parts in
+    order."""
+    R, m = counts.shape
+    block = max(1, DENSE_BLOCK_ELEMS // max(m * m, 1))
+    drawn: List[List[np.ndarray]] = [[] for _ in parts]
+    for s in range(0, max(R, 1), block):
+        Q = occupancy_transition_matrix(rule, counts[s:s + block])
+        for part, out in zip(parts, drawn):
+            out.append(_mnk.scatter_column_sums_batch(part[s:s + block], Q, rng))
+    return [out[0] if len(out) == 1 else np.concatenate(out) for out in drawn]
 
 
 def _as_occupancy(initial: Union[Configuration, OccupancyState, np.ndarray, Sequence[int]]

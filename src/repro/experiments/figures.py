@@ -13,7 +13,8 @@ laptop-friendly sizes while the CLI can run the full grid, and an optional
 ``runner`` — any object with a ``run(sweep) -> ExperimentReport`` method,
 typically :class:`repro.store.CachedSweepRunner` — so the same figure
 functions serve cold recomputation and cache-backed resumable execution
-(the CLI wires this up for ``sweep --store DIR``).
+(the CLI wires this up for ``sweep --store DIR``).  ``engine=None`` keeps
+the sweep builder's engines; a name retargets every cell.
 """
 
 from __future__ import annotations
@@ -62,8 +63,12 @@ class SweepRunner(Protocol):
     def run(self, sweep) -> ExperimentReport: ...
 
 
-def _execute(sweep, runner: Optional[SweepRunner] = None) -> ExperimentReport:
-    """Run a sweep through ``runner`` (cache-aware) or plain :func:`run_sweep`."""
+def _execute(sweep, runner: Optional[SweepRunner] = None,
+             engine: Optional[str] = None) -> ExperimentReport:
+    """Run a sweep, retargeted to ``engine`` unless it is ``None``, through
+    ``runner`` (cache-aware) or plain :func:`run_sweep`."""
+    if engine is not None:
+        sweep = sweep.with_engine(engine)
     if runner is None:
         return run_sweep(sweep)
     return runner.run(sweep)
@@ -93,65 +98,64 @@ def _fits_from_report(report: ExperimentReport,
 
 
 def reproduce_figure1(scale: float = 1.0, num_runs: int = 10, seed: int = 808,
-                      engine: str = "occupancy-fused",
+                      engine: Optional[str] = None,
                       runner: Optional[SweepRunner] = None) -> FigureResult:
     """FIG1: every cell of the paper's Figure 1 summary table at one n."""
     n = max(128, int(1024 * scale))
     m_many = 32 if n >= 512 else 8
-    sweep = figure1_sweep(n=n, m_many=m_many, num_runs=num_runs, seed=seed,
-                          engine=engine)
-    report = _execute(sweep, runner)
+    sweep = figure1_sweep(n=n, m_many=m_many, num_runs=num_runs, seed=seed)
+    report = _execute(sweep, runner, engine)
     table = format_figure1_table(report)
     return FigureResult(report=report, fits=[], table=table)
 
 
 def reproduce_theorem1(scale: float = 1.0, num_runs: int = 15, seed: int = 101,
-                       engine: str = "occupancy-fused",
+                       engine: Optional[str] = None,
                        runner: Optional[SweepRunner] = None) -> FigureResult:
     """THM1: O(log n) consensus, all-distinct start, no adversary."""
     base = (64, 128, 256, 512, 1024, 2048)
     ns = tuple(max(16, int(n * scale)) for n in base)
-    report = _execute(theorem1_sweep(ns=ns, num_runs=num_runs, seed=seed,
-                                     engine=engine), runner)
+    report = _execute(theorem1_sweep(ns=ns, num_runs=num_runs, seed=seed),
+                      runner, engine)
     fits = _fits_from_report(report, ["log_n", "sqrt_n", "linear_n"])
     return FigureResult(report=report, fits=fits, table=format_report(report))
 
 
 def reproduce_theorem2(scale: float = 1.0, num_runs: int = 8, seed: int = 202,
-                       engine: str = "vectorized",
+                       engine: Optional[str] = None,
                        runner: Optional[SweepRunner] = None) -> FigureResult:
     """THM2: O(log n) almost-stable consensus, constant m, sqrt(n) adversary."""
     base = (256, 1024, 4096)
     ns = tuple(max(64, int(n * scale)) for n in base)
-    report = _execute(theorem2_sweep(ns=ns, num_runs=num_runs, seed=seed,
-                                     engine=engine), runner)
+    report = _execute(theorem2_sweep(ns=ns, num_runs=num_runs, seed=seed),
+                      runner, engine)
     fits = _fits_from_report(report, ["log_n", "sqrt_n", "linear_n"])
     return FigureResult(report=report, fits=fits, table=format_report(report))
 
 
 def reproduce_theorem3(scale: float = 1.0, num_runs: int = 8, seed: int = 303,
-                       engine: str = "vectorized",
+                       engine: Optional[str] = None,
                        runner: Optional[SweepRunner] = None) -> FigureResult:
     """THM3: O(log m log log n + log n), m sweep and n sweep, sqrt(n) adversary."""
     n = max(256, int(2048 * scale))
     ns = tuple(max(128, int(x * scale)) for x in (256, 512, 1024, 2048, 4096))
     ms = (2, 4, 8, 16, 32, 64)
-    report = _execute(theorem3_sweep(n=n, ms=ms, ns=ns, num_runs=num_runs, seed=seed,
-                                     engine=engine), runner)
+    report = _execute(theorem3_sweep(n=n, ms=ms, ns=ns, num_runs=num_runs, seed=seed),
+                      runner, engine)
     fits = _fits_from_report(report, ["log_m_loglog_n_plus_log_n", "log_n", "linear_n"])
     return FigureResult(report=report, fits=fits, table=format_report(report))
 
 
 def reproduce_theorem4(scale: float = 1.0, num_runs: int = 8, seed: int = 404,
                        with_adversary: bool = False,
-                       engine: str = "vectorized",
+                       engine: Optional[str] = None,
                        runner: Optional[SweepRunner] = None) -> FigureResult:
     """THM4/21/COR22: average case, odd vs even m."""
     n = max(256, int(4096 * scale))
     ms = (3, 4, 5, 8, 9, 16, 17, 32, 33)
     report = _execute(theorem4_sweep(n=n, ms=ms, with_adversary=with_adversary,
-                                      num_runs=num_runs, seed=seed, engine=engine),
-                      runner)
+                                      num_runs=num_runs, seed=seed),
+                      runner, engine)
     # fit odd and even cells separately (they have different predicted laws)
     odd_cells = [c for c in report.cells if c.m % 2 == 1]
     even_cells = [c for c in report.cells if c.m % 2 == 0]
@@ -168,19 +172,19 @@ def reproduce_theorem4(scale: float = 1.0, num_runs: int = 8, seed: int = 404,
 
 
 def reproduce_theorem10(scale: float = 1.0, num_runs: int = 8, seed: int = 505,
-                        engine: str = "occupancy-fused",
+                        engine: Optional[str] = None,
                         runner: Optional[SweepRunner] = None) -> FigureResult:
     """THM10: two balanced bins, sqrt(n) adversary, O(log n) rounds."""
     base = (256, 1024, 4096, 16384)
     ns = tuple(max(64, int(n * scale)) for n in base)
-    report = _execute(theorem10_sweep(ns=ns, num_runs=num_runs, seed=seed,
-                                      engine=engine), runner)
+    report = _execute(theorem10_sweep(ns=ns, num_runs=num_runs, seed=seed),
+                      runner, engine)
     fits = _fits_from_report(report, ["log_n", "sqrt_n", "linear_n"])
     return FigureResult(report=report, fits=fits, table=format_report(report))
 
 
 def reproduce_minimum_rule_attack(scale: float = 1.0, num_runs: int = 8, seed: int = 606,
-                                  engine: str = "vectorized",
+                                  engine: Optional[str] = None,
                                   runner: Optional[SweepRunner] = None) -> FigureResult:
     """MINRULE: the reviving adversary flips the minimum rule but not the median rule.
 
@@ -191,28 +195,28 @@ def reproduce_minimum_rule_attack(scale: float = 1.0, num_runs: int = 8, seed: i
     adversary's value); the median rule absorbs the attack.
     """
     n = max(128, int(1024 * scale))
-    report = _execute(minimum_rule_attack_sweep(n=n, num_runs=num_runs, seed=seed,
-                                                engine=engine), runner)
+    report = _execute(minimum_rule_attack_sweep(n=n, num_runs=num_runs, seed=seed),
+                      runner, engine)
     return FigureResult(report=report, fits=[], table=format_report(report))
 
 
 def reproduce_adversary_threshold(scale: float = 1.0, num_runs: int = 6, seed: int = 707,
-                                  engine: str = "occupancy-fused",
+                                  engine: Optional[str] = None,
                                   runner: Optional[SweepRunner] = None) -> FigureResult:
     """ADVBOUND: convergence vs adversary strength T = c·sqrt(n)."""
     n = max(256, int(4096 * scale))
-    report = _execute(adversary_threshold_sweep(n=n, num_runs=num_runs, seed=seed,
-                                                engine=engine), runner)
+    report = _execute(adversary_threshold_sweep(n=n, num_runs=num_runs, seed=seed),
+                      runner, engine)
     return FigureResult(report=report, fits=[], table=format_report(report))
 
 
 def reproduce_rule_comparison(scale: float = 1.0, num_runs: int = 6, seed: int = 909,
-                              engine: str = "vectorized",
+                              engine: Optional[str] = None,
                               runner: Optional[SweepRunner] = None) -> FigureResult:
     """Ablation: median (two choices) vs voter (one choice) vs 3-majority vs minimum."""
     n = max(128, int(1024 * scale))
-    report = _execute(rule_comparison_sweep(n=n, num_runs=num_runs, seed=seed,
-                                            engine=engine), runner)
+    report = _execute(rule_comparison_sweep(n=n, num_runs=num_runs, seed=seed),
+                      runner, engine)
     return FigureResult(report=report, fits=[], table=format_report(report))
 
 

@@ -8,11 +8,14 @@ function on every execution backend.  :func:`run_sweep` maps it over a
 :class:`repro.store.CachedSweepRunner`, without a store — in-process, or on
 a process pool for the independent cells.
 
-Engine routing is delegated to :func:`repro.engine.batch.run_batch`: cells
-with ``engine="occupancy-fused"`` advance all their runs as one (R, m) count
-tensor (no per-run Python loop) when the rule/adversary pair supports it and
-fall back to the looped occupancy path otherwise; the workload is built in
-the matching representation by
+A cell's engine is decided in one place, :func:`resolve_cell_engine`
+(through :func:`repro.engine.batch.fused_occupancy_cell_supported`): a cell
+asking for ``engine="occupancy-fused"`` advances all its runs as one (R, m)
+count tensor (no per-run Python loop), unless its rule/adversary pair has
+no count-space form or its support is too wide for count space to win —
+then it runs on ``"vectorized"``.  :func:`repro.engine.batch.run_batch` runs
+the engine it is given, and the workload is built in the matching
+representation by
 :func:`~repro.experiments.workloads.make_workload_for_engine`.
 
 Caching
@@ -65,13 +68,13 @@ EXECUTION_STATS = {"run_cell_calls": 0}
 def resolve_cell_engine(rule: str, adversary: str, engine: str,
                         workload: Optional[str] = None,
                         workload_params: Optional[dict] = None) -> str:
-    """The engine a cell actually executes on.
+    """The engine a cell actually executes on: the one place it is chosen.
 
     ``"occupancy-fused"`` cells whose rule/adversary pair has no count-space
     form — or whose support is too wide for count space to win (m² ≫ n,
-    e.g. the all-distinct workload where m = n) — fall back to
-    ``"vectorized"`` *before* a workload is built in the wrong
-    representation.
+    e.g. the all-distinct workload where m = n) — go to ``"vectorized"``
+    *before* a workload is built in the wrong representation.  Every other
+    request is kept as it is.
     """
     if engine != "occupancy-fused":
         return engine

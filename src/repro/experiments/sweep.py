@@ -7,15 +7,18 @@ laptop-sized; ``tests/test_theorems.py`` runs them at half size and the
 figure functions rescale them with ``scale``.
 
 Every builder accepts ``engine="vectorized" | "occupancy" | "occupancy-fused"``
-and retargets all of its cells; the occupancy engines make the same sweeps
-feasible at n = 10⁸–10⁹ for fixed m (see :mod:`repro.engine.occupancy`).
-The sweeps whose default rule/adversary pairs all have count-space kernels
-(theorem1, theorem10, figure1, adversary-threshold) default to the fused
-multi-run occupancy engine (:func:`repro.engine.batch.run_batch_fused_occupancy`,
-one (R, m) count tensor per cell); cells whose rule/adversary pair lacks a
-count-space form are resolved back to ``"vectorized"`` by
-:meth:`~repro.experiments.config.SweepConfig.with_engine`, i.e. they fall back
-to the looped :func:`~repro.engine.batch.run_batch` path.
+and retargets all of its cells through
+:meth:`~repro.experiments.config.SweepConfig.with_engine`, which asks
+:func:`repro.experiments.runner.resolve_cell_engine` per cell; the occupancy
+engines make the same sweeps feasible at n = 10⁸–10⁹ for fixed m (see
+:mod:`repro.engine.occupancy`).  Each builder's ``engine`` default is the
+sweep's own preference.  theorem10, figure1 and adversary-threshold default
+to the fused multi-run occupancy engine
+(:func:`repro.engine.batch.run_batch_fused_occupancy`, one (R, m) count
+tensor per cell).  theorem1 asks for it too, but its all-distinct cells
+(m = n) all resolve to ``"vectorized"``.  The other five (theorem2,
+theorem3, theorem4, minimum-rule-attack, rule-comparison) default to
+``"vectorized"``.
 """
 
 from __future__ import annotations
@@ -289,18 +292,7 @@ def rule_comparison_sweep(n: int = 1024, m: int = 16, num_runs: int = 10,
                           rules: Sequence[str] = ("median", "voter", "three-majority",
                                                   "minimum"),
                           engine: str = "vectorized") -> SweepConfig:
-    """Ablation: the power of two choices — median vs one-choice and other rules.
-
-    With ``engine="occupancy"`` the comparison is restricted to the rules that
-    have a count-space kernel, so the sweep runs instead of dying mid-way on
-    an unsupported rule.  The whole default grid (including ``three-majority``)
-    has kernels now; the filter only bites for custom kernel-less rules such
-    as ``mean``.
-    """
-    if engine == "occupancy":
-        from repro.engine.occupancy import OCCUPANCY_RULES
-
-        rules = [r for r in rules if r in OCCUPANCY_RULES]
+    """Ablation: the power of two choices — median vs one-choice and other rules."""
     sweep = SweepConfig(
         name="rule-comparison",
         description="Convergence of the median rule vs voter (one choice), 3-majority "

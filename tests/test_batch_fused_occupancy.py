@@ -20,9 +20,10 @@ two are compared in distribution over paired batches:
   equality of the stacked transition tensor).
 
 Also covered: the ``engine="occupancy-fused"`` dispatch in ``run_batch`` and
-its fallbacks, the per-cell engine resolution in
-``SweepConfig.with_engine``, the wall-clock guard that fused stays ≥ 2×
-faster than the looped engine, and large cells (n = 10⁶) that must converge.
+its refusals, NumPy's run-blocked dense round, the per-cell engine
+resolution in ``SweepConfig.with_engine``, the wall-clock guard that fused
+stays ≥ 2× faster than the looped engine, and large cells (n = 10⁶) that
+must converge.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from repro.engine.batch import (
     run_batch,
     run_batch_fused_occupancy,
 )
+from repro.engine._multinomial import set_multinomial_backend
 from repro.engine.occupancy import (
     occupancy_round,
     occupancy_round_batch,
@@ -67,6 +69,14 @@ from repro.experiments.workloads import (
 )
 
 RUNS = 200
+
+
+@pytest.fixture
+def numpy_kernel():
+    """Pin NumPy's dense round: the one drawn in run blocks."""
+    set_multinomial_backend("numpy")
+    yield
+    set_multinomial_backend(None)
 
 
 @dataclass(frozen=True)
@@ -305,17 +315,38 @@ class TestRunBatchFusedOccupancy:
         assert batch.meta["tolerance"] == 8
         assert batch.meta["window"] == 10
 
-    def test_blocked_rounds_match_unblocked_statistics(self, monkeypatch):
+    def test_blocked_rounds_match_unblocked_statistics(self, monkeypatch,
+                                                       numpy_kernel):
         # force run-chunking with a tiny working-set cap; the chunked path
         # must stay the same program, just sliced
         init = blocks_workload(512, 16)
         with monkeypatch.context() as patched:
-            patched.setattr("repro.engine.batch.FUSED_OCCUPANCY_BLOCK_ELEMS", 16 * 16)
+            patched.setattr("repro.engine.occupancy.DENSE_BLOCK_ELEMS", 16 * 16)
             small = run_batch_fused_occupancy(init, 24, seed=12)
         big = run_batch_fused_occupancy(init, 24, seed=12)
         assert small.convergence_fraction == 1.0
         assert big.convergence_fraction == 1.0
         assert abs(small.mean_rounds - big.mean_rounds) < 6.0
+
+    @pytest.mark.parametrize("budget", [0, 3], ids=["null", "balancing"])
+    def test_blocked_dense_round_is_bit_identical_without_victims(
+            self, monkeypatch, numpy_kernel, budget):
+        # blocks draw their runs in order on one stream, so without victim
+        # tracking (whose civilian and victim scatters interleave per block)
+        # the blocked round is the unblocked one, bit for bit
+        init = blocks_workload(512, 16)
+
+        def run():
+            return run_batch_fused_occupancy(
+                init, 24, seed=12, max_rounds=300,
+                adversary_factory=lambda: BalancingAdversary(budget=budget))
+
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.engine.occupancy.DENSE_BLOCK_ELEMS", 16 * 16 * 5)
+            blocked = run()
+        whole = run()
+        np.testing.assert_array_equal(blocked.rounds, whole.rounds)
+        assert blocked.meta == whole.meta
 
 
 class TestEngineDispatch:
@@ -362,14 +393,23 @@ class TestEngineDispatch:
                              workload_params={"n": 64, "m": 4},
                              engine="occupancy-fused-typo")
 
-    def test_run_batch_falls_back_to_vectorized_for_unsupported_rule(self):
+    def test_run_batch_fused_refuses_unsupported_pairs(self):
+        # run_batch runs the engine it is given; choosing one for a cell is
+        # resolve_cell_engine's job
+        from repro.adversary.base import Adversary, Corruption
         from repro.core.rules import get_rule
 
-        batch = run_batch(blocks_workload(128, 4), num_runs=2, seed=15,
-                          rule=get_rule("mean"),
-                          engine="occupancy-fused")
-        assert batch.meta["engine"] == "vectorized"
-        assert batch.convergence_fraction == 1.0
+        class IdentityOnly(Adversary):
+            def propose(self, values, round_index, admissible_values, rng):
+                return Corruption.empty()
+
+        with pytest.raises(TypeError, match="supported rules are"):
+            run_batch(blocks_workload(128, 4), num_runs=2, seed=15,
+                      rule=get_rule("mean"), engine="occupancy-fused")
+        with pytest.raises(NotImplementedError, match="identities"):
+            run_batch(Configuration.two_bins(128, minority=64), num_runs=2,
+                      seed=15, adversary_factory=lambda: IdentityOnly(budget=3),
+                      engine="occupancy-fused")
 
     def test_run_batch_routes_majority_family_to_fused(self):
         from repro.core.rules import get_rule

@@ -155,8 +155,12 @@ class TestCli:
         ["--workload", "blocks"],
         ["--n", "0"],
         ["--workload", "blocks", "--m", "0"],
+        ["--adversary", "balancing", "--budget", "-1"],
+        ["--max-rounds", "-5"],
+        ["--seed", "-1"],
     ], ids=["unknown-rule", "rule-without-kernel", "support-too-wide",
-            "workload-without-m", "no-processes", "blocks-without-values"])
+            "workload-without-m", "no-processes", "blocks-without-values",
+            "negative-budget", "negative-horizon", "negative-seed"])
     def test_simulate_refuses_bad_arguments_without_traceback(self, argv):
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run([sys.executable, "-m", "repro", "simulate", *argv],
@@ -165,6 +169,40 @@ class TestCli:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["--runs", "0"],
+        ["--scale", "-1"],
+        ["--workers", "-2"],
+        ["--store", "{store}", "--retries", "0"],
+        ["--store", "{store}", "--deadline", "0"],
+        ["--store", "{store}", "--sidecar-at", "-3"],
+    ], ids=["no-runs", "negative-scale", "negative-workers", "no-retries",
+            "no-deadline", "negative-sidecar"])
+    def test_sweep_refuses_bad_arguments_without_traceback(self, argv, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        # the case's own --runs or --scale comes last, so it wins
+        argv = ["--scale", "0.1", "--runs", "2",
+                *(arg.format(store=tmp_path / "store") for arg in argv)]
+        proc = subprocess.run([sys.executable, "-m", "repro", "sweep", "theorem1", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["store", "ls"],
+        ["store", "info"],
+        ["store", "gc"],
+        ["sweep", "theorem1", "--scale", "0.1", "--runs", "2", "--from-store"],
+    ], ids=["store-ls", "store-info", "store-gc", "sweep-from-store"])
+    def test_read_only_commands_refuse_a_missing_store(self, argv, tmp_path,
+                                                       capsys):
+        missing = tmp_path / "missing"
+        assert main([*argv, "--store", str(missing)]) == 2
+        assert f"error: no result store at {missing}" in capsys.readouterr().err
+        assert not missing.exists()
 
     def test_sweep_command_with_outputs(self, tmp_path, capsys):
         json_path = tmp_path / "report.json"

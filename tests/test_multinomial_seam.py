@@ -14,7 +14,8 @@ Six concerns:
   wrong dtype, layout or shape before C runs;
 * **routing** — each backend draws every count-space round through its one
   sampler: NumPy through the dense ``scatter_column_sums_batch``, the
-  compiled kernel through ``sample_scatter_banded``;
+  compiled kernel through ``sample_scatter_banded``; only the dense round
+  refuses a support wider than ``MAX_SUPPORT_DEFAULT``;
 * **invariants** — row sums preserved exactly, zero-count rows exactly
   zero, zero-probability columns never receive mass, on every seam entry
   point and under either configured backend;
@@ -57,9 +58,16 @@ from repro.engine._multinomial import (
     scatter_column_sums_batch,
     set_multinomial_backend,
 )
+from repro.core.median_rule import MedianRule
 from repro.core.rules import get_rule
+from repro.core.state import Configuration
 from repro.engine.batch import run_batch, run_batch_fused_occupancy
-from repro.engine.occupancy import OCCUPANCY_RULES, simulate_occupancy
+from repro.engine.occupancy import (
+    MAX_SUPPORT_DEFAULT,
+    OCCUPANCY_RULES,
+    occupancy_round_batch,
+    simulate_occupancy,
+)
 from repro.experiments.workloads import make_workload_for_engine
 
 HAS_COMPILED = resolve_multinomial_backend("compiled").resolved == "compiled"
@@ -334,6 +342,24 @@ def test_each_backend_draws_every_round_through_its_one_sampler(
     own = _SAMPLERS[backend]
     other = _SAMPLERS["compiled" if backend == "numpy" else "numpy"]
     assert calls[own] >= 2 and calls[other] == 0, calls
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_only_the_dense_round_limits_the_support_width(backend):
+    """Past ``MAX_SUPPORT_DEFAULT`` bins NumPy's round would build an m×m
+    matrix and refuses; the compiled banded walker holds O(R·m) and runs."""
+    set_multinomial_backend(backend)
+    wide = np.ones((1, MAX_SUPPORT_DEFAULT + 1), dtype=np.int64)
+    distinct = Configuration.all_distinct(2 * MAX_SUPPORT_DEFAULT + 1)
+    rng = np.random.default_rng(0)
+    if backend == "numpy":
+        with pytest.raises(ValueError, match="transition matrix"):
+            occupancy_round_batch(wide, MedianRule(), rng)
+        with pytest.raises(ValueError, match="transition matrix"):
+            simulate_occupancy(distinct, seed=0)
+        return
+    assert int(occupancy_round_batch(wide, MedianRule(), rng).sum()) == wide.size
+    assert simulate_occupancy(distinct, seed=0).reached_consensus
 
 
 # ---------------------------------------------------------------------- #

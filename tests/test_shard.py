@@ -795,6 +795,7 @@ class TestShardCli:
         from repro.cli import main
 
         store_dir = str(tmp_path / "store")
+        ResultStore(store_dir)                             # an empty store
         base = ["sweep", "theorem1", "--scale", "0.1", "--runs", "2",
                 "--store", store_dir]
         assert main(base + ["--from-store"]) == 1          # cold: refuse
