@@ -169,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "protocol against a coordinator URL")
     swp.add_argument("--workers", type=_non_negative_int, default=None,
                      help="worker count for --backend pool/shard/http "
-                          "(default: cpu_count - 1)")
+                          "(default: one less than the CPUs this process "
+                          "may run on)")
     swp.add_argument("--worker", action="store_true",
                      help="attach this process as one extra shard worker to "
                           "a live store (or, with --coordinator, to a "

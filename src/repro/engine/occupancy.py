@@ -550,11 +550,14 @@ def simulate_occupancy(
 
     Notes
     -----
-    * ``result.initial`` / ``result.final`` are expanded to real
-      :class:`Configuration` objects iff ``n <= 1_000_000``
-      (``MATERIALIZE_LIMIT_DEFAULT``); above, they are
-      :class:`OccupancyState` objects, which duck-type every query the
-      analysis layer uses (``n``, ``num_values``, ``support``, ``loads``,
+    * ``result.initial`` / ``result.final`` keep the input's
+      representation: :class:`OccupancyState` objects for an
+      :class:`OccupancyState` input, whatever ``n`` (count space stays in
+      count space); real :class:`Configuration` objects for a
+      :class:`Configuration` or value-array input iff ``n <= 1_000_000``
+      (``MATERIALIZE_LIMIT_DEFAULT``), and :class:`OccupancyState` objects
+      above.  Occupancy states duck-type every query the analysis layer
+      uses (``n``, ``num_values``, ``support``, ``loads``,
       ``agreement_fraction()``, ...).  Convert either way with
       :meth:`OccupancyState.from_configuration` or
       :meth:`OccupancyState.to_configuration`.
@@ -620,15 +623,15 @@ def simulate_occupancy(
                                         round=int(out.stable_round[0]),
                                         value=final_state.majority_value())
 
-    if n <= MATERIALIZE_LIMIT_DEFAULT:
+    if isinstance(initial, OccupancyState) or n > MATERIALIZE_LIMIT_DEFAULT:
+        result_initial = _as_occupancy(initial)
+        result_final = final_state.compacted()
+    else:
         if isinstance(initial, Configuration):
             result_initial = initial  # keep the caller's ball order
         else:
             result_initial = _as_occupancy(initial).to_configuration(limit=max(n, 1))
         result_final = final_state.to_configuration(limit=max(n, 1))
-    else:
-        result_initial = _as_occupancy(initial)
-        result_final = final_state.compacted()
 
     return SimulationResult(
         initial=result_initial,

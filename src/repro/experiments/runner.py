@@ -17,6 +17,8 @@ then it runs on ``"vectorized"``.  :func:`repro.engine.batch.run_batch` runs
 the engine it is given, and the workload is built in the matching
 representation by
 :func:`~repro.experiments.workloads.make_workload_for_engine`.
+:func:`cell_work_bound` bounds a cell's work on that engine; the parallel
+backends start a sweep's longest cells first by it.
 
 Caching
 -------
@@ -35,6 +37,7 @@ from typing import Optional
 import numpy as np
 
 from repro.adversary.strategies import make_adversary
+from repro.core.consensus import default_max_rounds
 from repro.core.rules import get_rule
 from repro.core.state import Configuration
 from repro.engine.batch import fused_occupancy_cell_supported, run_batch
@@ -51,6 +54,7 @@ from repro.robustness.retry import classify_error
 
 __all__ = [
     "EXECUTION_STATS",
+    "cell_work_bound",
     "resolve_cell_engine",
     "run_cell",
     "run_sweep",
@@ -85,6 +89,29 @@ def resolve_cell_engine(rule: str, adversary: str, engine: str,
     if not fused_occupancy_cell_supported(rule, adversary, n=n, m=m):
         return "vectorized"
     return engine
+
+
+def cell_work_bound(config: ExperimentConfig) -> int:
+    """A bound on a cell's work, from what the cell declares alone.
+
+    Its horizon (:func:`~repro.core.consensus.default_max_rounds`) × its
+    runs × its per-round size on the engine :func:`resolve_cell_engine`
+    picks: n processes in value space, the support width m in count space.
+    The parallel backends start a sweep's cells in descending bound
+    (:func:`repro.store.backends.longest_first`), so the longest cell does
+    not start last.  A cell whose parameters its engine would refuse has
+    bound 0: it fails at once.
+    """
+    try:
+        engine = resolve_cell_engine(config.rule, config.adversary,
+                                     config.engine, config.workload,
+                                     config.workload_params)
+        n, m = config.n, config.m
+        horizon = default_max_rounds(n, config.max_rounds)
+    except (TypeError, ValueError):
+        return 0
+    size = n if engine == "vectorized" else (m or n)
+    return horizon * config.num_runs * size
 
 
 def run_cell(config: ExperimentConfig) -> CellResult:

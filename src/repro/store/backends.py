@@ -13,11 +13,12 @@ provenance, counted (``cells.computed`` / ``cells.failed``) and traced
     An in-process loop, one cell at a time.
 
 ``pool`` (:class:`PoolBackend`)
-    A process pool over the cells' configs: each child makes one cell's
-    first attempt and returns the :class:`CellResult` that ``run_cell``
-    builds (or its error string); the parent hands it to the step in
-    completion order, which persists it — the interrupt-resume property —
-    and makes any retries in-process.
+    A process pool over the cells' configs, submitted longest first
+    (:func:`longest_first`): each child makes one cell's first attempt and
+    returns the :class:`CellResult` that ``run_cell`` builds (or its error
+    string); the parent hands it to the step in completion order, which
+    persists it — the interrupt-resume property — and makes any retries
+    in-process.
 
 ``shard`` / ``http`` (:class:`~repro.store.shard.ShardBackend` /
 :class:`~repro.store.coordinator.HttpBackend`)
@@ -27,10 +28,11 @@ provenance, counted (``cells.computed`` / ``cells.failed``) and traced
     (:mod:`repro.store.coordinator`; callers construct
     ``HttpBackend(url, workers)`` directly).
 
-Every backend returns the fresh results by sweep position.  A cell that
-raises is returned as its failure record (and is *not* persisted), so a
-poisoned cell surfaces per-cell in the report instead of aborting the sweep
-or silently vanishing — identically on every backend.
+The pool and the fleets start cells longest first; serial runs them in
+sweep order.  Every backend returns the fresh results by sweep position.
+A cell that raises is returned as its failure record (and is *not*
+persisted), so a poisoned cell surfaces per-cell in the report instead of
+aborting the sweep or silently vanishing — identically on every backend.
 """
 
 from __future__ import annotations
@@ -39,11 +41,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Protocol, Sequence, Union)
 
 from repro.experiments.config import ExperimentConfig, SweepConfig
 from repro.experiments.results import CellResult
-from repro.experiments.runner import failed_cell_result, run_cell
+from repro.experiments.runner import (cell_work_bound, failed_cell_result,
+                                     run_cell)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.robustness import warn_degraded
@@ -65,12 +69,31 @@ if TYPE_CHECKING:   # pragma: no cover — typing only, avoids an import cycle
     from repro.store.runner import CachedSweepRunner
 
 __all__ = ["CellStep", "ExecutionBackend", "SerialBackend", "PoolBackend",
-           "recommended_workers", "resolve_backend", "BACKEND_NAMES"]
+           "longest_first", "recommended_workers", "resolve_backend",
+           "BACKEND_NAMES"]
 
 
 def recommended_workers() -> int:
-    """A conservative worker count: ``cpu_count - 1`` with a floor of 1."""
-    return max(1, (os.cpu_count() or 2) - 1)
+    """A conservative worker count: one less than the CPUs this process may
+    run on (its affinity mask where the platform has one, else
+    ``os.cpu_count()``), with a floor of 1."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:   # pragma: no cover — platforms without affinity masks
+        cpus = os.cpu_count() or 2
+    return max(1, cpus - 1)
+
+
+def longest_first(cells: Sequence[ExperimentConfig],
+                  positions: Iterable[int]) -> List[int]:
+    """``positions`` of ``cells`` in the order a parallel backend starts
+    them: descending :func:`~repro.experiments.runner.cell_work_bound`, ties
+    in sweep order.
+
+    Started last, the longest cell would leave every other worker idle
+    while it runs; started first, it runs beside the short ones.
+    """
+    return sorted(positions, key=lambda i: (-cell_work_bound(cells[i]), i))
 
 
 def _kernel_id() -> str:
@@ -256,7 +279,8 @@ class PoolBackend:
                 with ProcessPoolExecutor(max_workers=workers,
                                          initializer=mark_worker_process) as pool:
                     futures = {pool.submit(_first_attempt, sweep.cells[i],
-                                           step.deadline): i for i in misses}
+                                           step.deadline): i
+                               for i in longest_first(sweep.cells, misses)}
                     for future in as_completed(futures):
                         i = futures[future]
                         # a future poisoned by a dead worker raises here,

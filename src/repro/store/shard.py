@@ -110,7 +110,8 @@ from repro.robustness.retry import (
     classify_error,
     format_cell_error,
 )
-from repro.store.backends import CellStep, PoolBackend, recommended_workers
+from repro.store.backends import (CellStep, PoolBackend, longest_first,
+                                  recommended_workers)
 from repro.store.store import ResultStore, StoreRecord
 
 __all__ = ["Claim", "LeaseManager", "ShardWorker", "ShardBackend",
@@ -724,7 +725,8 @@ class ShardWorker:
         """Resolve every cell of ``sweep``; returns results by position.
 
         Each pass reads every pending cell's payload in one batched call,
-        then claims the cells still missing one by one.  Lease-layer
+        then claims the cells still missing one by one, longest first
+        (:func:`~repro.store.backends.longest_first`).  Lease-layer
         hiccups (an injected fault or a transient ``OSError`` from the
         claim/complete/release plumbing) leave the affected cell *pending*
         for the next pass instead of killing the worker — the store
@@ -738,7 +740,7 @@ class ShardWorker:
         keys = [self.store.key_for(cell) for cell in cells]
         deadline = self.step.deadline
         resolved: Dict[int, CellResult] = {}
-        pending = list(range(len(cells)))
+        pending = longest_first(cells, range(len(cells)))
         while pending:
             expired = deadline is not None and deadline.expired()
             progressed = False

@@ -4,12 +4,14 @@ Run with two checkouts, the base and the change (head)::
 
     python tests/perf_ratchet.py BASE HEAD
 
-For each of the workloads that run the engines (``WORKLOADS``) the ratchet
-runs each tree's own ``perfbench/run.py``, from that tree's root, at seed
-``SEED``, with ``--trace 0`` and for ``BENCHMARK.json``'s ``run_seconds``,
-in ``PAIRS`` alternating pairs (odd pairs base first, even pairs head
-first), and reads the JSON result on the last line of each run's standard
-output.  It exits 1 when, on any workload,
+For each workload in ``WORKLOADS`` (``paper`` and ``count-space``, which
+run the engines, and ``paper-http``, the worker fleet that dispatches the
+same cells as ``paper``) the ratchet runs each tree's own
+``perfbench/run.py``, from that tree's root, at seed ``SEED``, with
+``--trace 0`` and for ``BENCHMARK.json``'s ``run_seconds``, in ``PAIRS``
+alternating pairs (odd pairs base first, even pairs head first), and reads
+the JSON result on the last line of each run's standard output.  It
+exits 1 when, on any workload,
 
 * the head's median ``wall_s``, ``setup_s`` or ``peak_rss_mb`` exceeds the
   base's by more than that metric's relative ``bound`` in
@@ -40,7 +42,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: The perfbench workloads compared, alternating pairs per workload, and seed.
-WORKLOADS = ("paper", "count-space")
+WORKLOADS = ("paper", "count-space", "paper-http")
 PAIRS = 3
 SEED = 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.core.median_rule import (
 from repro.core.occupancy_state import OccupancyState
 from repro.core.rules import get_rule
 from repro.core.state import Configuration
+from repro.engine.batch import run_batch
 from repro.engine.occupancy import (
     occupancy_round,
     occupancy_transition_matrix,
@@ -245,6 +247,43 @@ class TestSimulateOccupancy:
         summary = res.summary()  # the analysis surface must keep working
         assert summary["consensus_reached"] is True
         assert summary["final_agreement_fraction"] == 1.0
+
+    @pytest.mark.parametrize("n", [64, 10**6])
+    def test_occupancy_input_stays_in_count_space(self, n):
+        """Up to the materialize limit too, an occupancy input comes back as
+        occupancy states."""
+        st = OccupancyState.from_loads({0: n // 2, 1: n - n // 2})
+        res = simulate_occupancy(st, seed=3)
+        assert res.initial is st
+        assert isinstance(res.final, OccupancyState)
+        assert res.final.n == n and res.reached_consensus
+
+    def test_configuration_input_comes_back_expanded(self):
+        init = Configuration.two_bins(64, minority=32)
+        res = simulate_occupancy(init, seed=3)
+        assert res.initial is init
+        assert isinstance(res.final, Configuration)
+        assert res.final.n == 64 and res.reached_consensus
+
+    def test_looped_count_space_cell_never_expands(self, monkeypatch):
+        """``run_batch(engine="occupancy")`` reads only the convergence round,
+        so the benchmark's looped n = 10^6 cell never builds a configuration."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                        / "perfbench"))
+        from workloads import count_space_cells
+
+        cell = next(c for c in count_space_cells(0) if c.engine == "occupancy")
+
+        def refuse(self, limit=None):
+            raise AssertionError("expanded an occupancy state")
+
+        monkeypatch.setattr(OccupancyState, "to_configuration", refuse)
+        batch = run_batch(make_occupancy_workload(cell.workload,
+                                                  **cell.workload_params),
+                          num_runs=cell.num_runs, rule=get_rule(cell.rule),
+                          seed=cell.seed, engine="occupancy")
+        assert batch.num_runs == cell.num_runs == 16
+        assert batch.convergence_fraction == 1.0
 
     def test_best_of_k_rule(self):
         res = simulate_occupancy(Configuration.two_bins(2000, minority=900),
