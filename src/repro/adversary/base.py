@@ -155,19 +155,10 @@ class _RowMoves(NamedTuple):
         return cls(*(np.concatenate(column) for column in zip(*parts)))
 
     def proposal(self) -> CountCorruption:
-        return CountCorruption(src_values=self.src, dst_values=self.dst, amounts=self.amounts)
-
-
-def _sorted_palette(admissible_values: np.ndarray) -> np.ndarray:
-    """The palette as sorted distinct ``int64`` values.
-
-    A palette already in that form (what the engines pass) is used as is
-    after an O(m) check; anything else is normalised with ``np.unique``.
-    """
-    palette = np.asarray(admissible_values, dtype=np.int64)
-    if palette.ndim == 1 and (palette[1:] > palette[:-1]).all():
-        return palette
-    return np.unique(palette)
+        """The moves that move something, as one run's proposal."""
+        go = self.amounts > 0
+        return CountCorruption(src_values=self.src[go], dst_values=self.dst[go],
+                               amounts=self.amounts[go])
 
 
 def _locate(ordered: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -197,7 +188,10 @@ class _Palette(NamedTuple):
 
     @classmethod
     def of(cls, admissible_values: np.ndarray) -> "_Palette":
-        values = _sorted_palette(admissible_values)
+        """One all-true row over sorted distinct ``int64`` values (kept as given if so)."""
+        values = np.asarray(admissible_values, dtype=np.int64)
+        if values.ndim != 1 or not (values[1:] > values[:-1]).all():
+            values = np.unique(values)
         return cls(values, np.ones((1, values.shape[0]), dtype=bool))
 
     def lo(self) -> np.ndarray:
@@ -208,12 +202,12 @@ class _Palette(NamedTuple):
         """Each row's largest admissible value."""
         return self.values[self.values.shape[0] - 1 - self.mask[:, ::-1].argmax(axis=1)]
 
-    def holds(self, values: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """Whether ``values[i]`` is admissible in row ``rows[i]`` (default: row ``i``)."""
+    def holds(self, values: np.ndarray) -> np.ndarray:
+        """Whether ``values[i]`` is admissible in row ``i``."""
         if self.values.shape[0] == 0:
             return np.zeros(values.shape[0], dtype=bool)
         at, there = _locate(self.values, values)
-        return there & self.mask[np.arange(values.shape[0]) if rows is None else rows, at]
+        return there & self.mask[np.arange(values.shape[0]), at]
 
     def take(self, rows: Sequence[int]) -> "_Palette":
         return _Palette(self.values, self.mask[rows])
@@ -227,45 +221,45 @@ def _capped_cumsum(amounts: np.ndarray, groups: np.ndarray,
     ``amounts`` in order until the group's running total reaches its cap
     (``caps`` holds it at every entry of the group).
     """
-    first = np.empty(groups.shape[0], dtype=bool)
-    first[0] = True
-    np.not_equal(groups[1:], groups[:-1], out=first[1:])
-    if first.all():
+    fresh = groups[1:] != groups[:-1]
+    if fresh.all():
         return np.minimum(amounts, caps)
+    first = np.concatenate(([True], fresh))
     before = np.cumsum(amounts) - amounts        # running total before each entry
     before -= before[first][np.cumsum(first) - 1]
     return np.minimum(before + amounts, caps) - np.minimum(before, caps)
 
 
 def _enforce_rows(support: np.ndarray, block: np.ndarray, moves: _RowMoves,
-                  budgets: np.ndarray, palette: _Palette) -> np.ndarray:
-    """Apply ``moves`` to the ``(L, m)`` counts ``block`` in place, within the model.
+                  budgets: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Apply ``moves`` to the C-contiguous ``(L, m)`` counts ``block`` in place.
 
-    Per row, moves out of or into values without a bin, or to values the row
-    may not write, are dropped.  A move rewrites only processes that held its
-    source value when the call began and that no earlier move rewrote
-    (:meth:`Adversary.corrupt` likewise keeps each process's first write), so
-    no bin goes negative.  The moves are then clipped to the row's budget in
-    proposal order.  Returns how many processes each row rewrote.
+    Per row, moves out of or into values without a bin, or into a bin the
+    row may not write (``allowed``), are dropped.  A move rewrites only
+    processes that held its source value when the call began and that no
+    earlier move rewrote (as :meth:`Adversary.corrupt` keeps each process's
+    first write), so no bin goes negative; the moves are then clipped to the
+    row's budget in proposal order.  Returns how many each row rewrote.
     """
     L, m = block.shape
-    src_at, src_there = _locate(support, moves.src)
-    dst_at, dst_there = _locate(support, moves.dst)
-    keep = (moves.amounts > 0) & src_there & dst_there & palette.holds(moves.dst, moves.rows)
-    rows, amounts = moves.rows, moves.amounts
+    k = moves.rows.shape[0]
+    at, there = _locate(support, np.concatenate((moves.src, moves.dst)))
+    rows, amounts, base = moves.rows, moves.amounts, moves.rows * m
+    cells, into = base + at[:k], base + at[k:]     # flat (row, bin) cells of the block
+    keep = there[:k] & there[k:] & (amounts > 0) & allowed.take(into)
     if not keep.all():
-        rows, src_at, dst_at, amounts = rows[keep], src_at[keep], dst_at[keep], amounts[keep]
+        rows, cells, into, amounts = rows[keep], cells[keep], into[keep], amounts[keep]
     if rows.shape[0] == 0:
         return np.zeros(L, dtype=np.int64)
     # moves sharing a source bin take its holders in proposal order
-    cells = rows * m + src_at
     order = np.argsort(cells, kind="stable")
+    ranked = cells[order]
     taken = np.empty_like(amounts)
-    taken[order] = _capped_cumsum(amounts[order], cells[order],
-                                  block[rows[order], src_at[order]])
+    taken[order] = _capped_cumsum(amounts[order], ranked, block.take(ranked))
     moved = _capped_cumsum(taken, rows, budgets[rows])
-    np.subtract.at(block, (rows, src_at), moved)
-    np.add.at(block, (rows, dst_at), moved)
+    flat = block.reshape(-1)                       # a view: corrupt_counts' own array
+    np.subtract.at(flat, cells, moved)
+    np.add.at(flat, into, moved)
     return np.bincount(rows, weights=moved, minlength=L).astype(np.int64)
 
 
@@ -295,7 +289,7 @@ class Adversary(abc.ABC):
             raise ValueError("adversary budget must be non-negative")
         self.budget = int(budget)
         self.timing = timing
-        self.ledger = BudgetLedger(budget=self.budget)
+        Adversary.reset(self)
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -355,7 +349,7 @@ class Adversary(abc.ABC):
         mutated.
         """
         values = np.asarray(values, dtype=np.int64)
-        admissible = _sorted_palette(admissible_values)
+        admissible = self._palette_of(admissible_values).values
         if self.budget == 0 or admissible.shape[0] == 0:
             self.ledger.record(round_index, 0)
             return np.array(values)
@@ -372,15 +366,13 @@ class Adversary(abc.ABC):
             # the per-round budget (keeping the strategy's preferred order).
             keep = (idx >= 0) & (idx < values.shape[0]) & _locate(admissible, val)[1]
             idx, val = idx[keep], val[keep]
-            if idx.shape[0] > 1:
+            ranked = np.sort(idx)
+            fresh = ranked[1:] != ranked[:-1]
+            if not fresh.all():
                 # de-duplicate process indices, keeping the first write for each
-                order = np.argsort(idx, kind="stable")
-                ranked = idx[order]
-                fresh = ranked[1:] != ranked[:-1]
-                if not fresh.all():
-                    first = order[np.concatenate(([True], fresh))]
-                    first.sort()
-                    idx, val = idx[first], val[first]
+                first = np.argsort(idx, kind="stable")[np.concatenate(([True], fresh))]
+                first.sort()
+                idx, val = idx[first], val[first]
             if idx.shape[0] > self.budget:
                 idx, val = idx[: self.budget], val[: self.budget]
 
@@ -478,22 +470,23 @@ class Adversary(abc.ABC):
         support = np.asarray(support, dtype=np.int64)
         out = np.array(counts, dtype=np.int64)
         block = out.reshape(-1, support.shape[0])
-        budgets, palette = self._count_setup(support, admissible_values)
+        budgets, palette, allowed, go = self._count_setup(support, admissible_values)
         spent = np.zeros(block.shape[0], dtype=np.int64)
-        go = np.flatnonzero((budgets > 0) & palette.mask.any(axis=1))
         if go.shape[0]:
             moves = self._propose_rows(support, block, go, round_index, palette, rng)
-            spent = _enforce_rows(support, block, moves, budgets, palette)
+            spent = _enforce_rows(support, block, moves, budgets, allowed)
         self._record_rows(round_index, spent)
         return out
 
     # ------------------------------------------------------------------ #
     # the row form behind corrupt_counts (private)
     # ------------------------------------------------------------------ #
-    def _count_setup(self, support: np.ndarray,
-                     admissible_values: np.ndarray) -> Tuple[np.ndarray, _Palette]:
-        """The rows' budgets and palettes for one :meth:`corrupt_counts` call."""
-        return np.array([self.budget], dtype=np.int64), _Palette.of(admissible_values)
+    def _count_setup(self, support: np.ndarray, admissible_values: np.ndarray
+                     ) -> Tuple[np.ndarray, _Palette, np.ndarray, np.ndarray]:
+        """The rows' budgets, palettes, bins they may write and acting rows."""
+        palette = self._palette_of(admissible_values)
+        go = _ROW0 if self.budget > 0 and palette.values.shape[0] else _ROW0[:0]
+        return self._row()["budget"], palette, np.isin(support, palette.values)[None], go
 
     def _propose_rows(self, support: np.ndarray, block: np.ndarray, go: np.ndarray,
                       round_index: int, palette: _Palette,
@@ -522,19 +515,42 @@ class Adversary(abc.ABC):
         self._restore(state, 0, support)
         return moves
 
+    def _palette_of(self, admissible_values: np.ndarray) -> _Palette:
+        """The palette, normalised once per array the run passes (the engines
+        pass one); its own sorted values, which :meth:`propose` gets, count too."""
+        bound = self._bound
+        if bound is None or (admissible_values is not bound[0]
+                             and admissible_values is not bound[1].values):
+            bound = self._bound = (admissible_values, _Palette.of(admissible_values))
+        return bound[1]
+
+    def _row(self) -> Dict[str, np.ndarray]:
+        """This run's strategy state, one row of the row form from its first call."""
+        if self._state is None:
+            self._state = self._fresh_row()
+        return self._state
+
+    def _fresh_row(self) -> Dict[str, np.ndarray]:
+        """A new run's one-row state: the budget, plus what a strategy adds."""
+        return {"budget": np.array([self.budget], dtype=np.int64)}
+
     @classmethod
     def _state_of(cls, adversaries: Sequence["Adversary"],
                   support: Optional[np.ndarray]) -> Dict[str, np.ndarray]:
         """The per-run state of ``adversaries`` (all of this class), stacked in arrays."""
-        return {"budget": np.array([adv.budget for adv in adversaries], dtype=np.int64)}
+        rows = [adv._row() for adv in adversaries]
+        return {key: np.concatenate([row[key] for row in rows]) for key in rows[0]}
 
     def _restore(self, state: Dict[str, np.ndarray], k: int,
                  support: Optional[np.ndarray]) -> None:
         """Take back this run's state from row ``k`` of a stacked ``state``."""
+        self._state = {key: state[key][k:k + 1].copy() for key in self._row()}
 
     def reset(self) -> None:
-        """Clear per-run internal state (ledger and any strategy memory)."""
+        """Clear per-run internal state (ledger, strategy memory, bound palette)."""
         self.ledger = BudgetLedger(budget=self.budget)
+        self._state: Optional[Dict[str, np.ndarray]] = None
+        self._bound: Optional[Tuple[np.ndarray, _Palette]] = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(budget={self.budget}, timing={self.timing.value})"
@@ -572,7 +588,7 @@ class _CountBatch(Adversary):
     def __init__(self, adversaries: Sequence[Adversary],
                  admissibles: Sequence[np.ndarray], support: np.ndarray) -> None:
         super().__init__(budget=0)
-        self._adversaries = adversaries
+        self._adversaries, self._support = adversaries, support
         self._budgets = np.array([adv.budget for adv in adversaries], dtype=np.int64)
         masks: Dict[int, np.ndarray] = {}   # runs usually share one palette
         for p in admissibles:
@@ -585,9 +601,9 @@ class _CountBatch(Adversary):
         self._kind = kind if kind is not None and kind._row_form else None
         self._slot = np.full(len(adversaries), -1, dtype=np.intp)
         self._slot[self._stepped] = np.arange(self._stepped.shape[0])
-        self._state = None if self._kind is None else self._kind._state_of(
+        self._stack = None if self._kind is None else self._kind._state_of(
             [adversaries[r] for r in self._stepped], support)
-        self._runs = self._stepped[:0]
+        self._runs: Optional[np.ndarray] = None
         self._tracked: List[Tuple[int, int]] = []
 
     def propose(self, values: np.ndarray, round_index: int,
@@ -595,28 +611,32 @@ class _CountBatch(Adversary):
         raise NotImplementedError("a count-space batch has no value-space form")
 
     def select(self, runs: np.ndarray) -> np.ndarray:
-        """Step ``runs`` on the next call; returns their palettes, its ``admissible_values``."""
-        self._runs = runs
-        return self._palettes[runs]
+        """Step ``runs`` on the next call; returns their palettes, its
+        ``admissible_values``.  Their setup is made once per ``runs`` array."""
+        if runs is not self._runs:
+            budgets, mask = self._budgets[runs], self._palettes[runs]
+            go = np.flatnonzero((budgets > 0) & mask.any(axis=1))
+            self._runs, self._setup = runs, (budgets, _Palette(self._support, mask), mask, go)
+            self._slots, self._whole = self._slot[runs[go]], go.shape[0] == runs.shape[0]
+        return self._setup[2]
 
-    def _count_setup(self, support: np.ndarray,
-                     admissible_values: np.ndarray) -> Tuple[np.ndarray, _Palette]:
-        return self._budgets[self._runs], _Palette(support, admissible_values)
+    def _count_setup(self, support: np.ndarray, admissible_values: np.ndarray
+                     ) -> Tuple[np.ndarray, _Palette, np.ndarray, np.ndarray]:
+        return self._setup
 
     def _propose_rows(self, support: np.ndarray, block: np.ndarray, go: np.ndarray,
                       round_index: int, palette: _Palette,
                       rng: np.random.Generator) -> _RowMoves:
-        runs = self._runs[go]
         if self._kind is None:
             parts = []
-            for j, r in zip(go, runs):
+            for j, r in zip(go, self._runs[go]):
                 moves = self._adversaries[r]._propose_rows(
                     support, block[j:j + 1], _ROW0, round_index, palette.take([j]), rng)
                 parts.append(moves._replace(rows=np.full_like(moves.rows, j)))
             return _RowMoves.concat(parts)
-        whole = go.shape[0] == block.shape[0]
+        whole = self._whole
         moves = self._kind._count_rows(  # type: ignore[attr-defined]
-            self._state, self._slot[runs], support, block if whole else block[go],
+            self._stack, self._slots, support, block if whole else block[go],
             round_index, palette if whole else palette.take(go), rng)
         return moves if whole else moves._replace(rows=go[moves.rows])
 
@@ -632,10 +652,10 @@ class _CountBatch(Adversary):
                 return None
             slot = self._slot[runs]
             mine = slot >= 0
-            if not self._state["chosen"][slot[mine]].any():
+            if not self._stack["chosen"][slot[mine]].any():
                 return None
             block = np.zeros((runs.shape[0], support.shape[0]), dtype=np.int64)
-            block[mine] = self._state["victims"][slot[mine]]
+            block[mine] = self._stack["victims"][slot[mine]]
             return block
         block, self._tracked = None, []
         for j, r in enumerate(runs):
@@ -654,7 +674,7 @@ class _CountBatch(Adversary):
         if self._kind is not None:
             slot = self._slot[runs]
             mine = slot >= 0
-            self._state["victims"][slot[mine]] = block[mine]
+            self._stack["victims"][slot[mine]] = block[mine]
             return
         for j, r in self._tracked:
             self._adversaries[r].observe_victim_scatter(support, block[j])
@@ -664,4 +684,4 @@ class _CountBatch(Adversary):
         if self._kind is not None:
             support = np.array(support)
             for k, r in enumerate(self._stepped):
-                self._adversaries[r]._restore(self._state, k, support)
+                self._adversaries[r]._restore(self._stack, k, support)

@@ -39,12 +39,12 @@ The identity-tracking strategy (sticky, and hiding as its paper name) drives
 the occupancy engines exactly by tracking its victims' *occupancy* instead
 of their identities.
 
-In count space each strategy keeps its runs' state in arrays, one row per
-run (``Adversary._state_of``): the budgets, balancing's remembered runner-up,
-reviving's delay and target, the sticky victim occupancy.  The only draws
-made run by run, in run order, are the victims of reviving, switching and
-random, random's choice of value for them, and sticky's first-round victim
-choice.
+Each adversary keeps its state as one row of that form (``Adversary._row``),
+and the count-space batch stacks its runs' rows (``Adversary._state_of``):
+the budgets, balancing's remembered runner-up, reviving's delay and target,
+the sticky victim occupancy.  The only draws made run by run, in run order,
+are the victims of reviving, switching and random, random's choice of value
+for them, and sticky's first-round victim choice.
 """
 
 from __future__ import annotations
@@ -163,15 +163,14 @@ class _HistogramMixin:
                 admissible_values: np.ndarray, rng: np.random.Generator,
                 census: Optional[Census] = None) -> Corruption:
         support, counts = self._histogram(values) if census is None else census
-        state = self._state_of([self], None)
-        move = self._decide(state, _ROW0, support, None if counts is None else counts[None],
-                            round_index, _Palette.of(admissible_values))
-        self._restore(state, 0, None)
-        amount = int(move.amount[0])
+        move = self._decide(self._row(), _ROW0, support,
+                            None if counts is None else counts[None], round_index,
+                            self._palette_of(admissible_values))
+        amount = move.amount.item()
         if amount <= 0:
             return Corruption.empty()
-        src = None if move.src is None else int(move.src[0])
-        dst = None if move.dst is None else int(move.dst[0])
+        src = None if move.src is None else move.src.item()
+        dst = None if move.dst is None else move.dst.item()
         if src is None and not self._spares_dst:
             # every process: draw indices directly, O(T) for T << n
             victims = rng.choice(values.shape[0], size=min(amount, values.shape[0]),
@@ -180,7 +179,9 @@ class _HistogramMixin:
             pool = np.flatnonzero(values == src if src is not None else values != dst)
             if pool.shape[0] == 0:
                 return Corruption.empty()
-            victims = rng.choice(pool, size=min(amount, pool.shape[0]), replace=False)
+            # by position in the pool: the draws of rng.choice(pool, ...)
+            victims = pool[rng.choice(pool.shape[0], size=min(amount, pool.shape[0]),
+                                      replace=False)]
         if dst is None:
             writes = rng.choice(admissible_values, size=victims.shape[0], replace=True)
         else:
@@ -192,7 +193,7 @@ class _HistogramMixin:
                        ) -> CountCorruption:
         return self._row_step(np.asarray(support, dtype=np.int64),
                               np.asarray(counts, dtype=np.int64)[None], round_index,
-                              _Palette.of(admissible_values), rng).proposal()
+                              self._palette_of(admissible_values), rng).proposal()
 
     @classmethod
     def _count_rows(cls, state: Dict[str, np.ndarray], rows: np.ndarray,
@@ -200,9 +201,9 @@ class _HistogramMixin:
                     palette: _Palette, rng: np.random.Generator) -> _RowMoves:
         move = cls._decide(state, rows, support, counts, round_index, palette)
         if move.src is not None:
-            # which holders get rewritten is irrelevant in count space
-            go = np.flatnonzero(move.amount > 0)
-            return _RowMoves(go, move.src[go], move.dst[go], move.amount[go])
+            # which holders get rewritten is irrelevant in count space, and
+            # the enforcement drops the rows that move nothing
+            return _RowMoves(np.arange(counts.shape[0]), move.src, move.dst, move.amount)
         pool = np.where(support == move.dst[:, None], 0, counts) if cls._spares_dst \
             else counts
         per_bin = np.zeros_like(counts)
@@ -240,39 +241,33 @@ class BalancingAdversary(_HistogramMixin, Adversary):
 
     _reads_histogram = True
 
-    def __init__(self, budget: int,
-                 timing: AdversaryTiming = AdversaryTiming.BEFORE_SAMPLING) -> None:
-        super().__init__(budget=budget, timing=timing)
-        self._last_runner_up: Optional[int] = None
+    def _fresh_row(self):
+        return {**super()._fresh_row(), "runner_up": np.array([_NO_VALUE])}
 
-    def reset(self) -> None:
-        super().reset()
-        self._last_runner_up = None
+    @property
+    def _last_runner_up(self) -> Optional[int]:
+        """The runner-up remembered for a re-seed at consensus (one row's)."""
+        runner_up = int(self._row()["runner_up"][0])
+        return None if runner_up == _NO_VALUE else runner_up
 
-    @classmethod
-    def _state_of(cls, adversaries, support):
-        state = super()._state_of(adversaries, support)
-        state["runner_up"] = np.array(
-            [_NO_VALUE if adv._last_runner_up is None else adv._last_runner_up
-             for adv in adversaries], dtype=np.int64)
-        return state
-
-    def _restore(self, state, k, support):
-        runner_up = int(state["runner_up"][k])
-        self._last_runner_up = None if runner_up == _NO_VALUE else runner_up
+    @_last_runner_up.setter
+    def _last_runner_up(self, value: Optional[int]) -> None:
+        self._row()["runner_up"][0] = _NO_VALUE if value is None else value
 
     @classmethod
     def _decide(cls, state, rows, support, counts, round_index, palette):
-        L, m = counts.shape
-        j = np.arange(L)
-        order = np.argsort(-counts, axis=1, kind="stable")
-        lead, lead_load = order[:, 0], counts[j, order[:, 0]]
-        second = order[:, min(1, m - 1)]
-        second_load = counts[j, second] if m > 1 else np.zeros(L, dtype=np.int64)
+        # the two most loaded bins, ties to the smaller value: the leader,
+        # then the best of the rest (the leader again when it is alone)
+        j = np.arange(counts.shape[0])
+        lead = counts.argmax(axis=1)
+        rest = counts.copy()
+        rest[j, lead] = -1
+        second = rest.argmax(axis=1)
+        lead_load, second_load = counts[j, lead], rest[j, second]
         leader, runner_up = support[lead], support[second]
         budget = state["budget"][rows]
         two = second_load > 0
-        amount = np.where(two, np.minimum(budget, (lead_load - second_load + 1) // 2), 0)
+        amount = np.minimum(budget, (lead_load - second_load + 1) // 2) * two
         memory = state["runner_up"]
         memory[rows[two]] = runner_up[two]
         if not two.all() and palette.values.shape[0]:
@@ -308,14 +303,10 @@ class RevivingAdversary(_HistogramMixin, Adversary):
         self.delay = int(delay)
         self.target_value = target_value
 
-    @classmethod
-    def _state_of(cls, adversaries, support):
-        state = super()._state_of(adversaries, support)
-        state["delay"] = np.array([adv.delay for adv in adversaries], dtype=np.int64)
-        state["target"] = np.array(
-            [_NO_VALUE if adv.target_value is None else adv.target_value
-             for adv in adversaries], dtype=np.int64)
-        return state
+    def _fresh_row(self):
+        return {**super()._fresh_row(), "delay": np.array([self.delay]),
+                "target": np.array([_NO_VALUE if self.target_value is None
+                                    else self.target_value], dtype=np.int64)}
 
     @classmethod
     def _decide(cls, state, rows, support, counts, round_index, palette):
@@ -437,12 +428,14 @@ class StickyAdversary(Adversary):
 
     propose_counts = _HistogramMixin.propose_counts
 
+    def _fresh_row(self):
+        return {**super()._fresh_row(), "pinned": np.array(
+            [_NO_VALUE if self.pinned_value is None else self.pinned_value], dtype=np.int64)}
+
     @classmethod
     def _state_of(cls, adversaries, support):
+        # the victim occupancy is kept over a support, so it is stacked over this one
         state = super()._state_of(adversaries, support)
-        state["pinned"] = np.array(
-            [_NO_VALUE if adv.pinned_value is None else adv.pinned_value
-             for adv in adversaries], dtype=np.int64)
         state["chosen"] = np.array([adv._victim_occupancy is not None for adv in adversaries])
         state["victims"] = np.zeros((len(adversaries), support.shape[0]), dtype=np.int64)
         for k in np.flatnonzero(state["chosen"]):
@@ -450,6 +443,7 @@ class StickyAdversary(Adversary):
         return state
 
     def _restore(self, state, k, support):
+        super()._restore(state, k, support)
         self._victim_occupancy = (support, state["victims"][k].copy()) \
             if state["chosen"][k] else None
 

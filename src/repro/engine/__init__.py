@@ -16,9 +16,10 @@ per round and therefore in where they are fast:
     adversaries.
 
 ``occupancy`` (:func:`repro.engine.occupancy.simulate_occupancy`)
-    One count per distinct value, one multinomial scatter per round: O(m²)
-    time, **independent of n**.  Statistically exact (equal in law to the
-    vectorized engine — pinned by the ``tests/equivalence.py`` harness via
+    One count per distinct value, one multinomial scatter per round: O(m)
+    time compiled, O(m²) on NumPy, **independent of n**.  Statistically
+    exact (equal in law to the vectorized engine — pinned by the
+    ``tests/equivalence.py`` harness via
     ``tests/test_engine_differential.py``), so use it for very large
     populations with few values (n = 10⁸–10⁹, m up to a few thousand).
     A single run is the fused count-space loop below at R = 1, on the run's
@@ -42,15 +43,15 @@ per round and therefore in where they are fast:
     convergence bookkeeping) and one outcome law per rule
     (:func:`~repro.engine.occupancy.occupancy_outcome_profiles`), as
     ``vectorized`` and ``network`` share one value-space round loop.
-    Cost model: O(R·m²) time per round **independent of n**, versus O(R·m²)
-    time *plus O(R) interpreter round trips* for the looped occupancy path.
+    Cost model: O(R·m) time per round compiled, O(R·m²) on NumPy,
+    **independent of n**, versus the same *plus O(R) round trips* looped.
     Peak memory is O(R·m² · 8 bytes) on the NumPy backend, whose dense
     (R, m, m) outcome tensor is drawn in run blocks of ~134 MB, and O(R·m)
     on the compiled backend, whose banded walker builds no matrix.
-    With an adversary the fused engine still makes one adversary step per
-    round and timing for all R runs; what it does per run is the
-    strategies' random victim draws and the run's ledger entry.  The fused
-    engine wins by an order of magnitude once R is in the hundreds
+    With an adversary the fused engine makes one adversary step per round
+    and timing for all R runs; what it does per run is the strategies'
+    random victim draws and the run's ledger entry.  The fused engine wins
+    by an order of magnitude once R is in the hundreds
     (``tests/test_batch_fused_occupancy.py`` guards ≥ 2× at R = 96), and by
     far more at large n against the looped value-space engine.
 

@@ -151,13 +151,14 @@ def _address(a: np.ndarray, dtype: np.dtype, shape: tuple) -> int:
 
 
 class _SeedState:
-    """The kernel's four-word xoshiro state, allocated here, and its address."""
+    """The kernel's xoshiro state and its address, and the last profiles checked."""
 
-    __slots__ = ("words", "at")
+    __slots__ = ("words", "at", "profiles")
 
     def __init__(self) -> None:
         self.words = np.empty(4, dtype=np.uint64)
         self.at = self.words.ctypes.data
+        self.profiles: tuple = (None, None, None, ())
 
 
 class _CcKernel:
@@ -230,17 +231,20 @@ class _CcKernel:
         return so_path
 
     # -- draws ---------------------------------------------------------- #
-    # A draw checks every caller array before any C call, seeds the
-    # kernel's state from ``seed`` (in ``state``, or a fresh one it holds
-    # until C returns), and writes into an ``out`` it allocates.
+    # A draw checks every caller array before any C call (a loop's profile
+    # buffers once), seeds the kernel's state from ``seed`` (in ``state``, or
+    # a fresh one it holds until C returns), and writes into its own ``out``.
     def sample_banded(self, counts: np.ndarray, lo: np.ndarray,
                       hi: np.ndarray, diag: np.ndarray, seed: int,
                       state: Optional[_SeedState] = None) -> np.ndarray:
         R, m = shape = counts.shape
-        args = (_address(counts, _I64, shape), _address(lo, _F64, shape),
-                _address(hi, _F64, shape), _address(diag, _F64, shape))
-        out = np.empty(shape, dtype=np.int64)
         state = state or _SeedState()
+        seen = state.profiles    # a loop's profile buffers stay the same arrays
+        if seen[0] is not lo or seen[1] is not hi or seen[2] is not diag or lo.shape != shape:
+            seen = state.profiles = (lo, hi, diag, [_address(p, _F64, shape)
+                                                    for p in (lo, hi, diag)])
+        args = (_address(counts, _I64, shape), *seen[3])
+        out = np.empty(shape, dtype=np.int64)
         self._seed(int(seed) & (2**64 - 1), state.at)
         self._banded(*args, R, m, state.at, state.at, _address(out, _I64, shape))
         return out

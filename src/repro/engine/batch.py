@@ -7,17 +7,17 @@ batching strategies are provided:
   (:func:`repro.engine.vectorized.simulate` or
   :func:`repro.engine.occupancy.simulate_occupancy`) over independent seeds.
   Flexible (any rule, any adversary) but pays the per-run Python overhead —
-  which *dominates* for the occupancy engine, whose O(m²) kernel is far
-  cheaper than one interpreter round trip.
+  which *dominates* for the occupancy engine, whose round (O(m) compiled,
+  O(m²) on NumPy) is far cheaper than one interpreter round trip.
 
 * :func:`run_batch_fused_occupancy` — the multi-run analogue of the occupancy
   engine: state is one ``(R, m)`` count tensor, each round draws every run's
   scatter in a single seam call (on NumPy all ``R·m`` multinomials of the
   stacked ``(R, m, m)`` outcome tensor, on the compiled kernel the banded
   walker, which builds no matrix), and the adversaries of all runs act in
-  one step.  O(R·m²) per round with **no dependence on n**, so
-  convergence-round distributions at n = 10⁶–10⁹ cost the same as at
-  n = 10⁴.  The only work left per run is the adversaries' own random
+  one step.  O(R·m) per round compiled, O(R·m²) on NumPy, **independent of
+  n**, so convergence-round distributions at n = 10⁶–10⁹ cost the same as
+  at n = 10⁴.  The only work left per run is the adversaries' own random
   victim draws and each run's budget-ledger entry.  Selected as
   ``run_batch(engine="occupancy-fused")``.
 
@@ -199,10 +199,10 @@ def run_batch(
         carry per-run state such as victim sets); ``None`` means no adversary.
     engine:
         Which engine executes the batch: ``"vectorized"`` (O(n) per round per
-        run) or ``"occupancy"`` (O(m²) per round, independent of n) loop the
-        runs in Python; ``"occupancy-fused"`` runs the whole batch as
-        :func:`run_batch_fused_occupancy` (one (R, m) count tensor, no
-        per-run loop).  All are statistically equivalent.  The batch runs on
+        run) or ``"occupancy"`` (O(m) compiled, O(m²) on NumPy, independent
+        of n) loop the runs in Python; ``"occupancy-fused"`` runs the whole
+        batch as :func:`run_batch_fused_occupancy` (one (R, m) count tensor,
+        no per-run loop).  All are statistically equivalent.  The batch runs on
         the engine named: like ``"occupancy"``, the fused engine refuses a
         rule without a count-space kernel (``TypeError``) and an adversary
         without a count-space form (``NotImplementedError``).  Choosing the
@@ -451,11 +451,11 @@ def run_batch_fused_occupancy(
     both run the same round loop, here with the batch state an ``(R, m)`` int64 tensor of bin
     counts over a shared value support.  Each round draws every run's
     scatter in one seam call and detects convergence in count space
-    (``n − counts.max(axis=1)``, O(m) per run).  Per-round cost is O(R·m²)
-    independent of n.  The adversaries of all runs act in one
-    :meth:`~repro.adversary.base.Adversary.corrupt_counts` call per round and
-    timing; only their random victim draws, and each run's ledger entry, are
-    made run by run.
+    (``n − counts.max(axis=1)``, O(m) per run).  Per-round cost is O(R·m)
+    compiled, O(R·m²) on NumPy, independent of n.  The adversaries of all
+    runs act in one :meth:`~repro.adversary.base.Adversary.corrupt_counts`
+    call per round and timing; only their random victim draws, and each
+    run's ledger entry, are made run by run.
 
     Semantics match ``run_batch(engine="occupancy")`` run for run, in
     distribution: per-run initial draws use the same spawned seed streams,

@@ -1,4 +1,4 @@
-"""Exact occupancy-space simulation engine: O(m²) per round, independent of n.
+"""Exact occupancy-space simulation engine: a round's cost is independent of n.
 
 The vectorized engine (:mod:`repro.engine.vectorized`) stores one value per
 process and pays O(n) work per round.  But every anonymous symmetric rule —
@@ -26,8 +26,8 @@ engine's value array — verified by ``tests/test_engine_differential.py``.
 It is not sample-path identical for a shared seed (the two engines consume
 randomness differently), only equal in law.
 
-Cost per round is O(m²) for the transition matrix and draws, with **no
-dependence on n**, so n = 10⁸–10⁹ runs cost the same as n = 10⁴ for fixed m
+Cost per round is O(m) on the compiled banded walker, O(m²) on NumPy's dense
+round, with **no dependence on n**: n = 10⁸–10⁹ costs what n = 10⁴ does
 (guarded by ``test_round_cost_flat_in_n`` in ``tests/test_engine_occupancy.py``).
 
 Supported rules: :class:`~repro.core.median_rule.MedianRule`,
@@ -406,7 +406,7 @@ class _RoundProgram:
 
 def occupancy_round(counts: np.ndarray, rule: Rule,
                     rng: np.random.Generator) -> np.ndarray:
-    """Advance one run one synchronous round in count space (exact, O(m²)).
+    """Advance one run one synchronous round in count space (exact, O(m) / O(m²)).
 
     The ``R = 1`` slice of :func:`occupancy_round_batch`: each value class
     scatters its holders over the classes with one multinomial draw from
@@ -435,7 +435,7 @@ def occupancy_round_split(counts: np.ndarray, victim_counts: np.ndarray,
 def occupancy_round_batch(counts: np.ndarray, rule: Rule,
                           rng: np.random.Generator, *,
                           _program: Optional[_RoundProgram] = None) -> np.ndarray:
-    """Advance ``R`` independent runs one synchronous round (exact, O(R·m²)).
+    """Advance ``R`` independent runs one synchronous round (exact, O(R·m) / O(R·m²)).
 
     ``counts`` has shape ``(R, m)``: run ``r`` scatters each of its value
     classes with one multinomial draw from that run's outcome distribution —
@@ -542,7 +542,7 @@ def simulate_occupancy(
     (:func:`~repro.core.consensus.default_max_rounds`), default criterion
     (:meth:`~repro.core.consensus.AlmostStableCriterion.for_budget`) and
     stop rule, and the same :class:`SimulationResult` shape, but per-round
-    cost O(m²) independent of n.  The produced run is
+    cost O(m) compiled / O(m²) on NumPy, independent of n.  The produced run is
     *equal in distribution* to a vectorized run (not sample-path identical
     for a shared seed).  The rounds run through the same count-space loop as
     :func:`repro.engine.batch.run_batch_fused_occupancy`, at ``R = 1`` on
